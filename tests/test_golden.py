@@ -1,0 +1,193 @@
+"""Pinned output digests of fixed CLI configurations.
+
+Each configuration runs ``cli.main`` in-process and hashes, in order, the
+exit code, stdout, the CSV bytes and the JSON report re-serialized with
+sorted keys after dropping its time-dependent ``meta`` block.  A refactor
+that is meant to keep behaviour must leave every digest unchanged; a change
+that moves output bytes on purpose updates the digests and says which
+configurations moved and why.
+
+The digests were taken with numpy 2.4.6 and scipy 1.17.1.  Other versions
+may round the last bits of special functions and linear algebra
+differently, so a mismatch there is not by itself a defect.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+import scipy
+
+from infoconc.cli import main
+
+DIGEST_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+GAMMA2_X2 = {"family": "product",
+             "params": {"component": {"family": "gamma", "params": {"p": 2.0}},
+                        "copies": 2}}
+MIXED = {"family": "product", "params": {"components": [
+    {"family": "exponential"},
+    {"family": "gaussian1d", "params": {"mu": 1.0, "sigma": 2.0}},
+    {"family": "laplace"},
+    {"family": "uniform", "params": {"a": -1.0, "b": 2.0}},
+]}}
+COV3 = {"family": "gaussian",
+        "params": {"dim": 3, "cov_factor": [[1.0, 0.0, 0.0],
+                                            [0.5, 1.0, 0.0],
+                                            [0.0, -0.5, 2.0]]}}
+AFFINE = {"family": "affine",
+          "params": {"base": {"family": "product",
+                              "params": {"component": {"family": "exponential"},
+                                         "copies": 2}},
+                     "matrix": [[2.0, 0.0], [1.0, 1.0]], "shift": [0.5, -1.0]}}
+BALL = {"family": "ball_uniform", "params": {"dim": 3, "radius": 2.0}}
+IID_LAPLACE = {"process": "iid", "base": {"family": "laplace"}}
+AR1 = {"process": "gauss_ar1", "params": {"rho": 0.25, "sd": 2.0}}
+
+# name -> (argv, JSON written to the file named by the "@model" argument or
+# None)
+CASES = {
+    "list_bounds": (["list-bounds"], None),
+    "tail_gaussian": (["tail", "--model", "gaussian", "--dim", "4",
+                       "--samples", "3000", "--seed", "1",
+                       "--t-grid", "0:2:0.5"], None),
+    "tail_exp_per_coordinate": (["tail", "--model", "exponential", "--dim", "3",
+                                 "--samples", "2000", "--seed", "2",
+                                 "--t-grid", "0:1:0.25",
+                                 "--scaling", "per_coordinate"], None),
+    "tail_gamma_file": (["tail", "--model-file", "@model", "--samples", "2000",
+                         "--seed", "3", "--t-grid", "0:2:1"], GAMMA2_X2),
+    "tail_ball": (["tail", "--model", json.dumps(BALL), "--samples", "2000",
+                   "--seed", "4", "--t-grid", "0:1:0.5"], None),
+    "tail_workers2": (["tail", "--model", "laplace", "--dim", "2",
+                       "--samples", "70000", "--seed", "5", "--workers", "2",
+                       "--t-grid", "0:2:1"], None),
+    "mgf_gaussian": (["mgf", "--model", "gaussian", "--dim", "16",
+                      "--samples", "2000", "--seed", "6",
+                      "--alpha-grid", "0:1:0.25"], None),
+    "mgf_one_sided": (["mgf", "--model", "exponential", "--dim", "2",
+                       "--samples", "2000", "--seed", "7",
+                       "--alpha-grid", "0:0.5:0.25", "--form", "one_sided"],
+                      None),
+    "mgf_mixed_components": (["mgf", "--model", json.dumps(MIXED),
+                              "--samples", "2000", "--seed", "8",
+                              "--alpha-grid", "0,0.25,0.5"], None),
+    "variance_exp": (["variance", "--model", "exponential", "--dim", "10",
+                      "--samples", "3000", "--seed", "9"], None),
+    "variance_cov_factor": (["variance", "--model", json.dumps(COV3),
+                             "--samples", "3000", "--seed", "10"], None),
+    "entropy_power_gaussian": (["entropy_power", "--model", "gaussian",
+                                "--dim", "64", "--samples", "2000",
+                                "--seed", "11", "--s-grid", "0.5,1"], None),
+    "entropy_power_affine": (["entropy_power", "--model", json.dumps(AFFINE),
+                              "--samples", "2000", "--seed", "12",
+                              "--s-grid", "1,2"], None),
+    "quantile_density_exp": (["quantile_density", "--model", "exponential",
+                              "--t-grid", "0.1:0.9:0.1"], None),
+    "quantile_density_gamma": (["quantile_density", "--model", "gamma",
+                                "--p", "3", "--t-grid", "0.05,0.3,0.6,0.95"],
+                               None),
+    "lyapunov_exp_normalized": (["lyapunov", "--model", "exponential",
+                                 "--kind", "normalized", "--p-grid", "1:5:0.5"],
+                                None),
+    "lyapunov_gamma_raw": (["lyapunov", "--model", "gamma", "--p", "2",
+                            "--kind", "raw", "--p-grid", "1:6:1"], None),
+    "lyapunov_half_normal_hat": (["lyapunov", "--model", "half_normal",
+                                  "--kind", "hat", "--p-grid", "0.5:3:0.5"],
+                                 None),
+    "order_p_gamma": (["order_p", "--model", "gamma", "--p", "5"], None),
+    "aep_gauss_ar1": (["aep", "--model", "gauss_ar1", "--rho", "0.5",
+                       "--samples", "500", "--seed", "13",
+                       "--n-grid", "4,16", "--s-grid", "0.5"], None),
+    "aep_iid_exponential": (["aep", "--model", "exponential",
+                             "--samples", "300", "--seed", "14",
+                             "--n-grid", "2,8", "--s-grid", "0.5,1"], None),
+    "aep_iid_json_workers2": (["aep", "--model", json.dumps(IID_LAPLACE),
+                               "--samples", "2100", "--seed", "15",
+                               "--workers", "2", "--n-grid", "4,8"], None),
+    "aep_process_file": (["aep", "--model-file", "@model", "--samples", "400",
+                          "--seed", "16", "--n-grid", "2,8,32"], AR1),
+}
+
+# SHA-256 of each case, taken with DIGEST_VERSIONS
+DIGESTS = {
+    "aep_gauss_ar1":
+        "8a987ee3307d4b704c1ba47bc838949493356396d593eae7b8152e9a391d6a8e",
+    "aep_iid_exponential":
+        "95c6f1bb10dd26312013926d3de7cf6584125bcb22a07bf3f0cb7e2b73621072",
+    "aep_iid_json_workers2":
+        "ab673dd026f42c6b6040583287cd51ad8c779b12ff490122959e70966f298841",
+    "aep_process_file":
+        "742a13dbf71abcf5fd6024bfbac259e2df17deddb652b028e8e83b3d4f557c99",
+    "entropy_power_affine":
+        "ee46424b9dc6d9facb8fe7215cac1bf58dca0e62081ee913d2a6d353b4592bef",
+    "entropy_power_gaussian":
+        "2a49e2b709410d5b974ff7e071dc3da0735803eec90776f1df89ffb1cd007d11",
+    "list_bounds":
+        "6a90cb78fb934e9a9d2f1c7e4fb19607fbf8c1c6dced580fb341a309a9c60e86",
+    "lyapunov_exp_normalized":
+        "c6711220391afec6dc034e03a0291fb2012bb8cb7d4b981deed5f9c24fce6122",
+    "lyapunov_gamma_raw":
+        "56e6eeb5bdb4d90ae34abb87aca8d8dc9748e7e4d9ce87e79431b058d7b132a9",
+    "lyapunov_half_normal_hat":
+        "cd329d8e9de04918aaa6a8404032a9c13e54a3e20f045801c152eee7684bae30",
+    "mgf_gaussian":
+        "a5bc404a850f2da50cbf4442c2a3be48acd9244d5bcaf035d16be7032f3cdf14",
+    "mgf_mixed_components":
+        "be582d7fb0e116853785840689899e4a45f2f800a1a632f8644226e0305ea233",
+    "mgf_one_sided":
+        "bd79838252c220dbb4b0151b07a1977fe17d4037bc23b407054adafe9364cad6",
+    "order_p_gamma":
+        "5d0ff7399af04d2219b0ea437655a9d19e3e17bd5c1ba96d5604a4c94916a047",
+    "quantile_density_exp":
+        "e9c83a28ec77aa1795d281f69993c35946881ef242ae70653e012b576b8826c4",
+    "quantile_density_gamma":
+        "6c8a7f47f4b67c39c5234399dce34117d1f1f739a7db9f2c98d5db5a2ea691f3",
+    "tail_ball":
+        "af0954841fa9a4673338079cc92e6a21bf6642540dec77ce1ffa6fe9d0c66aa5",
+    "tail_exp_per_coordinate":
+        "5188bdab3a0161166e9c3d239247ccfbc682b8e7e58f7b29807f68276e4fd30d",
+    "tail_gamma_file":
+        "0697ae859b467b2585b2fa8d6428d6dc96e946fdb7372bf02e8f337b4144dacd",
+    "tail_gaussian":
+        "1c2cc4e7296639b7b9ff7a04492691f9838b42fbe17eca20d607741b184e6fcd",
+    "tail_workers2":
+        "bfcdd7cf39860179fdea3d10fb57ed5ed50e19090c0a9221e173575c42778d04",
+    "variance_cov_factor":
+        "00a9072087557cc34b80e8d00d0f7307f2b35c31b4a566a8c34005322718ff72",
+    "variance_exp":
+        "54c82ea3e7d4aebc833bb847e279e435cb454e43ef347ecd8eceb70feecfdd74",
+}
+
+
+def run_digest(argv, model_json, tmp_path, capsys) -> str:
+    csv, js = tmp_path / "out.csv", tmp_path / "out.json"
+    if model_json is not None:
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(model_json))
+        argv = [str(spec) if a == "@model" else a for a in argv]
+    capsys.readouterr()
+    argv = argv + ["--out-json", str(js)]
+    if argv[0] != "list-bounds":
+        argv += ["--out-csv", str(csv)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    report = json.loads(js.read_text())
+    if isinstance(report, dict):
+        report.pop("meta", None)
+    h = hashlib.sha256()
+    h.update(f"{code}\n".encode())
+    h.update(out.encode())
+    h.update(csv.read_bytes() if csv.exists() else b"")
+    h.update(json.dumps(report, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name, tmp_path, capsys):
+    argv, model_json = CASES[name]
+    got = run_digest(argv, model_json, tmp_path, capsys)
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert got == DIGESTS[name], (
+        f"{name}: output bytes moved (digests taken with {DIGEST_VERSIONS}, "
+        f"running {versions})")

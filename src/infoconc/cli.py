@@ -27,9 +27,9 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
+from typing import Callable
 
 from . import bounds
 from .aep import GaussAR1, IIDProcess, run_trajectories
@@ -48,12 +48,12 @@ from .infotools import (
     sample_information,
 )
 from .lyapunov import (
-    _midpoint_defects,
     check_convexity_direction,
     moment_curve,
     order_p_variance_check,
+    quantile_density_concavity,
 )
-from .numerics import DomainError, NumericsError
+from .numerics import NumericsError
 from .serialize import dump_json, write_csv
 
 __all__ = ["main", "entrypoint", "parse_grid"]
@@ -108,48 +108,56 @@ def parse_int_grid(text: str) -> list:
 _SIMPLE_FAMILIES = ("exponential", "gaussian1d", "laplace", "half_normal")
 
 
-def _density_spec_from_args(args) -> dict:
-    """One-dimensional density spec from --model/--model-file and flags."""
-    if getattr(args, "model_file", None):
+def _read_spec(args, kind: str) -> dict:
+    """The spec of --model-file, of inline --model JSON, or of a bare name.
+
+    The two flags are exclusive.  A bare name is a 1-D family, with two
+    exceptions by subject ``kind``: for a "batch", ``gaussian`` is the
+    standard normal in --dim dimensions and other names with --dim k
+    become k-fold products; for a "process", ``gauss_ar1`` takes --rho
+    and --sd.
+    """
+    if args.model_file:
         with open(args.model_file) as fh:
             return json.load(fh)
-    name = getattr(args, "model", None)
-    if not name:
+    if not args.model:
         raise UsageError("--model or --model-file is required")
-    name = name.strip()
+    name = args.model.strip()
     if name.startswith("{"):
         return json.loads(name)
+    dim = args.dim or 1
+    if kind == "process" and name == "gauss_ar1":
+        return {"process": "gauss_ar1",
+                "params": {"rho": args.rho, "sd": args.sd}}
+    if kind == "batch" and name == "gaussian":
+        return {"family": "gaussian", "params": {"dim": dim}}
+    if name == "gaussian":
+        name = "gaussian1d"
     if name == "gamma":
         if args.p is None:
             raise UsageError("--model gamma requires --p")
-        return {"family": "gamma", "params": {"p": args.p}}
-    if name == "uniform":
-        return {"family": "uniform", "params": {"a": 0.0, "b": 1.0}}
-    if name == "gaussian":
-        name = "gaussian1d"
-    if name in _SIMPLE_FAMILIES:
-        return {"family": name, "params": {}}
-    raise UsageError(f"unknown model name {name!r}")
+        spec = {"family": "gamma", "params": {"p": args.p}}
+    elif name == "uniform":
+        spec = {"family": "uniform", "params": {"a": 0.0, "b": 1.0}}
+    elif name in _SIMPLE_FAMILIES:
+        spec = {"family": name, "params": {}}
+    else:
+        raise UsageError(f"unknown model name {name!r}")
+    if kind == "batch" and dim != 1:
+        return {"family": "product", "params": {"component": spec, "copies": dim}}
+    return spec
 
 
-def _model_spec_from_args(args) -> dict:
-    """Multivariate model spec; bare names become dim-fold products."""
-    if getattr(args, "model_file", None):
-        with open(args.model_file) as fh:
-            return json.load(fh)
-    name = getattr(args, "model", None)
-    if not name:
-        raise UsageError("--model or --model-file is required")
-    name = name.strip()
-    if name.startswith("{"):
-        return json.loads(name)
-    dim = getattr(args, "dim", 1) or 1
-    if name == "gaussian":
-        return {"family": "gaussian", "params": {"dim": dim}}
-    base = _density_spec_from_args(args)
-    if dim == 1:
-        return base
-    return {"family": "product", "params": {"component": base, "copies": dim}}
+def _process(spec: dict):
+    """The process a spec names; a 1-D density spec runs i.i.d."""
+    if not isinstance(spec, dict) or "process" not in spec:
+        return IIDProcess(density_from_spec(spec))
+    if spec["process"] == "gauss_ar1":
+        params = spec.get("params", {})
+        return GaussAR1(params.get("rho", 0.0), params.get("sd", 1.0))
+    if spec["process"] == "iid":
+        return IIDProcess(density_from_spec(spec["base"]))
+    raise UsageError(f"unknown process {spec['process']!r}")
 
 
 def _resolve_seed(args) -> int:
@@ -164,326 +172,245 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _verdict_counts(verdicts) -> dict:
-    counts = {bounds.HOLDS: 0, bounds.INCONCLUSIVE: 0, bounds.VIOLATED: 0}
-    for v in verdicts:
-        counts[v] += 1
-    return counts
+def _cells(e) -> tuple:
+    return (e.value, e.std_error, e.ci_low, e.ci_high)
 
 
-def _exit_code(counts: dict) -> int:
-    return 2 if counts[bounds.VIOLATED] > 0 else 0
+def _holds(margin: float, tol: float) -> str:
+    return bounds.HOLDS if margin >= -tol else bounds.VIOLATED
 
 
-def _emit(args, experiment: str, config: dict, results, bound_names,
-          counts: dict, started: float | None = None) -> None:
-    if getattr(args, "out_csv", None):
-        header, rows = results
-        write_csv(args.out_csv, header, rows)
-    if getattr(args, "out_json", None):
-        header, rows = results
-        payload = {
-            "experiment": experiment,
-            "config": config,
-            "results": [dict(zip(header, row)) for row in rows],
-            "bounds": [e.as_dict() for e in bounds.catalog()
-                       if e.name in bound_names],
-            "verdict_counts": counts,
-            "meta": {
-                "runtime_seconds": (time.monotonic() - started)
-                if started is not None else None,
-                "timestamp": datetime.now(timezone.utc).isoformat(),
-            },
-        }
-        dump_json(args.out_json, payload)
-    print(f"{experiment}: " + " ".join(
-        f"{k}={v}" for k, v in counts.items()))
+# Row builders: each turns its experiment's subject into CSV rows (in the
+# order of the experiment's header), the config entries it adds, and an
+# optional last stdout line.
 
-
-def _batch_config(spec: dict, args, seed: int, extra: dict | None = None) -> dict:
-    cfg = {
-        "model": spec,
-        "samples": args.samples,
-        "seed": seed,
-        "stream_id": args.stream,
-        "confidence": args.confidence,
-    }
-    if extra:
-        cfg.update(extra)
-    return cfg
-
-
-def _run_tail(args) -> int:
-    spec = _model_spec_from_args(args)
-    model = model_from_spec(spec)
-    seed = _resolve_seed(args)
-    started = time.monotonic()
-    batch = sample_information(model, args.samples,
-                               RngStream(seed, stream_id=args.stream),
-                               workers=args.workers)
+def _tail_rows(batch, args):
     ts = parse_grid(args.t_grid)
-    rows = empirical_tail(batch, ts, scaling=args.scaling,
-                          confidence=args.confidence)
-    header = ["t", "threshold_nats", "exceedances", "value", "std_error",
-              "ci_low", "ci_high", "exp_bound", "exp_vacuous", "exp_verdict",
-              "gauss_bound", "gauss_in_window", "gauss_verdict"]
-    out = []
-    verdicts = []
-    for row in rows:
+    rows = []
+    for row in empirical_tail(batch, ts, scaling=args.scaling,
+                              confidence=args.confidence):
         exp_b = bounds.exp_tail_bound(row.t)
         exp_v = bounds.compare(row.estimate, exp_b, "upper", trivial=1.0)
         gauss = bounds.gaussian_tail_bound(row.t, batch.dim)
         gauss_v = bounds.compare(row.estimate, gauss.value, "upper", trivial=1.0)
-        verdicts.extend([exp_v.verdict, gauss_v.verdict])
-        e = row.estimate
-        out.append((row.t, row.threshold_nats, row.exceedances, e.value,
-                    e.std_error, e.ci_low, e.ci_high, exp_b, exp_v.vacuous,
-                    exp_v.verdict, gauss.value, gauss.in_window,
-                    gauss_v.verdict))
-    counts = _verdict_counts(verdicts)
-    config = _batch_config(spec, args, seed,
-                           {"t_grid": ts, "scaling": args.scaling})
-    _emit(args, "tail", config, (header, out),
-          {"information_tail_exp", "information_tail_gaussian"},
-          counts, started=started)
-    return _exit_code(counts)
+        rows.append((row.t, row.threshold_nats, row.exceedances,
+                     *_cells(row.estimate), exp_b, exp_v.vacuous,
+                     exp_v.verdict, gauss.value, gauss.in_window,
+                     gauss_v.verdict))
+    return rows, {"t_grid": ts, "scaling": args.scaling}, None
 
 
-def _run_mgf(args) -> int:
-    spec = _model_spec_from_args(args)
-    model = model_from_spec(spec)
-    seed = _resolve_seed(args)
-    started = time.monotonic()
-    batch = sample_information(model, args.samples,
-                               RngStream(seed, stream_id=args.stream),
-                               workers=args.workers)
+def _mgf_rows(batch, args):
     alphas = parse_grid(args.alpha_grid)
-    rows = empirical_mgf(batch, alphas, form=args.form,
-                         confidence=args.confidence)
-    header = ["alpha", "value", "std_error", "ci_low", "ci_high", "bound",
-              "in_window", "verdict"]
-    out = []
-    verdicts = []
-    for row in rows:
+    rows = []
+    for row in empirical_mgf(batch, alphas, form=args.form,
+                             confidence=args.confidence):
         b = bounds.mgf_bound_nd(row.alpha, batch.dim)
         v = bounds.compare(row.estimate, b.value, "upper")
-        verdicts.append(v.verdict)
-        e = row.estimate
-        out.append((row.alpha, e.value, e.std_error, e.ci_low, e.ci_high,
-                    b.value, b.in_window, v.verdict))
-    counts = _verdict_counts(verdicts)
-    config = _batch_config(spec, args, seed,
-                           {"alpha_grid": alphas, "form": args.form})
-    _emit(args, "mgf", config, (header, out), {"information_mgf_nd"},
-          counts, started=started)
-    return _exit_code(counts)
+        rows.append((row.alpha, *_cells(row.estimate), b.value, b.in_window,
+                     v.verdict))
+    return rows, {"alpha_grid": alphas, "form": args.form}, None
 
 
-def _run_variance(args) -> int:
-    spec = _model_spec_from_args(args)
-    model = model_from_spec(spec)
-    seed = _resolve_seed(args)
-    started = time.monotonic()
-    batch = sample_information(model, args.samples,
-                               RngStream(seed, stream_id=args.stream),
-                               workers=args.workers)
+def _variance_rows(batch, args):
     mean = deviation_mean(batch, args.confidence)
     var = deviation_variance(batch, args.confidence)
     cap = bounds.variance_cap_nd(batch.dim)
     verdict = bounds.compare(var, cap, "upper")
-    header = ["n", "m", "mean", "mean_ci_low", "mean_ci_high", "variance",
-              "var_std_error", "var_ci_low", "var_ci_high", "cap",
-              "variance_per_coordinate", "verdict"]
-    out = [(batch.dim, batch.m, mean.value, mean.ci_low, mean.ci_high,
-            var.value, var.std_error, var.ci_low, var.ci_high, cap,
-            var.value / batch.dim, verdict.verdict)]
-    counts = _verdict_counts([verdict.verdict])
-    _emit(args, "variance", _batch_config(spec, args, seed),
-          (header, out), {"information_variance_nd"}, counts, started=started)
-    return _exit_code(counts)
+    return [(batch.dim, batch.m, mean.value, mean.ci_low, mean.ci_high,
+             *_cells(var), cap, var.value / batch.dim, verdict.verdict)], {}, None
 
 
-def _run_entropy_power(args) -> int:
-    spec = _model_spec_from_args(args)
-    model = model_from_spec(spec)
-    seed = _resolve_seed(args)
-    started = time.monotonic()
-    batch = sample_information(model, args.samples,
-                               RngStream(seed, stream_id=args.stream),
-                               workers=args.workers)
+def _entropy_power_rows(batch, args):
     svals = parse_grid(args.s_grid)
-    header = ["s", "value", "std_error", "ci_low", "ci_high", "floor_bound",
-              "in_window", "vacuous", "verdict"]
-    out = []
-    verdicts = []
+    rows = []
     for s in svals:
         res = entropy_power_band(batch, s, confidence=args.confidence)
-        verdicts.append(res.verdict.verdict)
-        e = res.estimate
-        out.append((s, e.value, e.std_error, e.ci_low, e.ci_high, res.bound,
-                    res.in_window, res.verdict.vacuous, res.verdict.verdict))
-    counts = _verdict_counts(verdicts)
-    config = _batch_config(spec, args, seed, {"s_grid": svals})
-    _emit(args, "entropy_power", config, (header, out),
-          {"entropy_power_band"}, counts, started=started)
-    return _exit_code(counts)
+        rows.append((s, *_cells(res.estimate), res.bound, res.in_window,
+                     res.verdict.vacuous, res.verdict.verdict))
+    return rows, {"s_grid": svals}, None
 
 
-def _run_quantile_density(args) -> int:
-    spec = _density_spec_from_args(args)
-    density = density_from_spec(spec)
-    started = time.monotonic()
-    ts = np.asarray(parse_grid(args.t_grid), dtype=float)
-    from .distributions import quantile_density as qd
-    vals = np.array([qd(density, float(t)) for t in ts])
-    defects = -_midpoint_defects(ts, vals)
-    tol = 1e-9
-    header = ["t", "value", "concavity_defect", "verdict"]
-    out = [(float(ts[0]), float(vals[0]), "", "")]
-    verdicts = []
-    for i, d in enumerate(defects):
-        verdict = bounds.HOLDS if d >= -tol else bounds.VIOLATED
-        verdicts.append(verdict)
-        out.append((float(ts[i + 1]), float(vals[i + 1]), float(d), verdict))
-    out.append((float(ts[-1]), float(vals[-1]), "", ""))
-    counts = _verdict_counts(verdicts)
-    config = {"density": spec, "t_grid": [float(t) for t in ts], "tol": tol}
-    _emit(args, "quantile_density", config, (header, out), set(), counts,
-          started=started)
-    print(f"worst defect {float(np.min(defects)):.3e} at "
-          f"t={float(ts[int(np.argmin(defects)) + 1]):g}")
-    return _exit_code(counts)
+def _convexity_rows(report, *columns) -> list:
+    """x, value, the given per-point columns, then defect and verdict; the
+    two end points have no chord, so their defect and verdict are empty."""
+    rows = []
+    last = len(report.grid) - 1
+    for i, (x, y) in enumerate(zip(report.grid, report.values)):
+        row = (float(x), float(y), *(float(c[i]) for c in columns))
+        if 0 < i < last:
+            d = float(report.defects[i - 1])
+            rows.append(row + (d, _holds(d, report.tol)))
+        else:
+            rows.append(row + ("", ""))
+    return rows
 
 
-def _run_lyapunov(args) -> int:
-    spec = _density_spec_from_args(args)
-    density = density_from_spec(spec)
-    started = time.monotonic()
+def _quantile_density_rows(density, args):
+    ts = parse_grid(args.t_grid)
+    report = quantile_density_concavity(density, ts)
+    return (_convexity_rows(report), {"t_grid": ts, "tol": report.tol},
+            f"worst defect {report.worst_defect:.3e} at t={report.worst_at:g}")
+
+
+def _lyapunov_rows(density, args):
     grid = parse_grid(args.p_grid)
     curve = moment_curve(density, args.kind, grid)
     direction = "convex" if args.kind == "raw" else "concave"
     report = check_convexity_direction(curve, direction, tol=1e-7)
-    defects = _midpoint_defects(curve.grid, curve.log_values)
-    if direction == "concave":
-        defects = -defects
-    header = ["p", "log_value", "quad_error", "defect", "verdict"]
-    out = [(float(curve.grid[0]), float(curve.log_values[0]),
-            float(curve.quad_errors[0]), "", "")]
-    verdicts = []
-    for i, d in enumerate(defects):
-        verdict = bounds.HOLDS if d >= -report.tol else bounds.VIOLATED
-        verdicts.append(verdict)
-        out.append((float(curve.grid[i + 1]), float(curve.log_values[i + 1]),
-                    float(curve.quad_errors[i + 1]), float(d), verdict))
-    out.append((float(curve.grid[-1]), float(curve.log_values[-1]),
-                float(curve.quad_errors[-1]), "", ""))
-    counts = _verdict_counts(verdicts)
-    config = {"density": spec, "kind": args.kind, "p_grid": grid,
-              "direction": direction}
-    _emit(args, "lyapunov", config, (header, out), set(), counts,
-          started=started)
-    print(f"worst {direction} defect {report.worst_defect:.3e} at "
-          f"p={report.worst_at:g}")
-    return _exit_code(counts)
+    config = {"kind": args.kind, "p_grid": grid, "direction": direction}
+    return (_convexity_rows(report, curve.quad_errors), config,
+            f"worst {direction} defect {report.worst_defect:.3e} at "
+            f"p={report.worst_at:g}")
 
 
-def _run_order_p(args) -> int:
-    spec = _density_spec_from_args(args)
-    density = density_from_spec(spec)
-    started = time.monotonic()
+def _order_p_rows(density, args):
     report = order_p_variance_check(density)
-    header = ["cap_name", "cap_value", "observed", "margin", "verdict"]
-    cap_values = {
-        "ratio": report.caps.ratio_cap,
-        "cp": report.caps.cp_cap,
-        "trigamma": report.caps.trigamma,
-        "log_simple": report.caps.log_cap,
-    }
-    observed = {
-        "ratio": report.ratio,
-        "cp": report.ratio,
-        "trigamma": report.var_log,
-        "log_simple": report.var_log,
-    }
-    out = []
-    verdicts = []
-    for name, margin in report.margins.items():
-        if margin is None:
-            continue
-        verdict = bounds.HOLDS if margin >= -report.tol else bounds.VIOLATED
-        verdicts.append(verdict)
-        out.append((name, cap_values[name], observed[name], margin, verdict))
-    counts = _verdict_counts(verdicts)
-    config = {"density": spec, "p": report.p, "tol": report.tol}
-    _emit(args, "order_p", config, (header, out),
-          {"order_p_var_ratio", "order_p_var_cp", "order_p_var_log_trigamma",
-           "order_p_var_log_simple"}, counts, started=started)
-    print(f"var_log={report.var_log:.12g} trigamma_cap={report.caps.trigamma:.12g} "
-          f"margin={report.margins['trigamma']:.3e}")
-    return _exit_code(counts)
+    caps = report.caps
+    cap_and_observed = {"ratio": (caps.ratio_cap, report.ratio),
+                        "cp": (caps.cp_cap, report.ratio),
+                        "trigamma": (caps.trigamma, report.var_log),
+                        "log_simple": (caps.log_cap, report.var_log)}
+    rows = [(name, *cap_and_observed[name], margin, _holds(margin, report.tol))
+            for name, margin in report.margins.items() if margin is not None]
+    return (rows, {"p": report.p, "tol": report.tol},
+            f"var_log={report.var_log:.12g} trigamma_cap={caps.trigamma:.12g} "
+            f"margin={report.margins['trigamma']:.3e}")
 
 
-def _process_from_args(args):
-    name = (getattr(args, "model", None) or "").strip()
-    if name.startswith("{"):
-        spec = json.loads(name)
-    elif getattr(args, "model_file", None):
-        with open(args.model_file) as fh:
-            spec = json.load(fh)
-    else:
-        spec = None
-    if spec is not None and "process" in spec:
-        if spec["process"] == "gauss_ar1":
-            params = spec.get("params", {})
-            return GaussAR1(params.get("rho", 0.0), params.get("sd", 1.0))
-        if spec["process"] == "iid":
-            return IIDProcess(density_from_spec(spec["base"]))
-        raise UsageError(f"unknown process {spec['process']!r}")
-    if name == "gauss_ar1":
-        return GaussAR1(args.rho, args.sd)
-    if spec is not None:
-        return IIDProcess(density_from_spec(spec))
-    return IIDProcess(density_from_spec(_density_spec_from_args(args)))
-
-
-def _run_aep(args) -> int:
-    process = _process_from_args(args)
-    seed = _resolve_seed(args)
-    started = time.monotonic()
-    n_grid = parse_int_grid(args.n_grid)
-    report = run_trajectories(process, n_grid, args.samples,
-                              RngStream(seed, stream_id=args.stream),
-                              workers=args.workers)
+def _aep_rows(report, args):
     svals = parse_grid(args.s_grid)
-    rows = report.exceedance_table(svals, confidence=args.confidence)
-    header = ["n", "s", "exceedances", "value", "std_error", "ci_low",
-              "ci_high", "bound", "in_window", "vacuous", "verdict"]
-    out = []
-    verdicts = []
-    for row in rows:
-        e = row.estimate
-        verdicts.append(row.verdict.verdict)
-        out.append((row.n, row.s, row.exceedances, e.value, e.std_error,
-                    e.ci_low, e.ci_high, row.bound, row.in_window,
-                    row.verdict.vacuous, row.verdict.verdict))
-    counts = _verdict_counts(verdicts)
+    rows = [(row.n, row.s, row.exceedances, *_cells(row.estimate), row.bound,
+             row.in_window, row.verdict.vacuous, row.verdict.verdict)
+            for row in report.exceedance_table(svals, confidence=args.confidence)]
     medians = report.sup_deviation_medians()
-    config = {
-        "process": process.spec,
-        "trials": args.samples,
-        "seed": seed,
-        "stream_id": args.stream,
-        "n_grid": n_grid,
-        "s_grid": svals,
-        "confidence": args.confidence,
-        "entropy_rate": report.entropy_rate,
-        "sup_deviation_medians": [float(x) for x in medians],
-    }
-    _emit(args, "aep", config, (header, out), {"per_coordinate_tail"},
-          counts, started=started)
-    print("sup-deviation medians: "
-          + " ".join(f"n>={n}:{m:.4g}" for n, m in zip(n_grid, medians)))
-    return _exit_code(counts)
+    config = {"s_grid": svals, "entropy_rate": report.entropy_rate,
+              "sup_deviation_medians": [float(x) for x in medians]}
+    return rows, config, "sup-deviation medians: " + " ".join(
+        f"n>={n}:{m:.4g}" for n, m in zip(report.n_grid, medians))
+
+
+def _stream(args) -> tuple:
+    """The random stream (seed, --stream) and the config entries naming it."""
+    seed = _resolve_seed(args)
+    return RngStream(seed, stream_id=args.stream), {
+        "seed": seed, "stream_id": args.stream, "confidence": args.confidence}
+
+
+# Subject builders: each reads the model flags and returns the subject of
+# an experiment together with the config entries that describe it.
+
+def _density(args) -> tuple:
+    spec = _read_spec(args, "density")
+    return density_from_spec(spec), {"density": spec}
+
+
+def _batch(args) -> tuple:
+    spec = _read_spec(args, "batch")
+    model = model_from_spec(spec)
+    rng, config = _stream(args)
+    batch = sample_information(model, args.samples, rng, workers=args.workers)
+    return batch, {**config, "model": spec, "samples": args.samples}
+
+
+def _trajectories(args) -> tuple:
+    process = _process(_read_spec(args, "process"))
+    rng, config = _stream(args)
+    n_grid = parse_int_grid(args.n_grid)
+    report = run_trajectories(process, n_grid, args.samples, rng,
+                              workers=args.workers)
+    return report, {**config, "process": process.spec,
+                    "trials": args.samples, "n_grid": n_grid}
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    subject: Callable   # args -> (subject, config entries)
+    rows: Callable      # (subject, args) -> (rows, config entries, last line)
+    header: tuple
+    bounds: frozenset   # catalog entries copied into the JSON report
+
+
+_MC_HEADER = ("value", "std_error", "ci_low", "ci_high")
+
+_EXPERIMENTS = {
+    "tail": _Experiment(
+        _batch, _tail_rows,
+        ("t", "threshold_nats", "exceedances", *_MC_HEADER, "exp_bound",
+         "exp_vacuous", "exp_verdict", "gauss_bound", "gauss_in_window",
+         "gauss_verdict"),
+        frozenset({"information_tail_exp", "information_tail_gaussian"})),
+    "mgf": _Experiment(
+        _batch, _mgf_rows,
+        ("alpha", *_MC_HEADER, "bound", "in_window", "verdict"),
+        frozenset({"information_mgf_nd"})),
+    "variance": _Experiment(
+        _batch, _variance_rows,
+        ("n", "m", "mean", "mean_ci_low", "mean_ci_high", "variance",
+         "var_std_error", "var_ci_low", "var_ci_high", "cap",
+         "variance_per_coordinate", "verdict"),
+        frozenset({"information_variance_nd"})),
+    "entropy_power": _Experiment(
+        _batch, _entropy_power_rows,
+        ("s", *_MC_HEADER, "floor_bound", "in_window", "vacuous", "verdict"),
+        frozenset({"entropy_power_band"})),
+    "quantile_density": _Experiment(
+        _density, _quantile_density_rows,
+        ("t", "value", "concavity_defect", "verdict"), frozenset()),
+    "lyapunov": _Experiment(
+        _density, _lyapunov_rows,
+        ("p", "log_value", "quad_error", "defect", "verdict"), frozenset()),
+    "order_p": _Experiment(
+        _density, _order_p_rows,
+        ("cap_name", "cap_value", "observed", "margin", "verdict"),
+        frozenset({"order_p_var_ratio", "order_p_var_cp",
+                   "order_p_var_log_trigamma", "order_p_var_log_simple"})),
+    "aep": _Experiment(
+        _trajectories, _aep_rows,
+        ("n", "s", "exceedances", *_MC_HEADER, "bound", "in_window",
+         "vacuous", "verdict"),
+        frozenset({"per_coordinate_tail"})),
+}
+
+
+def _run(args) -> int:
+    """Run one experiment: subject, rows, verdict tally, outputs, exit code.
+
+    Every cell of a column whose name ends in "verdict" counts toward the
+    tally; empty cells (no comparison at that point) do not.
+    """
+    exp = _EXPERIMENTS[args.experiment]
+    started = time.monotonic()
+    subject, config = exp.subject(args)
+    rows, extra, last_line = exp.rows(subject, args)
+    config.update(extra)
+    counts = {bounds.HOLDS: 0, bounds.INCONCLUSIVE: 0, bounds.VIOLATED: 0}
+    verdict_cols = [i for i, name in enumerate(exp.header)
+                    if name.endswith("verdict")]
+    for row in rows:
+        for i in verdict_cols:
+            if row[i]:
+                counts[row[i]] += 1
+    if args.out_csv:
+        write_csv(args.out_csv, exp.header, rows)
+    if args.out_json:
+        dump_json(args.out_json, {
+            "experiment": args.experiment,
+            "config": config,
+            "results": [dict(zip(exp.header, row)) for row in rows],
+            "bounds": [e.as_dict() for e in bounds.catalog()
+                       if e.name in exp.bounds],
+            "verdict_counts": counts,
+            "meta": {
+                "runtime_seconds": time.monotonic() - started,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+            },
+        })
+    print(f"{args.experiment}: "
+          + " ".join(f"{k}={v}" for k, v in counts.items()))
+    if last_line is not None:
+        print(last_line)
+    return 2 if counts[bounds.VIOLATED] > 0 else 0
 
 
 def _run_list_bounds(args) -> int:
@@ -493,7 +420,7 @@ def _run_list_bounds(args) -> int:
     for e in entries:
         print(f"{e.name:<{widths[0]}}  {e.formula:<{widths[1]}}  [{e.validity}]")
         print(f"{'':<{widths[0]}}  {e.statement}")
-    if getattr(args, "out_json", None):
+    if args.out_json:
         dump_json(args.out_json, [e.as_dict() for e in entries])
     return 0
 
@@ -504,12 +431,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(
         dest="experiment",
         metavar="experiment",
-        help="one of: tail, mgf, variance, entropy_power, quantile_density, "
-             "lyapunov, order_p, aep, list-bounds")
+        help="one of: " + ", ".join([*_EXPERIMENTS, "list-bounds"]))
 
     model_flags = _Parser(add_help=False)
-    model_flags.add_argument("--model", help="family name or JSON model spec")
-    model_flags.add_argument("--model-file", help="path to a JSON model spec")
+    which = model_flags.add_mutually_exclusive_group()
+    which.add_argument("--model", help="family name or JSON model spec")
+    which.add_argument("--model-file", help="path to a JSON model spec")
     model_flags.add_argument("--dim", type=int, default=1,
                              help="product copies for bare family names")
     model_flags.add_argument("--p", type=float, default=None,
@@ -527,46 +454,28 @@ def build_parser() -> _Parser:
     out_flags.add_argument("--out-csv")
     out_flags.add_argument("--out-json")
 
-    p = sub.add_parser("tail", parents=[model_flags, mc_flags, out_flags])
-    p.add_argument("--t-grid", default="0:8:0.5")
-    p.add_argument("--scaling", choices=["sqrt_n", "per_coordinate"],
-                   default="sqrt_n")
-    p.set_defaults(func=_run_tail)
+    ps = {}
+    for name, exp in _EXPERIMENTS.items():
+        parents = [model_flags, out_flags] if exp.subject is _density \
+            else [model_flags, mc_flags, out_flags]
+        ps[name] = sub.add_parser(name, parents=parents)
+        ps[name].set_defaults(func=_run)
 
-    p = sub.add_parser("mgf", parents=[model_flags, mc_flags, out_flags])
-    p.add_argument("--alpha-grid", default="0:1:0.25")
-    p.add_argument("--form", choices=["two_sided_abs", "one_sided"],
-                   default="two_sided_abs")
-    p.set_defaults(func=_run_mgf)
-
-    p = sub.add_parser("variance", parents=[model_flags, mc_flags, out_flags])
-    p.set_defaults(func=_run_variance)
-
-    p = sub.add_parser("entropy_power",
-                       parents=[model_flags, mc_flags, out_flags])
-    p.add_argument("--s-grid", default="1")
-    p.set_defaults(func=_run_entropy_power)
-
-    p = sub.add_parser("quantile_density",
-                       parents=[model_flags, out_flags])
-    p.add_argument("--t-grid", default="0.05:0.95:0.05")
-    p.set_defaults(func=_run_quantile_density)
-
-    p = sub.add_parser("lyapunov", parents=[model_flags, out_flags])
-    p.add_argument("--kind", choices=["raw", "normalized", "hat"],
-                   default="normalized")
-    p.add_argument("--p-grid", default="0.5:40:0.5")
-    p.set_defaults(func=_run_lyapunov)
-
-    p = sub.add_parser("order_p", parents=[model_flags, out_flags])
-    p.set_defaults(func=_run_order_p)
-
-    p = sub.add_parser("aep", parents=[model_flags, mc_flags, out_flags])
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--sd", type=float, default=1.0)
-    p.add_argument("--n-grid", default="16,64,256,1024")
-    p.add_argument("--s-grid", default="0.5")
-    p.set_defaults(func=_run_aep)
+    ps["tail"].add_argument("--t-grid", default="0:8:0.5")
+    ps["tail"].add_argument("--scaling", choices=["sqrt_n", "per_coordinate"],
+                            default="sqrt_n")
+    ps["mgf"].add_argument("--alpha-grid", default="0:1:0.25")
+    ps["mgf"].add_argument("--form", choices=["two_sided_abs", "one_sided"],
+                           default="two_sided_abs")
+    ps["entropy_power"].add_argument("--s-grid", default="1")
+    ps["quantile_density"].add_argument("--t-grid", default="0.05:0.95:0.05")
+    ps["lyapunov"].add_argument("--kind", choices=["raw", "normalized", "hat"],
+                                default="normalized")
+    ps["lyapunov"].add_argument("--p-grid", default="0.5:40:0.5")
+    ps["aep"].add_argument("--rho", type=float, default=0.5)
+    ps["aep"].add_argument("--sd", type=float, default=1.0)
+    ps["aep"].add_argument("--n-grid", default="16,64,256,1024")
+    ps["aep"].add_argument("--s-grid", default="0.5")
 
     p = sub.add_parser("list-bounds", parents=[out_flags])
     p.set_defaults(func=_run_list_bounds)
@@ -584,13 +493,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParameterError, DomainError, NumericsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ParameterError, NumericsError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

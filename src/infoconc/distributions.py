@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,10 +27,10 @@ from scipy.special import gammainc, gammaincinv, digamma, ndtr, ndtri
 from .numerics import (
     DomainError,
     find_root_increasing,
-    golden_section_min,
     integrate,
     log_gamma,
     log_integral,
+    unimodal_argmax,
 )
 
 __all__ = [
@@ -265,20 +265,8 @@ def gamma(p: float) -> Density1D:
     if not p >= 1.0:
         raise ParameterError(f"gamma shape must satisfy p >= 1, got {p!r}")
     if p == 1.0:
-        d = exponential()
-        return Density1D(
-            name="gamma(1)",
-            support=d.support,
-            entropy=d.entropy,
-            mode=d.mode,
-            spec={"family": "gamma", "params": {"p": 1.0}},
-            order_p=1.0,
-            _log_pdf=d._log_pdf,
-            _sampler=d._sampler,
-            _quantile=d._quantile,
-            _cdf=d._cdf,
-            _log_g=d._log_g,
-        )
+        return replace(exponential(), name="gamma(1)",
+                       spec={"family": "gamma", "params": {"p": 1.0}})
     lgp = log_gamma(p)
     ent = p + lgp + (1.0 - p) * float(digamma(p))
     log_pdf = lambda x: _masked_log(
@@ -404,7 +392,7 @@ def from_log_density(
     log_pdf = lambda x: _masked_log(x, (a, b), lambda y: raw(y) - log_z)
 
     scalar_logpdf = lambda x: float(log_pdf(np.asarray([x]))[0])
-    mode = _locate_mode(scalar_logpdf, support)
+    mode = unimodal_argmax(scalar_logpdf, support)
 
     def ent_integrand(x: float) -> float:
         t = scalar_logpdf(x)
@@ -450,23 +438,6 @@ def from_log_density(
         if order_p is None
         else (lambda x: log_pdf(x) - (order_p - 1.0) * np.log(np.asarray(x, dtype=np.float64))),
     )
-
-
-def _locate_mode(scalar_logpdf: Callable, support: Tuple[float, float]) -> float:
-    a, b = support
-    if math.isinf(b) and not math.isinf(a):
-        xs = [a + 2.0**k for k in range(-40, 41)]
-    elif math.isinf(a) and math.isinf(b):
-        xs = [-(2.0**k) for k in range(40, -41, -1)] + [0.0] + [2.0**k for k in range(-40, 41)]
-    elif math.isinf(a):
-        xs = [b - 2.0**k for k in range(40, -41, -1)]
-    else:
-        xs = [a + (b - a) * i / 128.0 for i in range(1, 128)]
-    vals = [scalar_logpdf(x) for x in xs]
-    k = max(range(len(xs)), key=lambda i: vals[i] if not math.isnan(vals[i]) else -math.inf)
-    lo = xs[k - 1] if k > 0 else (a if not math.isinf(a) else xs[0] - 1.0)
-    hi = xs[k + 1] if k + 1 < len(xs) else (b if not math.isinf(b) else xs[-1] + 1.0)
-    return golden_section_min(lambda x: -scalar_logpdf(x), lo, hi)
 
 
 def _quantile_bracket(cdf_scalar, t: float, mode: float, support: Tuple[float, float]):

@@ -350,14 +350,7 @@ def entropy_power_band(batch: InfoSampleBatch, s: float = 1.0,
     """
     if s <= 0.0:
         raise DomainError(f"band half-width must be positive, got {s!r}")
-    n = batch.dim
-    inside = int(np.count_nonzero(np.abs(batch.deviations) < s * n))
-    est = McEstimate.from_proportion(inside, batch.m, confidence)
-    tail = bounds.per_coordinate_tail_bound(s, n)
-    floor = 1.0 - tail.value
-    verdict = bounds.compare(est, floor, direction="lower", trivial=0.0)
-    return BandResult(s=float(s), n=n, estimate=est, bound=floor,
-                      in_window=tail.in_window, verdict=verdict)
+    return _coverage(batch, s, np.less, confidence)
 
 
 def typical_set_fraction(batch: InfoSampleBatch, epsilon: float,
@@ -365,13 +358,19 @@ def typical_set_fraction(batch: InfoSampleBatch, epsilon: float,
     """Coverage of the entropy-typical set {|dev| <= n epsilon}."""
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    return _coverage(batch, epsilon, np.less_equal, confidence)
+
+
+def _coverage(batch: InfoSampleBatch, s: float, inside_op,
+              confidence: float) -> BandResult:
+    """Share of deviations with inside_op(|dev|, s n), against its floor."""
     n = batch.dim
-    inside = int(np.count_nonzero(np.abs(batch.deviations) <= epsilon * n))
+    inside = int(np.count_nonzero(inside_op(np.abs(batch.deviations), s * n)))
     est = McEstimate.from_proportion(inside, batch.m, confidence)
-    tail = bounds.per_coordinate_tail_bound(epsilon, n)
+    tail = bounds.per_coordinate_tail_bound(s, n)
     floor = 1.0 - tail.value
     verdict = bounds.compare(est, floor, direction="lower", trivial=0.0)
-    return BandResult(s=float(epsilon), n=n, estimate=est, bound=floor,
+    return BandResult(s=float(s), n=n, estimate=est, bound=floor,
                       in_window=tail.in_window, verdict=verdict)
 
 

@@ -115,12 +115,18 @@ def moment_curve(density: Density1D, kind: str,
 
 @dataclass(frozen=True)
 class ConvexityReport:
+    """Midpoint chord test of a sampled curve.  ``defects[i]`` belongs to
+    ``grid[i + 1]``, signed so that below ``-tol`` fails ``direction``."""
+
     name: str
     direction: str
     ok: bool
     worst_defect: float
     worst_at: float
     tol: float
+    grid: np.ndarray
+    values: np.ndarray
+    defects: np.ndarray
 
 
 def _midpoint_defects(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -140,16 +146,25 @@ def check_convexity_direction(curve: MomentCurve, direction: str,
         raise DomainError(f"unknown direction {direction!r}")
     if curve.grid.size < 3:
         raise DomainError("need at least three grid points")
-    defects = _midpoint_defects(curve.grid, curve.log_values)
+    return _convexity_report(f"{curve.density_name}:{curve.kind}", direction,
+                             curve.grid, curve.log_values, tol)
+
+
+def _convexity_report(name: str, direction: str, xs: np.ndarray,
+                      ys: np.ndarray, tol: float) -> ConvexityReport:
+    defects = _midpoint_defects(xs, ys)
     signed = defects if direction == "convex" else -defects
     worst = int(np.argmin(signed))
     return ConvexityReport(
-        name=f"{curve.density_name}:{curve.kind}",
+        name=name,
         direction=direction,
         ok=bool(signed[worst] >= -tol),
         worst_defect=float(signed[worst]),
-        worst_at=float(curve.grid[worst + 1]),
+        worst_at=float(xs[worst + 1]),
         tol=tol,
+        grid=xs,
+        values=ys,
+        defects=signed,
     )
 
 
@@ -286,13 +301,5 @@ def quantile_density_concavity(density: Density1D, ts: Sequence[float],
     if arr[0] <= 0.0 or arr[-1] >= 1.0:
         raise DomainError("probability levels must lie strictly inside (0, 1)")
     vals = np.array([quantile_density(density, t) for t in arr])
-    defects = -_midpoint_defects(arr, vals)
-    worst = int(np.argmin(defects))
-    return ConvexityReport(
-        name=f"{density.name}:quantile_density",
-        direction="concave",
-        ok=bool(defects[worst] >= -tol),
-        worst_defect=float(defects[worst]),
-        worst_at=float(arr[worst + 1]),
-        tol=tol,
-    )
+    return _convexity_report(f"{density.name}:quantile_density", "concave",
+                             arr, vals, tol)

@@ -28,6 +28,7 @@ __all__ = [
     "log_integral",
     "find_root_increasing",
     "golden_section_min",
+    "unimodal_argmax",
 ]
 
 # Default absolute tolerance for quadrature; downstream equality checks
@@ -159,7 +160,7 @@ def log_integral(
     (log_value, log_abs_error) : tuple of float
         ``log_abs_error`` bounds the absolute error of ``log_value``.
     """
-    shift = _exponent_peak(exponent, support)
+    shift = exponent(unimodal_argmax(exponent, support))
     res = integrate(
         lambda x: math.exp(min(exponent(x) - shift, 50.0)),
         support,
@@ -171,9 +172,12 @@ def log_integral(
     return shift + math.log(res.value), res.abs_error_estimate / res.value
 
 
-def _exponent_peak(exponent: Callable[[float], float], support: Tuple[float, float]) -> float:
+def unimodal_argmax(f: Callable[[float], float],
+                    support: Tuple[float, float]) -> float:
+    """A maximizer of a unimodal f: a coarse scan (geometric towards infinite
+    ends, 63 points inside a bounded interval; errors and NaN count as -inf)
+    brackets the peak, then golden-section search refines it."""
     a, b = support
-    # coarse geometric/linear scan, then golden-section between neighbours
     if math.isinf(b) and not math.isinf(a):
         xs = [a + 2.0 ** k for k in range(-40, 41)]
     elif math.isinf(a) and math.isinf(b):
@@ -185,15 +189,14 @@ def _exponent_peak(exponent: Callable[[float], float], support: Tuple[float, flo
     vals = []
     for x in xs:
         try:
-            v = exponent(x)
+            v = f(x)
         except (OverflowError, ValueError):
             v = -math.inf
         vals.append(v if not math.isnan(v) else -math.inf)
     k = max(range(len(xs)), key=vals.__getitem__)
     lo = xs[k - 1] if k > 0 else (a if not math.isinf(a) else xs[0] - 1.0)
     hi = xs[k + 1] if k + 1 < len(xs) else (b if not math.isinf(b) else xs[-1] + 1.0)
-    xstar = golden_section_min(lambda x: -exponent(x), lo, hi)
-    return exponent(xstar)
+    return golden_section_min(lambda x: -f(x), lo, hi)
 
 
 def golden_section_min(

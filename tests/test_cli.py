@@ -79,6 +79,18 @@ class TestUsageErrors:
         assert main(["tail", "--model", "gaussian", "--t-grid", "8:0:1",
                      "--samples", "100"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--samples", "100"],
+        ["lyapunov", "--p-grid", "1:3:1"],
+        ["aep", "--samples", "100", "--n-grid", "2,4"],
+    ])
+    def test_model_and_model_file_are_exclusive(self, argv, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"family": "laplace"}')
+        assert main([*argv, "--model", "exponential",
+                     "--model-file", str(path)]) == 1
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("INFOCONC_SEED", "not-a-number")
         assert main(["tail", "--model", "gaussian", "--samples", "100"]) == 1
@@ -261,6 +273,17 @@ class TestDensityCommands:
         assert abs(float(mid[1]) - (1.0 - float(mid[0]))) < 1e-9
 
 
+    @pytest.mark.parametrize("grid", ["0.2,0.4", "0.5,0.3,0.4,0.9"])
+    def test_quantile_density_rejects_bad_grid(self, grid, tmp_path, capsys):
+        # too few levels, and levels out of order
+        csv = tmp_path / "qd.csv"
+        rc = main(["quantile_density", "--model", "exponential",
+                   "--t-grid", grid, "--out-csv", str(csv)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv.exists()
+
+
 class TestAepCommand:
     def test_gauss_ar1(self, tmp_path, capsys):
         csv = tmp_path / "aep.csv"
@@ -301,6 +324,13 @@ class TestAepCommand:
             assert rc == 0
             outs.append(csv.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_non_object_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("3")
+        assert main(["aep", "--model-file", str(path), "--samples", "100",
+                     "--n-grid", "2,4"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_rho(self, capsys):
         assert main(["aep", "--model", "gauss_ar1", "--rho", "1.5",

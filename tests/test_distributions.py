@@ -178,6 +178,18 @@ def test_gamma_sample_moments():
     assert abs(x.var() - 4.0) <= 5.0 * math.sqrt(2 * 16 + 6 * 4) / 1000.0  # ~5*sd(x^2 terms)/sqrt(m)
 
 
+def test_gamma_one_is_the_exponential_renamed():
+    g, e = gamma(1.0), exponential()
+    assert g.name == "gamma(1)"
+    assert g.spec == {"family": "gamma", "params": {"p": 1.0}}
+    assert (g.support, g.entropy, g.mode, g.order_p) == \
+        (e.support, e.entropy, e.mode, e.order_p)
+    x = np.array([0.25, 1.0, 3.0])
+    assert np.array_equal(g.log_pdf(x), e.log_pdf(x))
+    assert np.array_equal(g.sample(RngStream(3).generator(), 5),
+                          e.sample(RngStream(3).generator(), 5))
+
+
 def test_half_normal_sample_mean():
     x = half_normal().sample(RngStream(seed=6).generator(), 1_000_000)
     assert abs(x.mean() - math.sqrt(2.0 / math.pi)) <= 5.0 * math.sqrt(1.0 - 2.0 / math.pi) / 1000.0

@@ -341,6 +341,13 @@ class TestBands:
         assert not res.verdict.vacuous
         assert res.verdict.verdict == HOLDS
 
+    def test_band_excludes_boundary_typical_set_includes_it(self):
+        # four of ten deviations sit exactly on |dev| = s n
+        batch = make_batch([2.0, -2.0, 2.0, -2.0, 0.0, 0.5, -0.5, 1.0, 3.0, -3.0],
+                           dim=2)
+        assert entropy_power_band(batch, s=1.0).estimate.value == 0.4
+        assert typical_set_fraction(batch, 1.0).estimate.value == 0.8
+
     def test_band_domain(self):
         batch = make_batch(np.zeros(10), dim=2)
         with pytest.raises(DomainError):

@@ -155,6 +155,20 @@ class TestConvexityDirections:
         assert not check_convexity_direction(wobble, "convex").ok
         assert not check_convexity_direction(wobble, "concave").ok
 
+    @pytest.mark.parametrize("direction", ["convex", "concave"])
+    def test_report_carries_signed_per_point_defects(self, direction):
+        curve = moment_curve(gamma(2.0), "raw", [1.0, 1.5, 2.5, 4.0, 6.0])
+        report = check_convexity_direction(curve, direction)
+        assert np.array_equal(report.grid, curve.grid)
+        assert np.array_equal(report.values, curve.log_values)
+        xs, ys = curve.grid, curve.log_values
+        chord = ys[:-2] + (ys[2:] - ys[:-2]) * (xs[1:-1] - xs[:-2]) / (xs[2:] - xs[:-2])
+        sign = 1.0 if direction == "convex" else -1.0
+        assert np.allclose(report.defects, sign * (chord - ys[1:-1]),
+                           rtol=0.0, atol=1e-12)
+        assert report.worst_defect == report.defects.min()
+        assert report.worst_at == xs[1 + int(np.argmin(report.defects))]
+
     def test_validation(self):
         curve = moment_curve(exponential(), "raw", [1.0, 2.0])
         with pytest.raises(DomainError):
@@ -297,6 +311,9 @@ class TestQuantileDensityConcavity:
         # I(t) = 1 - t exactly
         report = quantile_density_concavity(exponential(), self.LEVELS)
         assert abs(report.worst_defect) < 1e-9
+        assert np.allclose(report.values, 1.0 - report.grid, rtol=0.0,
+                           atol=1e-12)
+        assert report.defects.shape == (len(self.LEVELS) - 2,)
 
     def test_detects_log_convex_tail(self):
         # f(x) = 2 exp(-2 sqrt(x)) is not log-concave and its quantile

@@ -17,6 +17,7 @@ from infoconc.numerics import (
     QuadratureResult,
     find_root_increasing,
     golden_section_min,
+    unimodal_argmax,
     integrate,
     log_gamma,
     log_integral,
@@ -251,3 +252,15 @@ def test_golden_section_boundary_minimum():
 def test_golden_section_bad_interval():
     with pytest.raises(DomainError):
         golden_section_min(lambda t: t * t, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("support, f, peak", [
+    ((-math.inf, math.inf), lambda t: -(t - 1.3) ** 2, 1.3),
+    ((0.0, math.inf), lambda t: 2.5 * math.log(t) - t, 2.5),
+    ((-math.inf, 0.0), lambda t: -abs(t + 0.7), -0.7),
+    ((0.0, 3.0), lambda t: -(t - 1.2) ** 2, 1.2),
+    ((0.0, 3.0), lambda t: -t, 0.0),
+])
+def test_unimodal_argmax(support, f, peak):
+    # near a smooth peak f is flat to rounding within ~sqrt(eps) of it
+    assert abs(unimodal_argmax(f, support) - peak) <= 1e-6

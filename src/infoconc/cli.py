@@ -107,6 +107,10 @@ def parse_int_grid(text: str) -> list:
 
 _SIMPLE_FAMILIES = ("exponential", "gaussian1d", "laplace", "half_normal")
 
+# gauss_ar1 parameters a spec leaves out, also the --rho and --sd defaults
+_AR1_RHO = 0.5
+_AR1_SD = 1.0
+
 
 def _read_spec(args, kind: str) -> dict:
     """The spec of --model-file, of inline --model JSON, or of a bare name.
@@ -117,6 +121,8 @@ def _read_spec(args, kind: str) -> dict:
     become k-fold products; for a "process", ``gauss_ar1`` takes --rho
     and --sd.
     """
+    if args.dim < 1:
+        raise UsageError(f"--dim must be >= 1, got {args.dim}")
     if args.model_file:
         with open(args.model_file) as fh:
             return json.load(fh)
@@ -125,12 +131,11 @@ def _read_spec(args, kind: str) -> dict:
     name = args.model.strip()
     if name.startswith("{"):
         return json.loads(name)
-    dim = args.dim or 1
     if kind == "process" and name == "gauss_ar1":
         return {"process": "gauss_ar1",
                 "params": {"rho": args.rho, "sd": args.sd}}
     if kind == "batch" and name == "gaussian":
-        return {"family": "gaussian", "params": {"dim": dim}}
+        return {"family": "gaussian", "params": {"dim": args.dim}}
     if name == "gaussian":
         name = "gaussian1d"
     if name == "gamma":
@@ -143,8 +148,9 @@ def _read_spec(args, kind: str) -> dict:
         spec = {"family": name, "params": {}}
     else:
         raise UsageError(f"unknown model name {name!r}")
-    if kind == "batch" and dim != 1:
-        return {"family": "product", "params": {"component": spec, "copies": dim}}
+    if kind == "batch" and args.dim != 1:
+        return {"family": "product",
+                "params": {"component": spec, "copies": args.dim}}
     return spec
 
 
@@ -154,7 +160,7 @@ def _process(spec: dict):
         return IIDProcess(density_from_spec(spec))
     if spec["process"] == "gauss_ar1":
         params = spec.get("params", {})
-        return GaussAR1(params.get("rho", 0.0), params.get("sd", 1.0))
+        return GaussAR1(params.get("rho", _AR1_RHO), params.get("sd", _AR1_SD))
     if spec["process"] == "iid":
         return IIDProcess(density_from_spec(spec["base"]))
     raise UsageError(f"unknown process {spec['process']!r}")
@@ -472,8 +478,8 @@ def build_parser() -> _Parser:
     ps["lyapunov"].add_argument("--kind", choices=["raw", "normalized", "hat"],
                                 default="normalized")
     ps["lyapunov"].add_argument("--p-grid", default="0.5:40:0.5")
-    ps["aep"].add_argument("--rho", type=float, default=0.5)
-    ps["aep"].add_argument("--sd", type=float, default=1.0)
+    ps["aep"].add_argument("--rho", type=float, default=_AR1_RHO)
+    ps["aep"].add_argument("--sd", type=float, default=_AR1_SD)
     ps["aep"].add_argument("--n-grid", default="16,64,256,1024")
     ps["aep"].add_argument("--s-grid", default="0.5")
 

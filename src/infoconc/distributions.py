@@ -8,11 +8,18 @@ n-dimensional models from those pieces (independent products, Gaussians
 with a covariance factor, affine pushforwards, uniform balls).
 
 Sampling is exact everywhere: inverse-CDF where the quantile has a closed
-form, otherwise acceptance-rejection under the universal envelope for
+form, Marsaglia and Tsang's squeeze method (numpy's ``standard_gamma``)
+for gamma(p) with p > 1, and for custom densities from
+``from_log_density`` acceptance-rejection under the universal envelope for
 log-concave densities (flat cap of height f(mode) with exponential tails,
 anchored at the mode).  Randomness comes from counter-based Philox streams
 keyed by (seed, stream_id), so any partition of the work across workers
 reproduces the same values.
+
+The n-dimensional log-densities work on whole blocks of points: a product
+evaluates each distinct component object once on all of its columns, and
+a Gaussian covariance factor or affine matrix is factored once, at
+construction, so each call is one triangular solve per factor.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import lu, solve_triangular
 from scipy.special import gammainc, gammaincinv, digamma, ndtr, ndtri
 
 from .numerics import (
@@ -177,8 +185,12 @@ def _support_mask(x: np.ndarray, support: Tuple[float, float]) -> np.ndarray:
 
 def _masked_log(x, support, inside: Callable) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    out = np.full(x.shape, -np.inf)
     m = _support_mask(x, support)
+    if m.all():  # as sampled points are: no gather and scatter needed
+        out = np.empty(x.shape)
+        out[...] = inside(x)
+        return out
+    out = np.full(x.shape, -np.inf)
     if np.any(m):
         out[m] = inside(x[m])
     return out
@@ -280,7 +292,7 @@ def gamma(p: float) -> Density1D:
         spec={"family": "gamma", "params": {"p": p}},
         order_p=p,
         _log_pdf=log_pdf,
-        _sampler=_rejection_sampler(log_pdf, p - 1.0),
+        _sampler=lambda gen, size: gen.standard_gamma(p, size),
         _quantile=lambda t: gammaincinv(p, t),
         _cdf=lambda x: gammainc(p, np.maximum(x, 0.0)),
         _log_g=lambda x: -x - lgp,
@@ -500,14 +512,34 @@ def positive_zoo() -> list:
 # n-dimensional models
 # ---------------------------------------------------------------------------
 
+# Array elements per row chunk of ModelND.log_density: bounds the
+# temporaries of a call to a few MB whatever the block length and dimension.
+_CHUNK_ELEMENTS = 2**19
+
+
 class ModelND:
-    """Base class for n-dimensional sample models."""
+    """Base class for n-dimensional sample models.
+
+    Subclasses give ``_log_density_rows``, the log-density of each row of a
+    C-contiguous (rows, dim) array; ``log_density`` applies it to points of
+    any leading shape, about ``_CHUNK_ELEMENTS`` array elements at a time.
+    A row's value does not depend on the chunk it falls in.
+    """
 
     dim: int
     entropy: float
     spec: dict
 
     def log_density(self, x) -> np.ndarray:
+        x = self._check(x)
+        flat = x.reshape(-1, self.dim)
+        out = np.empty(flat.shape[0])
+        step = max(1, _CHUNK_ELEMENTS // self.dim)
+        for lo in range(0, flat.shape[0], step):
+            out[lo : lo + step] = self._log_density_rows(flat[lo : lo + step])
+        return out.reshape(x.shape[:-1])[()]  # a scalar for a single point
+
+    def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -531,17 +563,59 @@ class Product(ModelND):
         self.dim = len(components)
         self.entropy = float(sum(c.entropy for c in components))
         self.spec = {"family": "product", "params": {"components": [c.spec for c in components]}}
+        # columns of each distinct component object (identity, not spec: two
+        # custom densities may share a name); a contiguous run is a slice
+        columns = {}
+        for i, c in enumerate(components):
+            columns.setdefault(id(c), (c, []))[1].append(i)
+        self._groups = []
+        for c, cols in columns.values():
+            run = cols[-1] - cols[0] == len(cols) - 1
+            self._groups.append((c, slice(cols[0], cols[-1] + 1) if run else np.asarray(cols)))
 
-    def log_density(self, x) -> np.ndarray:
-        x = self._check(x)
-        parts = [c.log_pdf(x[..., i]) for i, c in enumerate(self.components)]
-        return np.sum(np.stack(parts, axis=-1), axis=-1)
+    def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
+        # sums the same C-contiguous layout as stacking one log_pdf per column
+        parts = np.empty(rows.shape)
+        for c, cols in self._groups:
+            parts[:, cols] = c.log_pdf(rows[:, cols])
+        return np.sum(parts, axis=-1)
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         out = np.empty((size, self.dim))
         for i, c in enumerate(self.components):  # fixed column order keeps streams reproducible
             out[:, i] = c.sample(gen, size)
         return out
+
+
+class _Solver:
+    """x -> T^-1 x on each row of a (rows, n) array, for an invertible T.
+
+    T is factored once: a lower-triangular T is its own factor, any other
+    is split as P L U by ``scipy.linalg.lu``.  A call is one
+    ``solve_triangular`` per factor on the whole (n, rows) block.  The
+    factors are only read, so one solver can serve concurrent worker
+    threads; ``lu_solve`` on a shared ``lu_factor`` pair is not safe that
+    way and gave wrong solutions under two threads.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        if np.array_equal(np.tril(matrix), matrix):
+            self._perm = None
+            self._factors = [(np.asfortranarray(matrix), True, False)]
+        else:
+            p, l, u = lu(matrix)
+            self._perm = np.argmax(p, axis=0)  # P^T b == b[perm]
+            self._factors = [(np.asfortranarray(l), True, True),
+                             (np.asfortranarray(u), False, False)]
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        if self._perm is not None:
+            rows = np.take(rows, self._perm, axis=1)
+        b = rows.T
+        for factor, lower, unit in self._factors:
+            b = solve_triangular(factor, b, lower=lower, unit_diagonal=unit,
+                                 check_finite=False)
+        return b.T
 
 
 class GaussianModel(ModelND):
@@ -557,6 +631,8 @@ class GaussianModel(ModelND):
             cov_factor = np.asarray(cov_factor, dtype=np.float64)
             dim = cov_factor.shape[0] if dim is None else dim
         self.dim = int(dim)
+        if self.dim < 1:
+            raise ParameterError(f"gaussian dimension must be >= 1, got {self.dim!r}")
         self.mean = np.zeros(self.dim) if mean is None else mean
         if self.mean.shape != (self.dim,):
             raise ParameterError("mean shape does not match dim")
@@ -572,27 +648,26 @@ class GaussianModel(ModelND):
             if sign == 0 or not math.isfinite(logdet):
                 raise ParameterError("cov_factor must be invertible")
             self._logabsdet = float(logdet)
+            self._solve = _Solver(cov_factor)
         self.entropy = 0.5 * self.dim * math.log(2.0 * math.pi * math.e) + self._logabsdet
         self.spec = {"family": "gaussian", "params": {"dim": self.dim}}
         if not self._standard or np.any(self.mean != 0.0):
             self.spec["params"]["mean"] = self.mean.tolist()
             self.spec["params"]["cov_factor"] = self.cov_factor.tolist()
 
-    def log_density(self, x) -> np.ndarray:
-        x = self._check(x)
-        centered = x - self.mean
+    def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
+        centered = rows - self.mean
         if not self._standard:
-            centered = np.linalg.solve(self.cov_factor, centered[..., np.newaxis])[..., 0]
+            centered = self._solve(centered)
         q = np.sum(centered * centered, axis=-1)
         return -0.5 * self.dim * LOG_2PI - self._logabsdet - 0.5 * q
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        z = gen.standard_normal((size, self.dim))
-        if self._standard:
-            x = z
-        else:
-            x = z @ self.cov_factor.T
-        return x + self.mean
+        x = gen.standard_normal((size, self.dim))
+        if not self._standard:
+            x = x @ self.cov_factor.T
+        x += self.mean
+        return x
 
 
 class AffineMap(ModelND):
@@ -612,6 +687,7 @@ class AffineMap(ModelND):
             raise ParameterError("shift shape does not match the base model dimension")
         self.dim = n
         self._logabsdet = float(logdet)
+        self._solve = _Solver(self.matrix)
         self.entropy = base.entropy + self._logabsdet
         self.spec = {
             "family": "affine",
@@ -622,16 +698,16 @@ class AffineMap(ModelND):
             },
         }
 
-    def log_density(self, y) -> np.ndarray:
-        y = self._check(y)
-        pre = np.linalg.solve(self.matrix, (y - self.shift)[..., np.newaxis])[..., 0]
+    def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
+        pre = self._solve(rows - self.shift)
         return self.base.log_density(pre) - self._logabsdet
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         # same draws as the base model, pushed through the map (coupling used
         # by the affine-invariance checks)
-        x = self.base.sample(gen, size)
-        return x @ self.matrix.T + self.shift
+        y = self.base.sample(gen, size) @ self.matrix.T
+        y += self.shift
+        return y
 
 
 class BallUniform(ModelND):
@@ -650,9 +726,8 @@ class BallUniform(ModelND):
         self.entropy = self._log_vol
         self.spec = {"family": "ball_uniform", "params": {"dim": dim, "radius": radius}}
 
-    def log_density(self, x) -> np.ndarray:
-        x = self._check(x)
-        r = np.sqrt(np.sum(x * x, axis=-1))
+    def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
+        r = np.sqrt(np.sum(rows * rows, axis=-1))
         return np.where(r <= self.radius, -self._log_vol, -np.inf)
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -727,7 +802,7 @@ def model_from_spec(spec: dict) -> ModelND:
             copies = int(params["copies"])
             if copies < 1:
                 raise ParameterError("product copies must be >= 1")
-            comps = [density_from_spec(params["component"]) for _ in range(copies)]
+            comps = [density_from_spec(params["component"])] * copies
         else:
             raise ParameterError("product spec needs 'components' or ('component', 'copies')")
         return Product(comps)

@@ -91,6 +91,21 @@ class TestUsageErrors:
                      "--model-file", str(path)]) == 1
         assert "not allowed with" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, dim", [("exponential", "0"),
+                                            ("gaussian", "-2")])
+    def test_dim_below_one(self, model, dim, tmp_path, capsys):
+        js = tmp_path / "out.json"
+        assert main(["tail", "--model", model, "--dim", dim, "--samples", "100",
+                     "--t-grid", "0:1:1", "--out-json", str(js)]) == 1
+        assert capsys.readouterr().err.startswith("error: --dim")
+        assert not js.exists()
+
+    def test_gaussian_spec_dim_below_one(self, capsys):
+        assert main(["tail", "--model",
+                     '{"family": "gaussian", "params": {"dim": -2}}',
+                     "--samples", "100"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("INFOCONC_SEED", "not-a-number")
         assert main(["tail", "--model", "gaussian", "--samples", "100"]) == 1
@@ -331,6 +346,19 @@ class TestAepCommand:
         assert main(["aep", "--model-file", str(path), "--samples", "100",
                      "--n-grid", "2,4"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_gauss_ar1_defaults_agree(self, tmp_path):
+        # the bare name takes the --rho/--sd defaults, a spec without
+        # params the same values
+        path = tmp_path / "spec.json"
+        path.write_text('{"process": "gauss_ar1"}')
+        processes = []
+        for flags in (["--model", "gauss_ar1"], ["--model-file", str(path)]):
+            js = tmp_path / "aep.json"
+            assert main(["aep", *flags, "--samples", "100", "--seed", "1",
+                         "--n-grid", "2,4", "--out-json", str(js)]) == 0
+            processes.append(json.loads(js.read_text())["config"]["process"])
+        assert processes[0] == processes[1]
 
     def test_bad_rho(self, capsys):
         assert main(["aep", "--model", "gauss_ar1", "--rho", "1.5",

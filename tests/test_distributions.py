@@ -380,6 +380,57 @@ def test_product_deviations_add():
     assert np.max(np.abs(total - per)) <= 1e-10
 
 
+def stacked_log_density(m: Product, x: np.ndarray) -> np.ndarray:
+    """Reference: one log_pdf call per column, summed over the stack."""
+    parts = [c.log_pdf(x[..., i]) for i, c in enumerate(m.components)]
+    return np.sum(np.stack(parts, axis=-1), axis=-1)
+
+
+MIXED8 = {"family": "product", "params": {"components": [
+    {"family": "exponential"},
+    {"family": "gamma", "params": {"p": 3.0}},
+    {"family": "gaussian1d", "params": {"mu": 0.0, "sigma": 1.0}},
+    {"family": "laplace"},
+    {"family": "uniform", "params": {"a": 0.0, "b": 1.0}},
+    {"family": "half_normal"},
+    {"family": "gaussian1d", "params": {"mu": 1.0, "sigma": 2.0}},
+    {"family": "uniform", "params": {"a": -1.0, "b": 2.0}},
+]}}
+EXP64 = {"family": "product",
+         "params": {"component": {"family": "exponential"}, "copies": 64}}
+
+
+@pytest.mark.parametrize("spec", [MIXED8, EXP64], ids=["mixed8", "exp64"])
+def test_grouped_product_log_density_equals_stacked_sum(spec):
+    m = model_from_spec(spec)
+    # more rows than one chunk, and not a whole number of chunks
+    rows = (2**19 // m.dim) * 2 + 777
+    x = m.sample(RngStream(seed=21).generator(), rows)
+    x[::101] -= 1.5  # some points leave the supports of bounded components
+    got = m.log_density(x)
+    assert np.array_equal(got, stacked_log_density(m, x))
+    assert np.isneginf(got).any()
+    assert np.array_equal(m.log_density(x[:5].reshape(5, 1, m.dim)),
+                          stacked_log_density(m, x[:5]).reshape(5, 1))
+    assert m.log_density(x[7]) == stacked_log_density(m, x[7])
+
+
+def test_product_copies_share_one_component():
+    m = model_from_spec(EXP64)
+    assert all(c is m.components[0] for c in m.components)
+
+
+def test_product_keeps_custom_densities_with_one_name_apart():
+    narrow = from_log_density("bump", lambda x: -2.0 * x * x, (-math.inf, math.inf))
+    wide = from_log_density("bump", lambda x: -0.125 * x * x, (-math.inf, math.inf))
+    assert narrow.spec == wide.spec
+    m = Product([narrow, wide, narrow])
+    x = np.array([[0.5, 2.0, -1.0], [1.5, -0.5, 0.25]])
+    want = narrow.log_pdf(x[:, 0]) + wide.log_pdf(x[:, 1]) + narrow.log_pdf(x[:, 2])
+    assert np.allclose(m.log_density(x), want, rtol=0.0, atol=1e-12)
+    assert np.array_equal(m.log_density(x), stacked_log_density(m, x))
+
+
 # ---------------------------------------------------------------------------
 # custom densities
 # ---------------------------------------------------------------------------

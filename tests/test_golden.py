@@ -148,7 +148,7 @@ DIGESTS = {
     "tail_exp_per_coordinate":
         "5188bdab3a0161166e9c3d239247ccfbc682b8e7e58f7b29807f68276e4fd30d",
     "tail_gamma_file":
-        "0697ae859b467b2585b2fa8d6428d6dc96e946fdb7372bf02e8f337b4144dacd",
+        "00edc824c2d6a9536aa7a68f8b8b97dbcedd3ab5b58c44d7ea749a5560878394",
     "tail_gaussian":
         "1c2cc4e7296639b7b9ff7a04492691f9838b42fbe17eca20d607741b184e6fcd",
     "tail_workers2":

@@ -9,6 +9,7 @@ and the exponential's two-sided moment function
 all frozen below before the module was written.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from scipy.special import chdtr, chdtrc
 
 from infoconc.bounds import HOLDS, INCONCLUSIVE, compare, mgf_bound_nd
 from infoconc.distributions import (
+    AffineMap,
     GaussianModel,
     Product,
     RngStream,
@@ -153,6 +155,27 @@ class TestSampleInformation:
         c = sample_information(model, m, RngStream(9), workers=5)
         assert np.array_equal(a.deviations, b.deviations)
         assert np.array_equal(a.deviations, c.deviations)
+
+    @pytest.mark.parametrize("make", ["affine", "cov_factor"])
+    def test_shared_linear_factors_are_thread_safe(self, make):
+        # Both models share one factored matrix between the pool threads;
+        # with a full (non-triangular) matrix the solve goes through its
+        # LU factors.  A factorization whose solve writes shared state
+        # (lu_solve on one lu_factor pair) made these runs differ.
+        gen = np.random.default_rng(5)
+        full = np.eye(16) + 0.5 * gen.standard_normal((16, 16))
+        model = (AffineMap(Product([exponential()] * 16), full)
+                 if make == "affine" else GaussianModel(cov_factor=full))
+        m = 2 * BLOCK_SIZE + 513
+        ref = sample_information(model, m, RngStream(3), workers=1).deviations
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                got = sample_information(model, m, RngStream(3), workers=2)
+                assert got.deviations.tobytes() == ref.tobytes()
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_full_blocks_are_stable_across_total_size(self):
         # block b depends only on its index, so a longer run extends a

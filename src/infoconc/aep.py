@@ -16,23 +16,24 @@ conditional Gaussian per step, which is exact and O(n); the dense
 covariance form Sigma_ij = sigma1^2 rho^|i-j| exists only in the tests as
 an independent oracle.
 
-Trajectories are simulated in fixed blocks of TRIAL_BLOCK trials, block b
+Trajectories are simulated on ``RngStream.run_blocks``, the one block
+schedule of the package, in fixed blocks of TRIAL_BLOCK trials, block b
 drawing from counter offset b of the Philox stream, so reports are
-byte-identical for any worker count (same discipline as the batch sampler).
+byte-identical for any worker count.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import bounds
-from .distributions import Density1D, LOG_2PI, ParameterError, RngStream, model_id
+from .distributions import (Density1D, LOG_2PI, ParameterError, RngStream,
+                            density_from_spec, model_id, spec_reader)
 from .infotools import McEstimate
-from .numerics import DomainError
+from .numerics import DomainError, check_grid
 from .serialize import write_csv
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "GaussAR1",
     "TrajectoryReport",
     "ExceedanceRow",
+    "process_from_spec",
     "run_trajectories",
 ]
 
@@ -72,7 +74,7 @@ class IIDProcess:
 class GaussAR1:
     """Stationary Gaussian autoregression of order one."""
 
-    def __init__(self, rho: float, sd: float = 1.0):
+    def __init__(self, rho: float = 0.5, sd: float = 1.0):
         if not -1.0 < rho < 1.0:
             raise ParameterError(f"autoregression needs |rho| < 1, got {rho!r}")
         if sd <= 0.0:
@@ -152,10 +154,8 @@ class TrajectoryReport:
     def exceedance_table(self, s_values: Sequence[float],
                          confidence: float = 0.999) -> list:
         """Tail of the centered deviations against 3 e^(-s^2 n/16) per length."""
-        svals = np.asarray(s_values, dtype=float)
-        if svals.size == 0:
-            raise DomainError("s grid is empty")
-        if np.any(svals <= 0.0):
+        svals = check_grid(s_values, "s grid")
+        if svals[0] <= 0.0:
             raise DomainError("tail levels s must be positive")
         dev = np.abs(self.per_coord_deviations())
         rows = []
@@ -191,15 +191,19 @@ class TrajectoryReport:
         }
 
 
-def _check_n_grid(n_grid: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(n_grid)
-    if arr.size == 0:
-        raise DomainError("length grid is empty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise DomainError("trajectory lengths must be integers")
-    if arr[0] < 1 or np.any(np.diff(arr) <= 0):
-        raise DomainError("length grid must be strictly increasing and >= 1")
-    return arr.astype(np.int64)
+@spec_reader
+def process_from_spec(spec: dict):
+    """Build a process from {"process": "gauss_ar1", "params": {"rho": ...,
+    "sd": ...}} (GaussAR1's defaults fill what params leave out), from
+    {"process": "iid", "base": <1-D density spec>}, or from a bare 1-D
+    density spec, which runs i.i.d."""
+    if not isinstance(spec, dict) or "process" not in spec:
+        return IIDProcess(density_from_spec(spec))
+    if spec["process"] == "gauss_ar1":
+        return GaussAR1(**spec.get("params", {}))
+    if spec["process"] == "iid":
+        return IIDProcess(density_from_spec(spec["base"]))
+    raise ParameterError(f"unknown process {spec['process']!r}")
 
 
 def run_trajectories(process, n_grid: Sequence[int], trials: int,
@@ -210,31 +214,22 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     lengths reuse its prefix through the cumulative sums, which is exactly
     the nesting a single growing sample path would produce.
     """
-    grid = _check_n_grid(n_grid)
+    grid = check_grid(n_grid, "length grid")
+    if grid[0] < 1.0 or np.any(grid != np.floor(grid)):
+        raise DomainError("trajectory lengths must be integers >= 1")
+    grid = grid.astype(np.int64)
     if trials < 2:
         raise DomainError(f"need at least two trials, got {trials!r}")
-    if workers < 1:
-        raise DomainError(f"worker count must be >= 1, got {workers!r}")
     length = int(grid[-1])
     cols = grid - 1
     info = np.empty((trials, grid.size))
-    n_blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
 
-    def run_block(b: int) -> None:
-        lo = b * TRIAL_BLOCK
-        hi = min(lo + TRIAL_BLOCK, trials)
-        gen = rng.generator(block=b)
+    def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
         steps = process._neg_log_steps(gen, hi - lo, length)
         cum = np.cumsum(steps, axis=1)
         info[lo:hi] = cum[:, cols] / grid
 
-    if workers == 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            run_block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-
+    rng.run_blocks(trials, TRIAL_BLOCK, run_block, workers)
     return TrajectoryReport(
         process_id=model_id(process),
         entropy_rate=process.entropy_rate,

@@ -32,7 +32,7 @@ from datetime import datetime, timezone
 from typing import Callable
 
 from . import bounds
-from .aep import GaussAR1, IIDProcess, run_trajectories
+from .aep import process_from_spec, run_trajectories
 from .distributions import (
     ParameterError,
     RngStream,
@@ -53,7 +53,7 @@ from .lyapunov import (
     order_p_variance_check,
     quantile_density_concavity,
 )
-from .numerics import NumericsError
+from .numerics import NumericsError, check_grid
 from .serialize import dump_json, write_csv
 
 __all__ = ["main", "entrypoint", "parse_grid"]
@@ -71,7 +71,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(text: str) -> list:
-    """Parse ``start:stop:step`` (inclusive), a comma list, or one number."""
+    """Parse ``start:stop:step`` (inclusive), a comma list, or one number,
+    into a grid that ``numerics.check_grid`` accepts."""
     text = text.strip()
     try:
         if ":" in text:
@@ -84,14 +85,13 @@ def parse_grid(text: str) -> list:
             if stop < start:
                 raise ValueError("stop must not precede start")
             count = int(math.floor((stop - start) / step + 1e-9))
-            return [start + i * step for i in range(count + 1)]
-        if "," in text:
+            vals = [start + i * step for i in range(count + 1)]
+        elif "," in text:
             vals = [float(p) for p in text.split(",") if p.strip() != ""]
-            if not vals:
-                raise ValueError("empty list")
-            return vals
-        return [float(text)]
-    except ValueError as exc:
+        else:
+            vals = [float(text)]
+        return check_grid(vals, "grid").tolist()
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
 
 
@@ -107,10 +107,6 @@ def parse_int_grid(text: str) -> list:
 
 _SIMPLE_FAMILIES = ("exponential", "gaussian1d", "laplace", "half_normal")
 
-# gauss_ar1 parameters a spec leaves out, also the --rho and --sd defaults
-_AR1_RHO = 0.5
-_AR1_SD = 1.0
-
 
 def _read_spec(args, kind: str) -> dict:
     """The spec of --model-file, of inline --model JSON, or of a bare name.
@@ -119,7 +115,7 @@ def _read_spec(args, kind: str) -> dict:
     exceptions by subject ``kind``: for a "batch", ``gaussian`` is the
     standard normal in --dim dimensions and other names with --dim k
     become k-fold products; for a "process", ``gauss_ar1`` takes --rho
-    and --sd.
+    and --sd where they are given.
     """
     if args.dim < 1:
         raise UsageError(f"--dim must be >= 1, got {args.dim}")
@@ -132,8 +128,9 @@ def _read_spec(args, kind: str) -> dict:
     if name.startswith("{"):
         return json.loads(name)
     if kind == "process" and name == "gauss_ar1":
+        given = {"rho": args.rho, "sd": args.sd}
         return {"process": "gauss_ar1",
-                "params": {"rho": args.rho, "sd": args.sd}}
+                "params": {k: v for k, v in given.items() if v is not None}}
     if kind == "batch" and name == "gaussian":
         return {"family": "gaussian", "params": {"dim": args.dim}}
     if name == "gaussian":
@@ -152,18 +149,6 @@ def _read_spec(args, kind: str) -> dict:
         return {"family": "product",
                 "params": {"component": spec, "copies": args.dim}}
     return spec
-
-
-def _process(spec: dict):
-    """The process a spec names; a 1-D density spec runs i.i.d."""
-    if not isinstance(spec, dict) or "process" not in spec:
-        return IIDProcess(density_from_spec(spec))
-    if spec["process"] == "gauss_ar1":
-        params = spec.get("params", {})
-        return GaussAR1(params.get("rho", _AR1_RHO), params.get("sd", _AR1_SD))
-    if spec["process"] == "iid":
-        return IIDProcess(density_from_spec(spec["base"]))
-    raise UsageError(f"unknown process {spec['process']!r}")
 
 
 def _resolve_seed(args) -> int:
@@ -320,7 +305,7 @@ def _batch(args) -> tuple:
 
 
 def _trajectories(args) -> tuple:
-    process = _process(_read_spec(args, "process"))
+    process = process_from_spec(_read_spec(args, "process"))
     rng, config = _stream(args)
     n_grid = parse_int_grid(args.n_grid)
     report = run_trajectories(process, n_grid, args.samples, rng,
@@ -478,8 +463,8 @@ def build_parser() -> _Parser:
     ps["lyapunov"].add_argument("--kind", choices=["raw", "normalized", "hat"],
                                 default="normalized")
     ps["lyapunov"].add_argument("--p-grid", default="0.5:40:0.5")
-    ps["aep"].add_argument("--rho", type=float, default=_AR1_RHO)
-    ps["aep"].add_argument("--sd", type=float, default=_AR1_SD)
+    ps["aep"].add_argument("--rho", type=float)
+    ps["aep"].add_argument("--sd", type=float)
     ps["aep"].add_argument("--n-grid", default="16,64,256,1024")
     ps["aep"].add_argument("--s-grid", default="0.5")
 

@@ -23,8 +23,10 @@ construction, so each call is one triangular solve per factor.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -64,6 +66,7 @@ __all__ = [
     "log_density",
     "entropy",
     "quantile_density",
+    "spec_reader",
     "density_from_spec",
     "model_from_spec",
     "model_id",
@@ -109,6 +112,29 @@ class RngStream:
 
     def derive(self, stream_id: int) -> "RngStream":
         return RngStream(self.seed, stream_id)
+
+    def run_blocks(self, total: int, block: int,
+                   work: Callable[[np.random.Generator, int, int], None],
+                   workers: int = 1) -> None:
+        """The one block schedule: ``work(generator(b), lo, hi)`` for each
+        block b, [lo, hi) = [b * block, min((b + 1) * block, total)), on
+        ``workers`` threads.  Block b always draws from counter offset b, so
+        work that writes only its own [lo, hi) gives the same result for any
+        ``workers``."""
+        if workers < 1:
+            raise DomainError(f"worker count must be >= 1, got {workers!r}")
+        n_blocks = -(-total // block)
+
+        def run(b: int) -> None:
+            lo = b * block
+            work(self.generator(b), lo, min(lo + block, total))
+
+        if workers == 1 or n_blocks == 1:
+            for b in range(n_blocks):
+                run(b)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run, range(n_blocks)))
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -775,17 +801,32 @@ def quantile_density(d: Density1D, t) -> np.ndarray:
 # JSON model specifications
 # ---------------------------------------------------------------------------
 
+def spec_reader(read: Callable) -> Callable:
+    """Decorate a reader of JSON specs so that a missing key or a value of
+    the wrong type or shape is a ParameterError naming the spec, not the
+    KeyError, TypeError or ValueError that building from it raised."""
+
+    @functools.wraps(read)
+    def wrapped(spec):
+        try:
+            return read(spec)
+        except ParameterError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed spec {spec!r}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+
+    return wrapped
+
+
+@spec_reader
 def density_from_spec(spec: dict) -> Density1D:
     """Build a 1-D density from {"family": ..., "params": {...}}."""
     family, params = _split_spec(spec)
-    if family not in _FAMILIES:
-        raise ParameterError(f"not a 1-D density family: {family!r}")
-    try:
-        return make_standard(family, **params)
-    except TypeError as exc:
-        raise ParameterError(f"bad parameters for family {family!r}: {params!r}") from exc
+    return make_standard(family, **params)
 
 
+@spec_reader
 def model_from_spec(spec: dict) -> ModelND:
     """Build an n-dimensional model from a (possibly nested) specification.
 

@@ -7,7 +7,8 @@ with density f and entropy h:
 
 All experiments reduce to statistics of a large batch of such deviations:
 tail probabilities at scaled thresholds, exponential moments, coverage of
-the entropy-typical set, and the variance.  Sampling is split into fixed
+the entropy-typical set, and the variance.  Sampling runs on
+``RngStream.run_blocks``, the one block schedule of the package, in fixed
 blocks of ``BLOCK_SIZE`` draws, each sourced from its own counter offset of
 the Philox stream, so the result is byte-identical for any worker count.
 
@@ -18,7 +19,6 @@ moments are accumulated in log space so large deviations cannot overflow.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -27,7 +27,7 @@ from scipy.special import ndtri
 
 from . import bounds
 from .distributions import ModelND, RngStream, model_id
-from .numerics import DomainError
+from .numerics import DomainError, check_grid
 from .serialize import write_csv
 
 __all__ = [
@@ -171,31 +171,20 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
                        workers: int = 1) -> InfoSampleBatch:
     """Draw m samples and return their information deviations.
 
-    Work is partitioned into fixed blocks of BLOCK_SIZE draws; block b uses
-    the generator at counter offset b regardless of how many workers run, so
-    the deviations array is identical for any ``workers`` value.
+    Work is partitioned by ``rng.run_blocks`` into fixed blocks of
+    BLOCK_SIZE draws, so the deviations array is identical for any
+    ``workers`` value.
     """
     if m <= 0:
         raise DomainError(f"sample count must be positive, got {m!r}")
-    if workers < 1:
-        raise DomainError(f"worker count must be >= 1, got {workers!r}")
     h = model.entropy
     out = np.empty(m, dtype=float)
-    n_blocks = (m + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def run_block(b: int) -> None:
-        lo = b * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, m)
-        gen = rng.generator(block=b)
+    def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
         x = model.sample(gen, hi - lo)
         out[lo:hi] = -model.log_density(x) - h
 
-    if workers == 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            run_block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, range(n_blocks)))
+    rng.run_blocks(m, BLOCK_SIZE, run_block, workers)
     return InfoSampleBatch(
         model_id=model_id(model),
         dim=model.dim,
@@ -214,19 +203,6 @@ class TailRow:
     estimate: McEstimate
 
 
-def _check_grid(values: Sequence[float], name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise DomainError(f"{name} grid is empty")
-    if arr.ndim != 1:
-        raise DomainError(f"{name} grid must be one-dimensional")
-    if np.any(np.diff(arr) <= 0.0):
-        raise DomainError(f"{name} grid must be strictly increasing")
-    if arr[0] < 0.0:
-        raise DomainError(f"{name} grid must be nonnegative")
-    return arr
-
-
 def empirical_tail(batch: InfoSampleBatch, thresholds: Sequence[float],
                    scaling: str = "sqrt_n",
                    confidence: float = DEFAULT_CONFIDENCE) -> list:
@@ -235,7 +211,9 @@ def empirical_tail(batch: InfoSampleBatch, thresholds: Sequence[float],
     scaling "sqrt_n" measures thresholds in units of sqrt(n) (the
     concentration normalization); "per_coordinate" in units of n.
     """
-    ts = _check_grid(thresholds, "threshold")
+    ts = check_grid(thresholds, "threshold grid")
+    if ts[0] < 0.0:
+        raise DomainError("threshold grid must be nonnegative")
     if scaling == "sqrt_n":
         unit = math.sqrt(batch.dim)
     elif scaling == "per_coordinate":
@@ -260,7 +238,6 @@ def empirical_tail(batch: InfoSampleBatch, thresholds: Sequence[float],
 class MgfRow:
     alpha: float
     estimate: McEstimate
-    in_window: bool
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -276,33 +253,24 @@ def _safe_exp(x: float) -> float:
 
 def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
                   form: str = "two_sided_abs",
-                  window: str = "dimensional",
                   confidence: float = DEFAULT_CONFIDENCE) -> list:
     """Estimates of E exp(alpha |dev|/sqrt(n)) (or the one-sided version).
 
     Accumulation happens in log space: both the first and second empirical
     moments of exp(alpha y) are formed with a log-sum-exp, so no overflow
-    occurs even when alpha y is large.  The window flag marks the validity
-    range of the matching theoretical bound: alpha <= sqrt(n)/4 for the
-    dimensional one, alpha < 1 for the one-dimensional one.
+    occurs even when alpha y is large.  Whether an alpha lies in the
+    validity window of a theoretical bound is the bound's to say (see
+    ``bounds.mgf_bound_nd`` and ``bounds.mgf_bound_1d``).
     """
-    arr = np.asarray(alphas, dtype=float)
-    if arr.size == 0:
-        raise DomainError("alpha grid is empty")
+    arr = check_grid(alphas, "alpha grid")
     if form == "two_sided_abs":
         y = np.abs(batch.deviations) / math.sqrt(batch.dim)
-        if np.any(arr < 0.0):
+        if arr[0] < 0.0:
             raise DomainError("two-sided form needs nonnegative alpha")
     elif form == "one_sided":
         y = batch.deviations / math.sqrt(batch.dim)
     else:
         raise DomainError(f"unknown form {form!r}")
-    if window == "dimensional":
-        edge = 0.25 * math.sqrt(batch.dim)
-    elif window == "one_dimensional":
-        edge = 1.0
-    else:
-        raise DomainError(f"unknown window {window!r}")
     log_m = math.log(batch.m)
     rows = []
     for alpha in arr:
@@ -322,12 +290,7 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
                 # overflowed estimate: no statistical claim either way
                 est = McEstimate(math.inf, math.inf, 0.0, math.inf,
                                  batch.m, confidence)
-        rows.append(MgfRow(
-            alpha=float(alpha),
-            estimate=est,
-            in_window=bool(alpha <= edge + 1e-12) if window == "dimensional"
-            else bool(alpha < edge),
-        ))
+        rows.append(MgfRow(alpha=float(alpha), estimate=est))
     return rows
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import VarianceCaps, order_p_variance_caps
 from .distributions import Density1D, quantile_density
-from .numerics import DomainError, integrate, log_gamma, log_integral
+from .numerics import DomainError, check_grid, integrate, log_gamma, log_integral
 from .serialize import write_csv
 
 __all__ = [
@@ -73,11 +73,7 @@ class MomentCurve:
 
 
 def _check_orders(grid: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(grid, dtype=float)
-    if arr.size == 0:
-        raise DomainError("order grid is empty")
-    if np.any(np.diff(arr) <= 0.0):
-        raise DomainError("order grid must be strictly increasing")
+    arr = check_grid(grid, "order grid")
     if arr[0] <= 0.0:
         raise DomainError("moment orders must be positive")
     if arr[-1] > P_MAX:
@@ -293,11 +289,7 @@ def quantile_density_concavity(density: Density1D, ts: Sequence[float],
     This function is concave on (0, 1) precisely for log-concave f, so the
     check doubles as a structural test of any density added to the zoo.
     """
-    arr = np.asarray(ts, dtype=float)
-    if arr.size < 3:
-        raise DomainError("need at least three probability levels")
-    if np.any(np.diff(arr) <= 0.0):
-        raise DomainError("probability levels must be strictly increasing")
+    arr = check_grid(ts, "probability levels", min_size=3)
     if arr[0] <= 0.0 or arr[-1] >= 1.0:
         raise DomainError("probability levels must lie strictly inside (0, 1)")
     vals = np.array([quantile_density(density, t) for t in arr])

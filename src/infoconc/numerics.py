@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import polygamma
@@ -22,6 +23,7 @@ __all__ = [
     "IntegrandError",
     "QuadratureResult",
     "DEFAULT_TOL",
+    "check_grid",
     "log_gamma",
     "trigamma",
     "integrate",
@@ -67,6 +69,26 @@ class QuadratureResult:
     abs_error_estimate: float
     evaluations: int
     converged: bool
+
+
+def check_grid(values: Sequence[float], name: str,
+               min_size: int = 1) -> np.ndarray:
+    """``values`` as a float array, checked to be a one-dimensional grid of
+    at least ``min_size`` finite, strictly increasing points.
+
+    This is the one shape rule for every grid of thresholds, orders and
+    levels; a range rule (nonnegative, inside (0, 1), ...) is the caller's.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError(f"{name} must be one-dimensional")
+    if arr.size < min_size:
+        raise DomainError(f"{name} needs {min_size} or more points, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    if np.any(np.diff(arr) <= 0.0):
+        raise DomainError(f"{name} must be strictly increasing")
+    return arr
 
 
 def log_gamma(x: float) -> float:

@@ -134,8 +134,7 @@ def test_05_universal_mgf_below_four():
         t0 = time.perf_counter()
         batch = sample_information(Product([d]), M_LARGE,
                                    RngStream(SEED, 200 + i), workers=2)
-        row = empirical_mgf(batch, [0.5], form="two_sided_abs",
-                            window="one_dimensional")[0]
+        row = empirical_mgf(batch, [0.5], form="two_sided_abs")[0]
         est = row.estimate
         if not est.ci_high < 4.0:
             fails.append(f"{d.name}: upper CI {est.ci_high:.4f} >= 4")
@@ -183,12 +182,11 @@ def test_07_dimensional_mgf_verdicts():
         for n in (4, 16, 64):
             batch = info_batch(family, n)
             alphas = np.arange(0.0, 0.25 * math.sqrt(n) + 1e-9, 0.25)
-            for row in empirical_mgf(batch, alphas, form="two_sided_abs",
-                                     window="dimensional"):
+            for row in empirical_mgf(batch, alphas, form="two_sided_abs"):
                 bound = bounds.mgf_bound_nd(row.alpha, n)
                 verdict = bounds.compare(row.estimate, bound.value,
                                          direction="upper")
-                if not row.in_window:
+                if not bound.in_window:
                     fails.append(f"{family} n={n} alpha={row.alpha:g}: "
                                  "outside window")
                 elif verdict.verdict != HOLDS:

@@ -41,7 +41,8 @@ class TestGridParsing:
             parse_int_grid("1.5,2")
 
     @pytest.mark.parametrize("bad", ["1:2", "1:2:0", "2:1:0.5", "a:b:c",
-                                     "1:2:3:4", ",", "abc"])
+                                     "1:2:3:4", ",", "abc", "nan", "1,nan",
+                                     "0,inf", "0:inf:1", "0.5,0.25", "1,1"])
     def test_bad_grids(self, bad):
         with pytest.raises(UsageError):
             parse_grid(bad)
@@ -109,6 +110,58 @@ class TestUsageErrors:
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("INFOCONC_SEED", "not-a-number")
         assert main(["tail", "--model", "gaussian", "--samples", "100"]) == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ["aep", "--model", '{"process": "gauss_ar1", "params": {"rho": "x"}}'],
+        ["aep", "--model", '{"process": "gauss_ar1", "params": [1]}'],
+        ["aep", "--model", '{"process": "iid"}'],
+        ["tail", "--model", '{"family": "product", "params": {"component": '
+         '{"family": "exponential"}, "copies": "x"}}'],
+        ["tail", "--model", '{"family": "product", "params": {"components": 3}}'],
+        ["tail", "--model", '{"family": "ball_uniform", "params": {}}'],
+        ["tail", "--model", '{"family": "affine", "params": {"base": '
+         '{"family": "exponential"}}}'],
+        ["tail", "--model", '{"family": "gaussian", "params": '
+         '{"cov_factor": [[1, 0], [1]]}}'],
+        ["tail", "--model", '{"family": ["x"]}'],
+        ["lyapunov", "--model", '{"family": "gamma", "params": {"p": "x"}}'],
+    ], ids=["ar1_rho_type", "ar1_params_list", "iid_no_base", "copies_type",
+            "components_type", "ball_no_dim", "affine_no_matrix",
+            "ragged_cov_factor", "family_type", "gamma_p_type"])
+    def test_malformed_spec(self, argv, tmp_path, capsys):
+        csv = tmp_path / "out.csv"
+        extra = {"aep": ["--samples", "10", "--n-grid", "2,4"],
+                 "tail": ["--samples", "10"], "lyapunov": []}[argv[0]]
+        assert main([*argv, *extra, "--out-csv", str(csv)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--model", "exponential", "--t-grid", "0,nan,1"],
+        ["tail", "--model", "exponential", "--t-grid", "0,1,inf"],
+        ["mgf", "--model", "exponential", "--alpha-grid", "0,nan,0.5"],
+        ["mgf", "--model", "exponential", "--alpha-grid", "0,0.5,inf"],
+        ["mgf", "--model", "exponential", "--alpha-grid", "0.5,0.25"],
+        ["entropy_power", "--model", "exponential", "--s-grid", "0.5,nan"],
+        ["entropy_power", "--model", "exponential", "--s-grid", "0.5,inf"],
+        ["entropy_power", "--model", "exponential", "--s-grid", "1,0.5"],
+        ["quantile_density", "--model", "exponential",
+         "--t-grid", "0.1,nan,0.5,0.9"],
+        ["lyapunov", "--model", "exponential", "--p-grid", "1,nan,3"],
+        ["aep", "--model", "exponential", "--n-grid", "2,nan,8"],
+        ["aep", "--model", "exponential", "--n-grid", "2,8,inf"],
+        ["aep", "--model", "exponential", "--s-grid", "0.5,nan"],
+        ["aep", "--model", "exponential", "--s-grid", "0.5,inf"],
+        ["aep", "--model", "exponential", "--s-grid", "1,0.5"],
+    ])
+    def test_grid_must_be_finite_and_increasing(self, argv, tmp_path, capsys):
+        csv = tmp_path / "out.csv"
+        samples = [] if argv[0] in ("quantile_density", "lyapunov") \
+            else ["--samples", "100"]
+        assert main([*argv, *samples, "--out-csv", str(csv)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad grid")
+        assert not csv.exists()
 
 
 class TestTailCommand:

@@ -238,6 +238,36 @@ def test_stream_derive():
     assert s.seed == 9 and s.stream_id == 7
 
 
+@pytest.mark.parametrize("total", [3 * 4 - 1, 3 * 4, 3 * 4 + 1])
+def test_run_blocks_schedule(total):
+    block = 4
+    stream = RngStream(seed=17, stream_id=2)
+    outputs = []
+    for workers in (1, 2, 5):
+        calls = []
+        out = np.zeros(total)
+
+        def work(gen, lo, hi):
+            calls.append((lo, hi))
+            out[lo:hi] = gen.random(hi - lo)
+
+        stream.run_blocks(total, block, work, workers)
+        # every [lo, hi) exactly once, and block b drew from generator(b)
+        bounds_ = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+        assert sorted(calls) == bounds_
+        for b, (lo, hi) in enumerate(bounds_):
+            assert np.array_equal(out[lo:hi],
+                                  stream.generator(b).random(hi - lo))
+        outputs.append(out)
+    assert np.array_equal(outputs[0], outputs[1])
+    assert np.array_equal(outputs[0], outputs[2])
+
+
+def test_run_blocks_needs_a_worker():
+    with pytest.raises(DomainError):
+        RngStream(seed=1).run_blocks(8, 4, lambda gen, lo, hi: None, workers=0)
+
+
 # ---------------------------------------------------------------------------
 # n-dimensional models
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ class TestEmpiricalTail:
 
 class TestEmpiricalMgf:
     def test_matches_exact_exponential(self, expo):
-        rows = empirical_mgf(expo, [0.0, 0.25, 0.5], window="one_dimensional")
+        rows = empirical_mgf(expo, [0.0, 0.25, 0.5])
         exact = {0.0: 1.0, 0.25: EXP_MGF_025, 0.5: EXP_MGF_05}
         for row in rows:
             target = exact[row.alpha]
@@ -285,18 +285,10 @@ class TestEmpiricalMgf:
                 assert row.estimate.std_error > 0.0
 
     def test_monotone_in_alpha(self, expo):
-        rows = empirical_mgf(expo, list(np.arange(0.0, 0.8, 0.1)),
-                             window="one_dimensional")
+        rows = empirical_mgf(expo, list(np.arange(0.0, 0.8, 0.1)))
         vals = [r.estimate.value for r in rows]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert all(v >= 1.0 for v in vals)
-
-    def test_window_flags(self):
-        batch = make_batch(np.zeros(16), dim=16)
-        rows = empirical_mgf(batch, [0.5, 1.0, 1.1])
-        assert [r.in_window for r in rows] == [True, True, False]
-        rows = empirical_mgf(batch, [0.5, 0.99, 1.0], window="one_dimensional")
-        assert [r.in_window for r in rows] == [True, True, False]
 
     def test_dimensional_bound_holds(self):
         batch = sample_information(GaussianModel(16), 100000, RngStream(88))
@@ -307,15 +299,14 @@ class TestEmpiricalMgf:
         assert verdict.verdict == HOLDS
 
     def test_one_sided_allows_negative_alpha(self, expo):
-        rows = empirical_mgf(expo, [-0.5, 0.5], form="one_sided",
-                             window="one_dimensional")
+        rows = empirical_mgf(expo, [-0.5, 0.5], form="one_sided")
         # E exp(-a(X-1)) = e^a/(1+a) at a = 1/2
         target = math.exp(0.5) / 1.5
         assert abs(rows[0].estimate.value - target) < 5.0 * rows[0].estimate.std_error
 
     def test_overflow_yields_inconclusive_not_crash(self):
         batch = make_batch([0.0, 800.0, 1600.0])
-        row = empirical_mgf(batch, [1.0], window="one_dimensional")[0]
+        row = empirical_mgf(batch, [1.0])[0]
         assert math.isinf(row.estimate.value)
         verdict = compare(row.estimate, 4.0, "upper")
         assert verdict.verdict == INCONCLUSIVE
@@ -327,8 +318,6 @@ class TestEmpiricalMgf:
             empirical_mgf(expo, [-0.5], form="two_sided_abs")
         with pytest.raises(DomainError):
             empirical_mgf(expo, [0.5], form="diagonal")
-        with pytest.raises(DomainError):
-            empirical_mgf(expo, [0.5], window="elliptic")
 
 
 class TestBands:

@@ -8,6 +8,7 @@ oracle that produced them.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from infoconc.numerics import (
@@ -15,6 +16,7 @@ from infoconc.numerics import (
     DomainError,
     IntegrandError,
     QuadratureResult,
+    check_grid,
     find_root_increasing,
     golden_section_min,
     unimodal_argmax,
@@ -264,3 +266,28 @@ def test_golden_section_bad_interval():
 def test_unimodal_argmax(support, f, peak):
     # near a smooth peak f is flat to rounding within ~sqrt(eps) of it
     assert abs(unimodal_argmax(f, support) - peak) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# grids
+# ---------------------------------------------------------------------------
+
+def test_check_grid_returns_float_array():
+    arr = check_grid([1, 2, 5], "t grid")
+    assert arr.dtype == np.float64
+    assert arr.tolist() == [1.0, 2.0, 5.0]
+
+
+@pytest.mark.parametrize("values", [
+    [], [[0.1, 0.2], [0.3, 0.4]], 0.5, [0.1, math.nan, 0.5],
+    [0.1, math.inf], [-math.inf, 0.1], [0.1, 0.2, 0.2], [0.5, 0.25],
+], ids=["empty", "2d", "scalar", "nan", "inf", "-inf", "equal", "decreasing"])
+def test_check_grid_rejects(values):
+    with pytest.raises(DomainError, match="t grid"):
+        check_grid(values, "t grid")
+
+
+def test_check_grid_min_size():
+    assert check_grid([0.1, 0.2, 0.3], "levels", min_size=3).size == 3
+    with pytest.raises(DomainError, match="3 or more"):
+        check_grid([0.1, 0.2], "levels", min_size=3)

@@ -124,7 +124,7 @@ DIGESTS = {
     "entropy_power_gaussian":
         "2a49e2b709410d5b974ff7e071dc3da0735803eec90776f1df89ffb1cd007d11",
     "list_bounds":
-        "6a90cb78fb934e9a9d2f1c7e4fb19607fbf8c1c6dced580fb341a309a9c60e86",
+        "8aa847e9d35867f73df5c519d7e7cd2418f0602fcbbcdc7a89066db32f6741a0",
     "lyapunov_exp_normalized":
         "c6711220391afec6dc034e03a0291fb2012bb8cb7d4b981deed5f9c24fce6122",
     "lyapunov_gamma_raw":
@@ -154,9 +154,9 @@ DIGESTS = {
     "tail_workers2":
         "bfcdd7cf39860179fdea3d10fb57ed5ed50e19090c0a9221e173575c42778d04",
     "variance_cov_factor":
-        "00a9072087557cc34b80e8d00d0f7307f2b35c31b4a566a8c34005322718ff72",
+        "8deb54e01cbb7380defb35b0116800abb6163fc2123f379572293a07f71cf4f5",
     "variance_exp":
-        "54c82ea3e7d4aebc833bb847e279e435cb454e43ef347ecd8eceb70feecfdd74",
+        "7978cfc59303892eccd80f928de05046177a1a58fcc2b82d259c1740e7995cc6",
 }
 
 

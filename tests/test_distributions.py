@@ -253,9 +253,9 @@ def test_run_blocks_schedule(total):
 
         stream.run_blocks(total, block, work, workers)
         # every [lo, hi) exactly once, and block b drew from generator(b)
-        bounds_ = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
-        assert sorted(calls) == bounds_
-        for b, (lo, hi) in enumerate(bounds_):
+        blocks = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+        assert sorted(calls) == blocks
+        for b, (lo, hi) in enumerate(blocks):
             assert np.array_equal(out[lo:hi],
                                   stream.generator(b).random(hi - lo))
         outputs.append(out)

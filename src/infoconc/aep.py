@@ -19,7 +19,12 @@ an independent oracle.
 Trajectories are simulated on ``RngStream.run_blocks``, the one block
 schedule of the package, in fixed blocks of TRIAL_BLOCK trials, block b
 drawing from counter offset b of the Philox stream, so reports are
-byte-identical for any worker count.
+byte-identical for any worker count.  Within a block, steps are drawn and
+summed in pieces of at most ``distributions._CHUNK_ELEMENTS`` steps: whole
+trials when they fit, column pieces of one trial when it is longer.  The
+running sum is carried from piece to piece, so the recorded information
+is the same bytes as summing whole trajectories, and a worker holds a few
+piece-sized arrays however long the trajectories are.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds
+from . import bounds, distributions
 from .distributions import (Density1D, LOG_2PI, ParameterError, RngStream,
                             density_from_spec, model_id, spec_reader)
 from .infotools import McEstimate
@@ -66,7 +71,9 @@ class IIDProcess:
         return np.sum(self.base.log_pdf(x), axis=1)
 
     def _neg_log_steps(self, gen: np.random.Generator, trials: int,
-                       length: int) -> np.ndarray:
+                       length: int, start: int = 0) -> np.ndarray:
+        """-log f of steps start .. start + length - 1 of ``trials``
+        trajectories given their pasts, drawn trial by trial from ``gen``."""
         x = self.base.sample(gen, trials * length).reshape(trials, length)
         return -self.base.log_pdf(x)
 
@@ -101,14 +108,16 @@ class GaussAR1:
         return out
 
     def _neg_log_steps(self, gen: np.random.Generator, trials: int,
-                       length: int) -> np.ndarray:
+                       length: int, start: int = 0) -> np.ndarray:
         # the innovations are exactly the standardized conditionals, so the
         # per-step -log f is a constant plus z^2/2; no need to materialize x
         z = gen.standard_normal((trials, length))
         steps = 0.5 * z * z
-        steps[:, 0] += 0.5 * (LOG_2PI + math.log(self.sigma1_sq))
-        if length > 1:
-            steps[:, 1:] += 0.5 * (LOG_2PI + math.log(self.sd * self.sd))
+        rest = 0
+        if start == 0:  # the stationary first step
+            steps[:, 0] += 0.5 * (LOG_2PI + math.log(self.sigma1_sq))
+            rest = 1
+        steps[:, rest:] += 0.5 * (LOG_2PI + math.log(self.sd * self.sd))
         return steps
 
 
@@ -213,6 +222,15 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     Each trajectory is generated once at the longest grid length; shorter
     lengths reuse its prefix through the cumulative sums, which is exactly
     the nesting a single growing sample path would produce.
+
+    A block of trials is drawn and summed in pieces of at most
+    ``distributions._CHUNK_ELEMENTS`` steps, whole trials at a time or,
+    for a trial longer than that, one column piece of it at a time, in the
+    trial-by-trial order of the stream.  Each piece's running sum is
+    carried into the next piece's first step and only the grid columns a
+    piece covers are recorded, so ``info`` holds the same bytes as the
+    cumulative sum of whole trajectories while a worker's memory stays
+    bounded by the budget, whatever the longest length.
     """
     grid = check_grid(n_grid, "length grid")
     if grid[0] < 1.0 or np.any(grid != np.floor(grid)):
@@ -223,11 +241,27 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     length = int(grid[-1])
     cols = grid - 1
     info = np.empty((trials, grid.size))
+    budget = distributions._CHUNK_ELEMENTS
+    rows = max(1, budget // length)
+    width = min(length, budget)
+    # the grid columns each column piece covers, as piece-local indices
+    pieces = []
+    for start in range(0, length, width):
+        stop = min(start + width, length)
+        sel = np.flatnonzero((cols >= start) & (cols < stop))
+        pieces.append((start, stop - start, sel, cols[sel] - start))
 
     def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-        steps = process._neg_log_steps(gen, hi - lo, length)
-        cum = np.cumsum(steps, axis=1)
-        info[lo:hi] = cum[:, cols] / grid
+        for r in range(lo, hi, rows):
+            k = min(rows, hi - r)
+            carry = None
+            for start, w, sel, local in pieces:
+                steps = process._neg_log_steps(gen, k, w, start)
+                if carry is not None:  # adding 0.0 would turn -0.0 into 0.0
+                    steps[:, 0] += carry
+                cum = np.cumsum(steps, axis=1, out=steps)
+                carry = cum[:, -1].copy()
+                info[r:r + k, sel] = cum[:, local] / grid[sel]
 
     rng.run_blocks(trials, TRIAL_BLOCK, run_block, workers)
     return TrajectoryReport(

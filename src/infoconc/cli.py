@@ -196,7 +196,9 @@ def _mgf_rows(batch, args):
     rows = []
     for row in empirical_mgf(batch, alphas, form=args.form,
                              confidence=args.confidence):
-        b = bounds.mgf_bound_nd(row.alpha, batch.dim)
+        # e^(a y) <= e^(|a| |y|): a one-sided row of either sign sits under
+        # the two-sided bound at |a|
+        b = bounds.mgf_bound_nd(abs(row.alpha), batch.dim)
         v = bounds.compare(row.estimate, b.value, "upper")
         rows.append((row.alpha, *_cells(row.estimate), b.value, b.in_window,
                      v.verdict))

@@ -166,6 +166,10 @@ class Density1D:
     order_p : float or None
         When set, the density factors as x^(order_p - 1) * g(x) on positive
         support with g log-concave; ``log_g`` evaluates log g.
+    splittable_sampler : bool
+        Whether ``sample(gen, a + b)`` draws the values of ``sample(gen, a)``
+        followed by ``sample(gen, b)``; false for the rejection sampler,
+        whose batches are sized from the request.
     """
 
     name: str
@@ -174,6 +178,7 @@ class Density1D:
     mode: float
     spec: dict = field(repr=False)
     order_p: Optional[float] = None
+    splittable_sampler: bool = True
     _log_pdf: Callable = field(repr=False, default=None)
     _sampler: Callable = field(repr=False, default=None)
     _quantile: Callable = field(repr=False, default=None)
@@ -468,6 +473,7 @@ def from_log_density(
         mode=mode,
         spec={"family": "custom", "params": {"name": name}},
         order_p=order_p,
+        splittable_sampler=False,
         _log_pdf=log_pdf,
         _sampler=_rejection_sampler(log_pdf, mode),
         _quantile=quantile,
@@ -538,7 +544,8 @@ def positive_zoo() -> list:
 # n-dimensional models
 # ---------------------------------------------------------------------------
 
-# Array elements per row chunk of ModelND.log_density: bounds the
+# Array elements per piece of work (a row chunk of ModelND.log_density, a
+# draw of Product.sample, a step piece of aep.run_trajectories): bounds the
 # temporaries of a call to a few MB whatever the block length and dimension.
 _CHUNK_ELEMENTS = 2**19
 
@@ -598,6 +605,15 @@ class Product(ModelND):
         for c, cols in columns.values():
             run = cols[-1] - cols[0] == len(cols) - 1
             self._groups.append((c, slice(cols[0], cols[-1] + 1) if run else np.asarray(cols)))
+        # the sampling runs, in column order: adjacent columns of one
+        # component object share a draw when its sampler splits
+        self._runs = []
+        for i, c in enumerate(components):
+            last = self._runs[-1] if self._runs else None
+            if last and last[0] is c and c.splittable_sampler:
+                self._runs[-1] = (c, last[1], i + 1)
+            else:
+                self._runs.append((c, i, i + 1))
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         # sums the same C-contiguous layout as stacking one log_pdf per column
@@ -607,9 +623,15 @@ class Product(ModelND):
         return np.sum(parts, axis=-1)
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        # fixed column order keeps streams reproducible; k columns of a run
+        # draw size * k values, the stream of k column draws in turn, at
+        # most about _CHUNK_ELEMENTS at a time
         out = np.empty((size, self.dim))
-        for i, c in enumerate(self.components):  # fixed column order keeps streams reproducible
-            out[:, i] = c.sample(gen, size)
+        step = max(1, _CHUNK_ELEMENTS // max(size, 1))
+        for c, lo, hi in self._runs:
+            for a in range(lo, hi, step):
+                k = min(step, hi - a)
+                out[:, a:a + k] = c.sample(gen, size * k).reshape(k, size).T
         return out
 
 

@@ -4,17 +4,21 @@ Oracles: the autoregression's joint density is checked against the dense
 multivariate Gaussian with covariance Sigma_ij = sigma1^2 rho^|i-j| (built
 with plain linear algebra, a fully independent route), and the per-step
 shortcut is checked by rebuilding the trajectory from its own innovations.
-Frozen entropy rates:
+The streamed simulator is checked byte for byte against the cumulative sum
+of whole blocks, with the piece budget forced small enough to split trials
+into column pieces.  Frozen entropy rates:
 
     sd = 1:  (1/2) log(2 pi e)            = 1.4189385332046727
     sd = 2:  (1/2) log(2 pi e) + log 2    = 2.112085713764618
     rho = 0.5 first coordinate, sd = 1:   1.562779569430563
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import infoconc.distributions
 from infoconc.aep import (
     GaussAR1,
     IIDProcess,
@@ -27,6 +31,7 @@ from infoconc.distributions import (
     RngStream,
     exponential,
     gaussian1d,
+    laplace,
     uniform,
 )
 from infoconc.numerics import DomainError
@@ -172,6 +177,50 @@ class TestRunTrajectories:
             run_trajectories(proc, [4], 1, RngStream(1))
         with pytest.raises(DomainError):
             run_trajectories(proc, [4], 10, RngStream(1), workers=0)
+
+
+def whole_block_info(process, grid, trials, rng):
+    """-log f_n / n from each block's whole (trials, n_max) step array."""
+    grid = np.asarray(grid, dtype=np.int64)
+    info = np.empty((trials, grid.size))
+    for b, lo in enumerate(range(0, trials, TRIAL_BLOCK)):
+        hi = min(lo + TRIAL_BLOCK, trials)
+        steps = process._neg_log_steps(rng.generator(b), hi - lo, int(grid[-1]))
+        cum = np.cumsum(steps, axis=1)
+        info[lo:hi] = cum[:, grid - 1] / grid
+    return info
+
+
+PROCESSES = [GaussAR1(0.5, 1.3), IIDProcess(laplace())]
+
+
+class TestStreamedBlocks:
+    @pytest.mark.parametrize("process", PROCESSES, ids=["ar1", "laplace"])
+    @pytest.mark.parametrize("grid", [[1], [1, 5, 40], [7, 8, 14]])
+    @pytest.mark.parametrize("budget", [7, 1000, "n_max + 1"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pieces_match_whole_blocks(self, monkeypatch, process, grid,
+                                       budget, workers):
+        if budget == "n_max + 1":
+            budget = grid[-1] + 1
+        rng = RngStream(41)
+        trials = TRIAL_BLOCK + 3
+        want = whole_block_info(process, grid, trials, rng)
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
+        got = run_trajectories(process, grid, trials, rng, workers=workers)
+        assert got.info.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("process", PROCESSES, ids=["ar1", "laplace"])
+    def test_memory_bounded_for_long_trajectories(self, process):
+        # a whole 8 x 2^20 step array and its cumulative sum alone are 128 MB
+        tracemalloc.start()
+        try:
+            report = run_trajectories(process, [16, 2**20], 8, RngStream(43))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(report.info))
+        assert peak < 32 * 2**20
 
 
 class TestConvergenceAndExceedance:

@@ -268,6 +268,21 @@ class TestOtherBatchCommands:
         first = lines[1].split(",")
         assert float(first[1]) == 1.0 and first[-1] == "HOLDS"
 
+    def test_mgf_one_sided_negative_alpha(self, tmp_path):
+        # e^(a y) <= e^(|a| |y|), so a negative one-sided alpha is compared
+        # with the bound at |alpha|
+        csv = tmp_path / "mgf.csv"
+        rc = main(["mgf", "--model", "exponential", "--samples", "100",
+                   "--form", "one_sided", "--alpha-grid=-0.5,0.5",
+                   "--out-csv", str(csv)])
+        assert rc == 0
+        header, *rows = csv.read_text().splitlines()
+        assert len(rows) == 2
+        neg, pos = (dict(zip(header.split(","), r.split(","))) for r in rows)
+        assert float(neg["alpha"]) == -0.5 and float(pos["alpha"]) == 0.5
+        assert neg["bound"] == pos["bound"]
+        assert neg["in_window"] == pos["in_window"]
+
     def test_variance(self, tmp_path):
         csv = tmp_path / "var.csv"
         rc = main(["variance", "--model", "exponential", "--dim", "10",

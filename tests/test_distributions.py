@@ -7,11 +7,13 @@ closed forms, and the n-dimensional models against hand-written density
 formulas.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
+import infoconc.distributions
 from infoconc.distributions import (
     AffineMap,
     BallUniform,
@@ -443,6 +445,39 @@ def test_grouped_product_log_density_equals_stacked_sum(spec):
     assert np.array_equal(m.log_density(x[:5].reshape(5, 1, m.dim)),
                           stacked_log_density(m, x[:5]).reshape(5, 1))
     assert m.log_density(x[7]) == stacked_log_density(m, x[7])
+
+
+def column_by_column_sample(m: Product, gen, size: int) -> np.ndarray:
+    """Reference: one sample call per column, in column order."""
+    return np.stack([c.sample(gen, size) for c in m.components], axis=-1)
+
+
+@pytest.mark.parametrize("budget", [2**19, 2000], ids=["whole_runs", "split_runs"])
+def test_product_runs_sample_the_column_stream(monkeypatch, budget):
+    # runs of one inverse-CDF, gamma or custom (rejection) component,
+    # broken by other objects, and a custom run keeping its own calls;
+    # the small budget splits the runs into pieces of two columns
+    monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
+    e, g = exponential(), gamma(2.0)
+    bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
+    m = Product([e, e, e, g, g, bump, bump, e, laplace(), e])
+    for size in (0, 1, 777):
+        got = m.sample(RngStream(seed=22).generator(), size)
+        want = column_by_column_sample(m, RngStream(seed=22).generator(), size)
+        assert np.array_equal(got, want)
+
+
+def test_product_sample_temporaries_stay_bounded():
+    # the 65536 x 64 output is 32 MB; drawing a whole run of 64 columns in
+    # one call would add several arrays of that size
+    m = model_from_spec(EXP64)
+    tracemalloc.start()
+    try:
+        m.sample(RngStream(seed=23).generator(), 65536)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_product_copies_share_one_component():

@@ -36,7 +36,6 @@ from .distributions import (
     laplace,
     make_standard,
     model_from_spec,
-    model_id,
     positive_zoo,
     quantile_density,
     standard_zoo,
@@ -56,7 +55,6 @@ from .bounds import (
     order_p_mgf_bound,
     order_p_variance_caps,
     per_coordinate_tail_bound,
-    tail_crossover,
     variance_cap_nd,
 )
 from .infotools import (
@@ -69,12 +67,10 @@ from .infotools import (
     empirical_tail,
     entropy_power_band,
     sample_information,
-    typical_set_fraction,
 )
 from .lyapunov import (
     MomentCurve,
     check_convexity_direction,
-    check_triple,
     khinchine_check,
     moment_curve,
     order_p_variance_check,

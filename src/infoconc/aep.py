@@ -36,10 +36,9 @@ import numpy as np
 
 from . import bounds, distributions
 from .distributions import (Density1D, LOG_2PI, ParameterError, RngStream,
-                            density_from_spec, model_id, spec_reader)
+                            density_from_spec, spec_reader)
 from .infotools import McEstimate
 from .numerics import DomainError, check_grid
-from .serialize import write_csv
 
 __all__ = [
     "TRIAL_BLOCK",
@@ -136,14 +135,11 @@ class ExceedanceRow:
 class TrajectoryReport:
     """Per-coordinate information of simulated trajectories at grid lengths."""
 
-    process_id: str
     entropy_rate: float
     n_grid: np.ndarray
     joint_entropies: np.ndarray
     info: np.ndarray          # (trials, len(n_grid)), -log f_n / n
     trials: int
-    seed: int
-    stream_id: int
 
     def per_coord_deviations(self) -> np.ndarray:
         """info minus h_n/n, the centered per-coordinate deviations."""
@@ -180,24 +176,6 @@ class TrajectoryReport:
                     bound=tail.value, in_window=tail.in_window, verdict=verdict,
                 ))
         return rows
-
-    def to_csv(self, path) -> None:
-        devs = self.per_coord_deviations()
-        def rows():
-            for i in range(self.trials):
-                for j, n in enumerate(self.n_grid):
-                    yield (i, int(n), self.info[i, j], devs[i, j])
-        write_csv(path, ["trial", "n", "per_coord_info", "deviation"], rows())
-
-    def describe(self) -> dict:
-        return {
-            "process_id": self.process_id,
-            "entropy_rate": self.entropy_rate,
-            "n_grid": [int(n) for n in self.n_grid],
-            "trials": self.trials,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-        }
 
 
 @spec_reader
@@ -265,12 +243,9 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
 
     rng.run_blocks(trials, TRIAL_BLOCK, run_block, workers)
     return TrajectoryReport(
-        process_id=model_id(process),
         entropy_rate=process.entropy_rate,
         n_grid=grid,
         joint_entropies=np.array([process.joint_entropy(int(n)) for n in grid]),
         info=info,
         trials=trials,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
     )

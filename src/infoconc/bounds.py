@@ -44,7 +44,6 @@ __all__ = [
     "fixed_scale_mgf_bound",
     "variance_cap_nd",
     "log_cp",
-    "tail_crossover",
     "compare",
     "catalog",
 ]
@@ -201,12 +200,6 @@ def variance_cap_nd(n: int) -> float:
     beta = alpha / math.sqrt(n)
     a = 3.0 * math.exp(4.0 * alpha * alpha)
     return 4.0 * a / (math.e * beta) ** 2
-
-
-def tail_crossover() -> float:
-    """Threshold where the gaussian-form tail bound overtakes the
-    exponential form: the positive root of t^2 - t = 16 log(3/2)."""
-    return 0.5 * (1.0 + math.sqrt(1.0 + 64.0 * math.log(1.5)))
 
 
 def compare(
@@ -390,5 +383,9 @@ _CATALOG = [
 
 
 def catalog() -> list:
-    """Metadata for every certified bound (name, formula, validity, statement)."""
+    """Metadata (name, formula, validity, statement) of every stated bound.
+
+    An experiment certifies the entries named in its ``bounds`` set in
+    ``cli._EXPERIMENTS``; the other entries are stated but not certified.
+    """
     return list(_CATALOG)

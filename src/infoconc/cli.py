@@ -115,24 +115,38 @@ def _read_spec(args, kind: str) -> dict:
     exceptions by subject ``kind``: for a "batch", ``gaussian`` is the
     standard normal in --dim dimensions and other names with --dim k
     become k-fold products; for a "process", ``gauss_ar1`` takes --rho
-    and --sd where they are given.
+    and --sd where they are given.  A model flag that the chosen model
+    does not read is a usage error.
     """
-    if args.dim < 1:
-        raise UsageError(f"--dim must be >= 1, got {args.dim}")
-    if args.model_file:
-        with open(args.model_file) as fh:
-            return json.load(fh)
-    if not args.model:
+    dim = getattr(args, "dim", None)
+    if dim is not None and dim < 1:
+        raise UsageError(f"--dim must be >= 1, got {dim}")
+    if not (args.model or args.model_file):
         raise UsageError("--model or --model-file is required")
-    name = args.model.strip()
-    if name.startswith("{"):
+    name = (args.model or "").strip()
+    bare = not args.model_file and not name.startswith("{")
+    for flag, reads, who in (
+            ("dim", bare, "a bare family name"),
+            ("p", bare and name == "gamma", "--model gamma"),
+            ("rho", bare and name == "gauss_ar1", "--model gauss_ar1"),
+            ("sd", bare and name == "gauss_ar1", "--model gauss_ar1")):
+        if getattr(args, flag, None) is not None and not reads:
+            raise UsageError(f"--{flag} applies only to {who}")
+    if args.model_file:
+        try:
+            with open(args.model_file, encoding="utf-8") as fh:
+                return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{args.model_file}: {exc}") from None
+    if not bare:
         return json.loads(name)
+    dim = 1 if dim is None else dim
     if kind == "process" and name == "gauss_ar1":
         given = {"rho": args.rho, "sd": args.sd}
         return {"process": "gauss_ar1",
                 "params": {k: v for k, v in given.items() if v is not None}}
     if kind == "batch" and name == "gaussian":
-        return {"family": "gaussian", "params": {"dim": args.dim}}
+        return {"family": "gaussian", "params": {"dim": dim}}
     if name == "gaussian":
         name = "gaussian1d"
     if name == "gamma":
@@ -145,9 +159,9 @@ def _read_spec(args, kind: str) -> dict:
         spec = {"family": name, "params": {}}
     else:
         raise UsageError(f"unknown model name {name!r}")
-    if kind == "batch" and args.dim != 1:
+    if kind == "batch" and dim != 1:
         return {"family": "product",
-                "params": {"component": spec, "copies": args.dim}}
+                "params": {"component": spec, "copies": dim}}
     return spec
 
 
@@ -430,10 +444,11 @@ def build_parser() -> _Parser:
     which = model_flags.add_mutually_exclusive_group()
     which.add_argument("--model", help="family name or JSON model spec")
     which.add_argument("--model-file", help="path to a JSON model spec")
-    model_flags.add_argument("--dim", type=int, default=1,
-                             help="product copies for bare family names")
     model_flags.add_argument("--p", type=float, default=None,
                              help="gamma family parameter")
+    dim_flags = _Parser(add_help=False)
+    dim_flags.add_argument("--dim", type=int, default=None,
+                           help="product copies for bare family names")
 
     mc_flags = _Parser(add_help=False)
     mc_flags.add_argument("--samples", type=int, default=100000)
@@ -449,8 +464,9 @@ def build_parser() -> _Parser:
 
     ps = {}
     for name, exp in _EXPERIMENTS.items():
-        parents = [model_flags, out_flags] if exp.subject is _density \
-            else [model_flags, mc_flags, out_flags]
+        parents = {_density: [model_flags, out_flags],
+                   _batch: [model_flags, dim_flags, mc_flags, out_flags],
+                   _trajectories: [model_flags, mc_flags, out_flags]}[exp.subject]
         ps[name] = sub.add_parser(name, parents=parents)
         ps[name].set_defaults(func=_run)
 

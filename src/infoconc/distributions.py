@@ -24,7 +24,6 @@ construction, so each call is one triangular solve per factor.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -62,14 +61,10 @@ __all__ = [
     "make_standard",
     "standard_zoo",
     "positive_zoo",
-    "sample",
-    "log_density",
-    "entropy",
     "quantile_density",
     "spec_reader",
     "density_from_spec",
     "model_from_spec",
-    "model_id",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -79,6 +74,13 @@ _U64 = 2**64
 
 class ParameterError(ValueError):
     """Invalid family parameters or malformed model specification."""
+
+
+def _whole(value, what: str) -> int:
+    """value as an int; a bool or a non-integral number is a ParameterError."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +112,6 @@ class RngStream:
         key = self.seed + (self.stream_id << 64)
         return np.random.Generator(np.random.Philox(key=key, counter=block << 128))
 
-    def derive(self, stream_id: int) -> "RngStream":
-        return RngStream(self.seed, stream_id)
-
     def run_blocks(self, total: int, block: int,
                    work: Callable[[np.random.Generator, int, int], None],
                    workers: int = 1) -> None:
@@ -137,14 +136,6 @@ class RngStream:
                 list(pool.map(run, range(n_blocks)))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ParameterError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional densities
 # ---------------------------------------------------------------------------
@@ -165,7 +156,7 @@ class Density1D:
         A maximizer of the density (needed by the rejection sampler).
     order_p : float or None
         When set, the density factors as x^(order_p - 1) * g(x) on positive
-        support with g log-concave; ``log_g`` evaluates log g.
+        support with g log-concave.
     splittable_sampler : bool
         Whether ``sample(gen, a + b)`` draws the values of ``sample(gen, a)``
         followed by ``sample(gen, b)``; false for the rejection sampler,
@@ -183,7 +174,6 @@ class Density1D:
     _sampler: Callable = field(repr=False, default=None)
     _quantile: Callable = field(repr=False, default=None)
     _cdf: Callable = field(repr=False, default=None)
-    _log_g: Callable = field(repr=False, default=None)
 
     def log_pdf(self, x) -> np.ndarray:
         return self._log_pdf(np.asarray(x, dtype=np.float64))
@@ -202,11 +192,6 @@ class Density1D:
 
     def cdf(self, x) -> np.ndarray:
         return self._cdf(np.asarray(x, dtype=np.float64))
-
-    def log_g(self, x) -> np.ndarray:
-        if self._log_g is None:
-            raise ParameterError(f"{self.name} does not declare an order-p factorization")
-        return self._log_g(np.asarray(x, dtype=np.float64))
 
 
 def _support_mask(x: np.ndarray, support: Tuple[float, float]) -> np.ndarray:
@@ -298,7 +283,6 @@ def exponential() -> Density1D:
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
         _cdf=lambda x: np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0)), 0.0),
-        _log_g=lambda x: -x,
     )
 
 
@@ -326,7 +310,6 @@ def gamma(p: float) -> Density1D:
         _sampler=lambda gen, size: gen.standard_gamma(p, size),
         _quantile=lambda t: gammaincinv(p, t),
         _cdf=lambda x: gammainc(p, np.maximum(x, 0.0)),
-        _log_g=lambda x: -x - lgp,
     )
 
 
@@ -387,7 +370,6 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
         _sampler=lambda gen, size: a + width * gen.random(size),
         _quantile=lambda t: a + width * np.asarray(t, dtype=np.float64),
         _cdf=lambda x: np.clip((x - a) / width, 0.0, 1.0),
-        _log_g=(lambda x: _masked_log(x, (a, b), lambda y: np.full(y.shape, -logw))) if a >= 0.0 else None,
     )
 
 
@@ -407,7 +389,6 @@ def half_normal() -> Density1D:
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
         _cdf=lambda x: 2.0 * ndtr(np.maximum(x, 0.0)) - 1.0,
-        _log_g=log_pdf,
     )
 
 
@@ -478,9 +459,6 @@ def from_log_density(
         _sampler=_rejection_sampler(log_pdf, mode),
         _quantile=quantile,
         _cdf=cdf,
-        _log_g=None
-        if order_p is None
-        else (lambda x: log_pdf(x) - (order_p - 1.0) * np.log(np.asarray(x, dtype=np.float64))),
     )
 
 
@@ -678,7 +656,7 @@ class GaussianModel(ModelND):
         if cov_factor is not None:
             cov_factor = np.asarray(cov_factor, dtype=np.float64)
             dim = cov_factor.shape[0] if dim is None else dim
-        self.dim = int(dim)
+        self.dim = _whole(dim, "gaussian dimension")
         if self.dim < 1:
             raise ParameterError(f"gaussian dimension must be >= 1, got {self.dim!r}")
         self.mean = np.zeros(self.dim) if mean is None else mean
@@ -762,7 +740,7 @@ class BallUniform(ModelND):
     """Uniform distribution on the centered Euclidean ball of given radius."""
 
     def __init__(self, dim: int, radius: float = 1.0):
-        dim = int(dim)
+        dim = _whole(dim, "ball dimension")
         radius = float(radius)
         if dim < 1:
             raise ParameterError(f"ball dimension must be >= 1, got {dim!r}")
@@ -790,24 +768,6 @@ class BallUniform(ModelND):
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def sample(model, rng, size: Optional[int] = None) -> np.ndarray:
-    """Draw from a Density1D or ModelND using a stream or generator."""
-    gen = _as_generator(rng)
-    if size is None:
-        return model.sample(gen, 1)[0]
-    return model.sample(gen, size)
-
-
-def log_density(model, x) -> np.ndarray:
-    if isinstance(model, Density1D):
-        return model.log_pdf(x)
-    return model.log_density(x)
-
-
-def entropy(model) -> float:
-    return float(model.entropy)
-
 
 def quantile_density(d: Density1D, t) -> np.ndarray:
     """Density of the quantile transform, I(t) = f(F^-1(t)), t in (0, 1).
@@ -862,7 +822,7 @@ def model_from_spec(spec: dict) -> ModelND:
         if "components" in params:
             comps = [density_from_spec(s) for s in params["components"]]
         elif "component" in params and "copies" in params:
-            copies = int(params["copies"])
+            copies = _whole(params["copies"], "product copies")
             if copies < 1:
                 raise ParameterError("product copies must be >= 1")
             comps = [density_from_spec(params["component"])] * copies
@@ -890,9 +850,3 @@ def _split_spec(spec: dict):
     if not isinstance(params, dict):
         raise ParameterError(f"'params' must be a dict, got {params!r}")
     return spec["family"], params
-
-
-def model_id(model_or_spec) -> str:
-    """Canonical compact JSON identifier of a model specification."""
-    spec = model_or_spec.spec if hasattr(model_or_spec, "spec") else model_or_spec
-    return json.dumps(spec, sort_keys=True, separators=(",", ":"))

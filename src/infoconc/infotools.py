@@ -19,16 +19,15 @@ moments are accumulated in log space so large deviations cannot overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import bounds
-from .distributions import ModelND, RngStream, model_id
+from .distributions import ModelND, RngStream
 from .numerics import DomainError, check_grid
-from .serialize import write_csv
 
 __all__ = [
     "BLOCK_SIZE",
@@ -41,7 +40,6 @@ __all__ = [
     "empirical_tail",
     "empirical_mgf",
     "entropy_power_band",
-    "typical_set_fraction",
     "deviation_variance",
     "deviation_mean",
 ]
@@ -121,50 +119,14 @@ class McEstimate:
             confidence_level=confidence,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "m": self.m,
-            "confidence_level": self.confidence_level,
-        }
-
 
 @dataclass(frozen=True)
 class InfoSampleBatch:
-    """A batch of information deviations from one model and one stream."""
+    """A batch of information deviations of one model."""
 
-    model_id: str
     dim: int
     m: int
     deviations: np.ndarray
-    seed: int
-    stream_id: int
-    block_size: int = BLOCK_SIZE
-
-    def halves(self) -> tuple:
-        """Split into two disjoint sub-batches for consistency checks."""
-        k = self.m // 2
-        return (
-            replace(self, m=k, deviations=self.deviations[:k]),
-            replace(self, m=self.m - k, deviations=self.deviations[k:]),
-        )
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["index", "deviation_nats"],
-                  ((i, d) for i, d in enumerate(self.deviations)))
-
-    def describe(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "dim": self.dim,
-            "m": self.m,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "block_size": self.block_size,
-        }
 
 
 def sample_information(model: ModelND, m: int, rng: RngStream,
@@ -185,14 +147,7 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
         out[lo:hi] = -model.log_density(x) - h
 
     rng.run_blocks(m, BLOCK_SIZE, run_block, workers)
-    return InfoSampleBatch(
-        model_id=model_id(model),
-        dim=model.dim,
-        m=m,
-        deviations=out,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
+    return InfoSampleBatch(dim=model.dim, m=m, deviations=out)
 
 
 @dataclass(frozen=True)
@@ -313,22 +268,8 @@ def entropy_power_band(batch: InfoSampleBatch, s: float = 1.0,
     """
     if s <= 0.0:
         raise DomainError(f"band half-width must be positive, got {s!r}")
-    return _coverage(batch, s, np.less, confidence)
-
-
-def typical_set_fraction(batch: InfoSampleBatch, epsilon: float,
-                         confidence: float = DEFAULT_CONFIDENCE) -> BandResult:
-    """Coverage of the entropy-typical set {|dev| <= n epsilon}."""
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    return _coverage(batch, epsilon, np.less_equal, confidence)
-
-
-def _coverage(batch: InfoSampleBatch, s: float, inside_op,
-              confidence: float) -> BandResult:
-    """Share of deviations with inside_op(|dev|, s n), against its floor."""
     n = batch.dim
-    inside = int(np.count_nonzero(inside_op(np.abs(batch.deviations), s * n)))
+    inside = int(np.count_nonzero(np.abs(batch.deviations) < s * n))
     est = McEstimate.from_proportion(inside, batch.m, confidence)
     tail = bounds.per_coordinate_tail_bound(s, n)
     floor = 1.0 - tail.value

@@ -22,25 +22,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import VarianceCaps, order_p_variance_caps
 from .distributions import Density1D, quantile_density
 from .numerics import DomainError, check_grid, integrate, log_gamma, log_integral
-from .serialize import write_csv
 
 __all__ = [
     "P_MAX",
     "MomentCurve",
     "ConvexityReport",
-    "TripleReport",
     "KhinchineReport",
     "OrderPVarianceReport",
     "moment_curve",
     "check_convexity_direction",
-    "check_triple",
     "khinchine_check",
     "order_p_variance_check",
     "quantile_density_concavity",
@@ -60,16 +57,6 @@ class MomentCurve:
     grid: np.ndarray
     log_values: np.ndarray
     quad_errors: np.ndarray
-
-    def value_at(self, p: float) -> float:
-        idx = np.nonzero(np.abs(self.grid - p) <= 1e-12)[0]
-        if idx.size != 1:
-            raise DomainError(f"order {p!r} is not a grid point of this curve")
-        return float(self.log_values[idx[0]])
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ["p", "log_value", "quad_error"],
-                  zip(self.grid, self.log_values, self.quad_errors))
 
 
 def _check_orders(grid: Sequence[float]) -> np.ndarray:
@@ -162,38 +149,6 @@ def _convexity_report(name: str, direction: str, xs: np.ndarray,
         values=ys,
         defects=signed,
     )
-
-
-@dataclass(frozen=True)
-class TripleReport:
-    name: str
-    a: float
-    b: float
-    c: float
-    margin: float
-    ok: bool
-    tol: float
-
-
-def check_triple(curve: MomentCurve, a: float, b: float, c: float,
-                 tol: float = 1e-7) -> TripleReport:
-    """Three-point convexity test at grid orders a > b > c.
-
-    The combination (a-c) L(b) - (b-c) L(a) - (a-b) L(c) is nonnegative
-    exactly when the curve is concave across the triple.  Normalized and
-    hat curves expect margin >= -tol; the raw curve is convex, so there
-    the margin must be <= tol.
-    """
-    if not a > b > c:
-        raise DomainError(f"triple must be decreasing, got {(a, b, c)!r}")
-    va, vb, vc = (curve.value_at(q) for q in (a, b, c))
-    margin = (a - c) * vb - (b - c) * va - (a - b) * vc
-    if curve.kind == "raw":
-        ok = margin <= tol
-    else:
-        ok = margin >= -tol
-    return TripleReport(name=f"{curve.density_name}:{curve.kind}",
-                        a=a, b=b, c=c, margin=float(margin), ok=bool(ok), tol=tol)
 
 
 @dataclass(frozen=True)

@@ -260,27 +260,10 @@ class TestConvergenceAndExceedance:
         with pytest.raises(DomainError):
             report.exceedance_table([0.0, 0.5])
 
-    def test_csv_layout(self, tmp_path):
-        report = run_trajectories(IIDProcess(exponential()), [1, 2], 3,
-                                  RngStream(21))
-        path = tmp_path / "traj.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "trial,n,per_coord_info,deviation"
-        assert len(lines) == 7
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "1"
-        # deviation column is info minus h_n/n; rate is 1 for the
-        # standard exponential
-        assert abs(float(first[3]) - (float(first[2]) - 1.0)) < 1e-12
-
-    def test_describe(self):
+    def test_report_fields(self):
         report = run_trajectories(GaussAR1(0.25, 1.0), [2, 4], 10,
                                   RngStream(31, stream_id=2))
-        d = report.describe()
-        assert d["trials"] == 10
-        assert d["n_grid"] == [2, 4]
-        assert d["seed"] == 31
-        assert d["stream_id"] == 2
-        assert "gauss_ar1" in d["process_id"]
-        assert abs(d["entropy_rate"] - RATE_SD1) < 1e-12
+        assert report.trials == 10
+        assert report.n_grid.tolist() == [2, 4]
+        assert report.info.shape == (10, 2)
+        assert abs(report.entropy_rate - RATE_SD1) < 1e-12

@@ -27,9 +27,9 @@ from infoconc.bounds import (
     order_p_mgf_bound,
     order_p_variance_caps,
     per_coordinate_tail_bound,
-    tail_crossover,
     variance_cap_nd,
 )
+from infoconc.cli import _EXPERIMENTS
 from infoconc.numerics import DomainError, find_root_increasing, trigamma
 
 # Frozen constants.
@@ -92,11 +92,13 @@ class TestTailBounds:
         assert not per_coordinate_tail_bound(2.1, 8).in_window
 
     def test_crossover_against_root_finder(self):
-        # independently locate where the two tail curves cross
-        target = 16.0 * math.log(1.5)
-        root = find_root_increasing(lambda t: t * t - t, target, (1.0, 10.0), tol=1e-12)
-        assert abs(tail_crossover() - root) < 1e-10
-        assert abs(tail_crossover() - CROSSOVER) < 1e-12
+        # locate where the two tail curves cross: log(exp form / gaussian
+        # form) = log(2/3) - t/16 + t^2/16 increases past t = 1/2
+        def log_ratio(t):
+            return (math.log(exp_tail_bound(t))
+                    - math.log(gaussian_tail_bound(t, 64).value))
+        root = find_root_increasing(log_ratio, 0.0, (1.0, 10.0), tol=1e-12)
+        assert abs(root - CROSSOVER) < 1e-10
 
     def test_ordering_flips_at_crossover(self):
         ts = CROSSOVER
@@ -353,6 +355,24 @@ class TestCatalog:
             "entropy_power_band",
         ):
             assert required in names
+
+    def test_experiments_certify_catalog_entries(self):
+        # every bound an experiment reports is a catalog entry; the rest
+        # are the entries no experiment certifies yet (ROADMAP item 4), so
+        # certifying or deleting one must update this list
+        names = {e.name for e in catalog()}
+        certified = set().union(*(e.bounds for e in _EXPERIMENTS.values()))
+        assert certified <= names
+        assert names - certified == {
+            "information_mgf_1d",
+            "information_mgf_1d_half",
+            "information_tail_cheb_1d",
+            "order_p_mgf_two_sided",
+            "order_p_mgf_one_sided",
+            "order_p_mgf_fixed",
+            "information_mgf_nd_fixed",
+            "khinchine_moment",
+        }
 
     def test_json_serializable_and_stable(self):
         payload = [e.as_dict() for e in catalog()]

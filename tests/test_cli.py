@@ -101,6 +101,33 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: --dim")
         assert not js.exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["lyapunov", "--model", "exponential", "--dim", "5",
+          "--p-grid", "1:3:1"], "unrecognized arguments: --dim"),
+        (["aep", "--model", "laplace", "--rho", "0.9", "--samples", "100",
+          "--n-grid", "2,4"], "--rho"),
+        (["order_p", "--model", "exponential", "--p", "3"], "--p"),
+        (["tail", "--model-file", "@spec", "--dim", "4", "--samples", "100",
+          "--t-grid", "0:1:1"], "--dim"),
+    ], ids=["dim_on_density", "rho_on_laplace", "p_on_exponential",
+            "dim_with_model_file"])
+    def test_unread_model_flag(self, argv, flag, tmp_path, capsys):
+        # a flag the chosen model does not read is refused, not dropped
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"family": "exponential"}')
+        csv = tmp_path / "out.csv"
+        argv = [str(spec) if a == "@spec" else a for a in argv]
+        assert main([*argv, "--out-csv", str(csv)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}")
+        assert not csv.exists()
+
+    def test_model_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 184)))
+        assert main(["tail", "--model-file", str(path), "--samples", "100",
+                     "--t-grid", "0:1:1"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+
     def test_gaussian_spec_dim_below_one(self, capsys):
         assert main(["tail", "--model",
                      '{"family": "gaussian", "params": {"dim": -2}}',
@@ -126,9 +153,17 @@ class TestUsageErrors:
          '{"cov_factor": [[1, 0], [1]]}}'],
         ["tail", "--model", '{"family": ["x"]}'],
         ["lyapunov", "--model", '{"family": "gamma", "params": {"p": "x"}}'],
+        ["tail", "--model", '{"family": "gaussian", "params": {"dim": 2.7}}'],
+        ["tail", "--model", '{"family": "ball_uniform", "params": {"dim": 2.5}}'],
+        ["tail", "--model", '{"family": "product", "params": {"component": '
+         '{"family": "exponential"}, "copies": 2.5}}'],
+        ["tail", "--model", '{"family": "product", "params": {"component": '
+         '{"family": "exponential"}, "copies": true}}'],
     ], ids=["ar1_rho_type", "ar1_params_list", "iid_no_base", "copies_type",
             "components_type", "ball_no_dim", "affine_no_matrix",
-            "ragged_cov_factor", "family_type", "gamma_p_type"])
+            "ragged_cov_factor", "family_type", "gamma_p_type",
+            "gaussian_dim_fraction", "ball_dim_fraction", "copies_fraction",
+            "copies_bool"])
     def test_malformed_spec(self, argv, tmp_path, capsys):
         csv = tmp_path / "out.csv"
         extra = {"aep": ["--samples", "10", "--n-grid", "2,4"],

@@ -28,7 +28,6 @@ from infoconc.lyapunov import (
     MomentCurve,
     P_MAX,
     check_convexity_direction,
-    check_triple,
     khinchine_check,
     moment_curve,
     order_p_variance_check,
@@ -73,9 +72,9 @@ class TestMomentCurve:
 
     def test_half_normal_closed_form(self):
         curve = moment_curve(half_normal(), "raw", [1.0, 2.0, 3.0])
-        assert abs(curve.value_at(3.0) - HALF_NORMAL_RAW_P3) < 1e-9
+        assert abs(curve.log_values[2] - HALF_NORMAL_RAW_P3) < 1e-9
         # E eta^2 = 1 for the half-normal
-        assert abs(curve.value_at(2.0)) < 1e-9
+        assert abs(curve.log_values[1]) < 1e-9
 
     def test_kind_offsets_are_consistent(self):
         grid = [0.5, 1.5, 3.0, 6.0]
@@ -93,12 +92,6 @@ class TestMomentCurve:
         assert np.all(curve.quad_errors >= 0.0)
         assert np.all(curve.quad_errors < 1e-8)
 
-    def test_value_at(self):
-        curve = moment_curve(exponential(), "raw", [1.0, 2.0])
-        assert abs(curve.value_at(2.0) - math.log(2.0)) < 1e-9
-        with pytest.raises(DomainError):
-            curve.value_at(1.5)
-
     def test_grid_validation(self):
         d = exponential()
         with pytest.raises(DomainError):
@@ -115,15 +108,6 @@ class TestMomentCurve:
     def test_requires_nonnegative_support(self):
         with pytest.raises(DomainError):
             moment_curve(gaussian1d(), "raw", [1.0, 2.0])
-
-    def test_csv(self, tmp_path):
-        curve = moment_curve(exponential(), "raw", [1.0, 2.0, 3.0])
-        path = tmp_path / "curve.csv"
-        curve.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "p,log_value,quad_error"
-        assert len(lines) == 4
-        assert abs(float(lines[2].split(",")[1]) - math.log(2.0)) < 1e-9
 
 
 class TestConvexityDirections:
@@ -184,6 +168,13 @@ TRIPLE_GRID = sorted({b + d for b in (1.5, 3.0, 5.0) for d in (-2.0, -1.0, -0.5,
                       if b + d > 0.0})
 
 
+def triple_margin(curve, a, b, c):
+    """(a-c) L(b) - (b-c) L(a) - (a-b) L(c) at grid orders a > b > c: at
+    least 0 exactly when the curve is concave across the triple."""
+    va, vb, vc = (curve.log_values[list(curve.grid).index(q)] for q in (a, b, c))
+    return (a - c) * vb - (b - c) * va - (a - b) * vc
+
+
 class TestTriples:
     @pytest.mark.parametrize("density", positive_zoo(), ids=lambda d: d.name)
     @pytest.mark.parametrize("spacing", [0.25, 0.5, 1.0, 2.0])
@@ -192,45 +183,29 @@ class TestTriples:
         for b in (1.5, 3.0, 5.0):
             if b - spacing <= 0.0:
                 continue
-            report = check_triple(curve, b + spacing, b, b - spacing)
-            assert report.ok, report
-            assert report.margin >= -1e-7
+            assert triple_margin(curve, b + spacing, b, b - spacing) >= -1e-7
 
     @pytest.mark.parametrize("spacing", [0.5, 1.0])
     def test_raw_margins_run_the_other_way(self, spacing):
         for density in (exponential(), gamma(2.0), uniform(0.0, 1.0)):
             curve = moment_curve(density, "raw", TRIPLE_GRID)
-            report = check_triple(curve, 3.0 + spacing, 3.0, 3.0 - spacing)
-            assert report.ok
-            assert report.margin <= 1e-7
+            # the raw curve is convex
+            assert triple_margin(curve, 3.0 + spacing, 3.0, 3.0 - spacing) <= 1e-7
 
     def test_exponential_margin_is_zero(self):
         curve = moment_curve(exponential(), "normalized", [1.0, 2.0, 3.0])
-        report = check_triple(curve, 3.0, 2.0, 1.0)
-        assert abs(report.margin) < 1e-7
+        assert abs(triple_margin(curve, 3.0, 2.0, 1.0)) < 1e-7
 
     def test_uniform_margin_is_strictly_positive(self):
         curve = moment_curve(uniform(0.0, 1.0), "normalized", [1.0, 2.0, 3.0])
-        report = check_triple(curve, 3.0, 2.0, 1.0)
         # L(q) = -log(q+1) - lgamma(q+1), so 2 L(2) - L(3) - L(1) = log(4/3)
-        assert abs(report.margin - math.log(4.0 / 3.0)) < 1e-7
+        assert abs(triple_margin(curve, 3.0, 2.0, 1.0) - math.log(4.0 / 3.0)) < 1e-7
 
     def test_gamma2_margin_frozen_value(self):
         # normalized curve of gamma(2) is log(q+1); margin at (3,2,1) is
         # 2 log 3 - log 4 - log 2 = log(9/8)
         curve = moment_curve(gamma(2.0), "normalized", [1.0, 2.0, 3.0])
-        report = check_triple(curve, 3.0, 2.0, 1.0)
-        assert abs(report.margin - math.log(9.0 / 8.0)) < 1e-7
-
-    def test_off_grid_triple_rejected(self):
-        curve = moment_curve(exponential(), "normalized", [1.0, 2.0, 3.0])
-        with pytest.raises(DomainError):
-            check_triple(curve, 3.0, 1.75, 1.0)
-
-    def test_disordered_triple_rejected(self):
-        curve = moment_curve(exponential(), "normalized", [1.0, 2.0, 3.0])
-        with pytest.raises(DomainError):
-            check_triple(curve, 1.0, 2.0, 3.0)
+        assert abs(triple_margin(curve, 3.0, 2.0, 1.0) - math.log(9.0 / 8.0)) < 1e-7
 
 
 class TestKhinchine:

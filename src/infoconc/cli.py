@@ -181,7 +181,10 @@ def _cells(e) -> tuple:
     return (e.value, e.std_error, e.ci_low, e.ci_high)
 
 
-def _holds(margin: float, tol: float) -> str:
+def _holds(margin: float, tol: float, converged: bool = True) -> str:
+    """An exact margin's verdict; an unconverged quadrature certifies nothing."""
+    if not converged:
+        return bounds.INCONCLUSIVE
     return bounds.HOLDS if margin >= -tol else bounds.VIOLATED
 
 
@@ -238,16 +241,18 @@ def _entropy_power_rows(batch, args):
     return rows, {"s_grid": svals}, None
 
 
-def _convexity_rows(report, *columns) -> list:
+def _convexity_rows(report, *columns, converged=None) -> list:
     """x, value, the given per-point columns, then defect and verdict; the
-    two end points have no chord, so their defect and verdict are empty."""
+    two end points have no chord, so their defect and verdict are empty; a
+    chord through a point whose ``converged`` flag is false is INCONCLUSIVE."""
     rows = []
     last = len(report.grid) - 1
     for i, (x, y) in enumerate(zip(report.grid, report.values)):
         row = (float(x), float(y), *(float(c[i]) for c in columns))
         if 0 < i < last:
             d = float(report.defects[i - 1])
-            rows.append(row + (d, _holds(d, report.tol)))
+            ok = converged is None or bool(converged[i - 1:i + 2].all())
+            rows.append(row + (d, _holds(d, report.tol, ok)))
         else:
             rows.append(row + ("", ""))
     return rows
@@ -266,7 +271,8 @@ def _lyapunov_rows(density, args):
     direction = "convex" if args.kind == "raw" else "concave"
     report = check_convexity_direction(curve, direction, tol=1e-7)
     config = {"kind": args.kind, "p_grid": grid, "direction": direction}
-    return (_convexity_rows(report, curve.quad_errors), config,
+    return (_convexity_rows(report, curve.quad_errors,
+                            converged=curve.converged), config,
             f"worst {direction} defect {report.worst_defect:.3e} at "
             f"p={report.worst_at:g}")
 
@@ -278,7 +284,9 @@ def _order_p_rows(density, args):
                         "cp": (caps.cp_cap, report.ratio),
                         "trigamma": (caps.trigamma, report.var_log),
                         "log_simple": (caps.log_cap, report.var_log)}
-    rows = [(name, *cap_and_observed[name], margin, _holds(margin, report.tol))
+    converged = bool(report.converged.all())
+    rows = [(name, *cap_and_observed[name], margin,
+             _holds(margin, report.tol, converged))
             for name, margin in report.margins.items() if margin is not None]
     return (rows, {"p": report.p, "tol": report.tol},
             f"var_log={report.var_log:.12g} trigamma_cap={caps.trigamma:.12g} "
@@ -486,7 +494,8 @@ def build_parser() -> _Parser:
     ps["aep"].add_argument("--n-grid", default="16,64,256,1024")
     ps["aep"].add_argument("--s-grid", default="0.5")
 
-    p = sub.add_parser("list-bounds", parents=[out_flags])
+    p = sub.add_parser("list-bounds")  # the catalog has no CSV form
+    p.add_argument("--out-json")
     p.set_defaults(func=_run_list_bounds)
 
     return parser

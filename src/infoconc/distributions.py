@@ -31,14 +31,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import lu, solve_triangular
-from scipy.special import gammainc, gammaincinv, digamma, ndtr, ndtri
+from scipy.special import gammainc, gammaincinv, digamma, logsumexp, ndtr, ndtri
 
 from .numerics import (
     DomainError,
-    find_root_increasing,
-    integrate,
+    de_rule,
     log_gamma,
-    log_integral,
+    peak_width,
     unimodal_argmax,
 )
 
@@ -178,9 +177,6 @@ class Density1D:
     def log_pdf(self, x) -> np.ndarray:
         return self._log_pdf(np.asarray(x, dtype=np.float64))
 
-    def pdf(self, x) -> np.ndarray:
-        return np.exp(self.log_pdf(x))
-
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return self._sampler(gen, int(size))
 
@@ -213,6 +209,10 @@ def _masked_log(x, support, inside: Callable) -> np.ndarray:
 
 
 _TINY = np.finfo(np.float64).tiny
+
+# Newton steps of a custom density's quantile; from the start points of the
+# node table three to five suffice.
+_NEWTON_STEPS = 50
 
 
 def _inverse_cdf_sampler(quantile: Callable) -> Callable:
@@ -398,12 +398,15 @@ def from_log_density(
     support: Tuple[float, float],
     order_p: Optional[float] = None,
 ) -> Density1D:
-    """Build a Density1D from an unnormalized log-density.
+    """Build a Density1D from an unnormalized log-density, evaluated on arrays.
 
-    Normalization, entropy, mode, CDF and quantile all come from the shared
-    quadrature/root-finding kernels; sampling uses the log-concave rejection
-    envelope.  The caller is responsible for log-concavity (the sampler
-    detects material violations).
+    The mode comes from ``unimodal_argmax``; normalization and entropy from
+    one ``de_rule`` node set split at the mode and scaled by the peak width.
+    ``cdf`` integrates the tail beyond each point on the far side from the
+    mode.  ``quantile`` starts from the cumulative node masses and takes
+    Newton steps on log F below the mode's level and on log(1 - F) above,
+    both concave for a log-concave density.  Sampling uses the log-concave
+    rejection envelope, which detects material violations of log-concavity.
     """
     a, b = support
     if not a < b:
@@ -412,45 +415,72 @@ def from_log_density(
         raise ParameterError("order-p densities must have nonnegative support")
 
     raw = lambda x: np.asarray(log_density_fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-    log_z, _ = log_integral(lambda x: float(raw(np.asarray([x]))[0]), support)
+    mode = unimodal_argmax(lambda x: float(raw(np.asarray([x]))[0]), support)
+    scale = peak_width(raw, mode, support)
+    last = {}
+
+    def log_mass_and_mean(x, log_w):
+        log_g = raw(x)
+        log_m = log_w + log_g
+        log_z = logsumexp(log_m)
+        masses = np.exp(log_m - log_z)
+        last.update(x=x, masses=masses)
+        return np.array([log_z, masses @ np.where(masses > 0.0, log_g, 0.0)])
+
+    log_z, mean_log_g = de_rule(log_mass_and_mean, support, center=mode,
+                                scale=scale).value
     log_pdf = lambda x: _masked_log(x, (a, b), lambda y: raw(y) - log_z)
+    # F at the nodes of the normalizing set: the quantiles' start points
+    order = np.argsort(last["x"])
+    knots, masses = last["x"][order], last["masses"][order]
+    knot_levels = np.cumsum(masses) - 0.5 * masses
+    below_mode = masses[knots < mode].sum()
+    log_mass = lambda x, log_w: logsumexp(log_w + log_pdf(x), axis=-1)
 
-    scalar_logpdf = lambda x: float(log_pdf(np.asarray([x]))[0])
-    mode = unimodal_argmax(scalar_logpdf, support)
-
-    def ent_integrand(x: float) -> float:
-        t = scalar_logpdf(x)
-        return 0.0 if t < -700.0 else -t * math.exp(t)
-
-    ent = integrate(ent_integrand, support, tol=1e-11).value
-
-    def cdf_scalar(x: float) -> float:
-        if x <= a:
-            return 0.0
-        if x >= b:
-            return 1.0
-        lo = a if not math.isinf(a) else -math.inf
-        return min(1.0, integrate(lambda t: math.exp(scalar_logpdf(t)), (lo, x), tol=1e-12).value)
+    def log_tail(y: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """log F(y), or log(1 - F(y)) where ``upper``: one rule on (a, y) or
+        (y, b) per side and 2048 points; on the side away from the mode no
+        interval holds a kink there."""
+        out = np.empty(y.shape)
+        for side in (False, True):
+            index = np.flatnonzero(upper == side)
+            for i in range(0, index.size, 2048):
+                part = index[i:i + 2048]
+                ends = (y[part], b) if side else (a, y[part])
+                out[part] = de_rule(log_mass, ends, scale=scale).value
+        return out
 
     def cdf(x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        flat = np.atleast_1d(x)
-        out = np.array([cdf_scalar(float(t)) for t in flat])
-        return out.reshape(x.shape)
+        out = np.where(x >= b, 1.0, 0.0)
+        inside = (x > a) & (x < b)
+        upper = x[inside] > mode
+        tail = np.exp(log_tail(x[inside], upper))
+        out[inside] = np.where(upper, 1.0 - tail, tail)
+        return out
 
     def quantile(t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        flat = np.atleast_1d(t)
-        out = np.empty(flat.shape)
-        for i, ti in enumerate(flat):
-            lo, hi = _quantile_bracket(cdf_scalar, float(ti), mode, support)
-            out[i] = find_root_increasing(cdf_scalar, float(ti), (lo, hi), tol=1e-12)
-        return out.reshape(t.shape)
+        level = t.ravel()
+        upper = level > below_mode
+        target = np.log(np.where(upper, 1.0 - level, level))
+        y = np.interp(level, knot_levels, knots)
+        for _ in range(_NEWTON_STEPS):
+            log_t = log_tail(y, upper)
+            step = (log_t - target) * np.exp(log_t - log_pdf(y))
+            new = np.where(upper, y + step, y - step)
+            # a step past a finite end goes halfway to it instead
+            new = np.where(new <= a, 0.5 * (a + y), np.where(new >= b, 0.5 * (b + y), new))
+            done = np.abs(new - y) <= 1e-13 * (np.abs(new) + scale)
+            y = new
+            if done.all():
+                break
+        return y.reshape(t.shape)
 
     return Density1D(
         name=name,
         support=support,
-        entropy=float(ent),
+        entropy=float(log_z - mean_log_g),
         mode=mode,
         spec={"family": "custom", "params": {"name": name}},
         order_p=order_p,
@@ -460,17 +490,6 @@ def from_log_density(
         _quantile=quantile,
         _cdf=cdf,
     )
-
-
-def _quantile_bracket(cdf_scalar, t: float, mode: float, support: Tuple[float, float]):
-    a, b = support
-    lo = a if not math.isinf(a) else mode - 1.0
-    hi = b if not math.isinf(b) else mode + 1.0
-    while math.isinf(a) and cdf_scalar(lo) > t:
-        lo = mode - 2.0 * (mode - lo) - 1.0
-    while math.isinf(b) and cdf_scalar(hi) < t:
-        hi = mode + 2.0 * (hi - mode) + 1.0
-    return lo, hi
 
 
 def make_standard(family: str, **params) -> Density1D:

@@ -15,8 +15,10 @@ variance caps Var(xi) <= (1/p) E[xi]^2 and Var(xi) <= (C_p - 1) E[xi]^2;
 ``order_p_variance_check`` verifies those caps directly by quadrature so
 the two routes stay independent.
 
-All moments are computed as log-integrals with peak shifting, so orders up
-to P_MAX = 40 stay far from overflow.
+All moments of a density are reductions over one node set of
+``numerics.de_rule``: order p is a log-sum-exp of its nodes' log masses plus
+p log x, so orders up to P_MAX = 40 stay far from overflow, and each value
+carries the rule's ``converged`` flag.
 """
 from __future__ import annotations
 
@@ -25,10 +27,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .bounds import VarianceCaps, order_p_variance_caps
 from .distributions import Density1D, quantile_density
-from .numerics import DomainError, check_grid, integrate, log_gamma, log_integral
+from .numerics import (DomainError, QuadratureResult, check_grid, de_rule,
+                       log_gamma, peak_width)
 
 __all__ = [
     "P_MAX",
@@ -52,11 +56,15 @@ _KINDS = ("raw", "normalized", "hat")
 
 @dataclass(frozen=True)
 class MomentCurve:
+    """``quad_errors[i]`` is the change of ``log_values[i]`` over the last
+    step halving and ``converged[i]`` whether it met the rule's tolerance."""
+
     density_name: str
     kind: str
     grid: np.ndarray
     log_values: np.ndarray
     quad_errors: np.ndarray
+    converged: np.ndarray
 
 
 def _check_orders(grid: Sequence[float]) -> np.ndarray:
@@ -66,6 +74,15 @@ def _check_orders(grid: Sequence[float]) -> np.ndarray:
     if arr[-1] > P_MAX:
         raise DomainError(f"moment orders above {P_MAX} are not supported")
     return arr
+
+
+def _log_x_rule(density: Density1D, reduce) -> QuadratureResult:
+    """``reduce(log_w + log f(x), log x)`` over the nodes of the density's
+    support, centred at its mode and scaled by its peak width."""
+    return de_rule(
+        lambda x, log_w: reduce(log_w + density.log_pdf(x), np.log(x)),
+        density.support, center=density.mode,
+        scale=peak_width(density.log_pdf, density.mode, density.support))
 
 
 def moment_curve(density: Density1D, kind: str,
@@ -78,22 +95,17 @@ def moment_curve(density: Density1D, kind: str,
         raise DomainError(
             f"moment curves need a nonnegative variable, support starts at {lo!r}")
     arr = _check_orders(grid)
-    log_vals = np.empty(arr.size)
-    errors = np.empty(arr.size)
+    res = _log_x_rule(density, lambda log_m, log_x: logsumexp(
+        log_m + arr[:, np.newaxis] * log_x, axis=-1))
+    log_vals = res.value.copy()
     for i, p in enumerate(arr):
-        log_v, log_err = log_integral(
-            lambda x, _p=p: _p * np.log(x) + density.log_pdf(x),
-            density.support,
-        )
         if kind == "normalized":
-            log_v -= log_gamma(p + 1.0)
+            log_vals[i] -= log_gamma(p + 1.0)
         elif kind == "hat":
-            log_v -= p * math.log(p)
-        log_vals[i] = log_v
-        # log_err already bounds the absolute error of the log-value
-        errors[i] = log_err
+            log_vals[i] -= p * math.log(p)
     return MomentCurve(density_name=density.name, kind=kind, grid=arr,
-                       log_values=log_vals, quad_errors=errors)
+                       log_values=log_vals, quad_errors=res.abs_error_estimate,
+                       converged=res.converged)
 
 
 @dataclass(frozen=True)
@@ -186,6 +198,9 @@ def khinchine_check(density: Density1D, grid: Sequence[float],
 
 @dataclass(frozen=True)
 class OrderPVarianceReport:
+    """``converged`` holds the rule's flags of E xi, E xi^2, E log xi and
+    E log^2 xi, in that order."""
+
     density_name: str
     p: float
     mean: float
@@ -197,6 +212,7 @@ class OrderPVarianceReport:
     margins: dict
     ok: bool
     tol: float
+    converged: np.ndarray
 
 
 def order_p_variance_check(density: Density1D,
@@ -204,21 +220,22 @@ def order_p_variance_check(density: Density1D,
     """Quadrature moments of an order-p density against every variance cap.
 
     Caps come from the closed forms; the moments are computed here by
-    direct integration, so equality cases (the gamma family for both the
-    ratio cap and the trigamma cap) land on the boundary within quadrature
-    error.
+    direct integration, all four over one node set, so equality cases (the
+    gamma family for both the ratio cap and the trigamma cap) land on the
+    boundary within quadrature error.
     """
     p = density.order_p
     if p is None:
         raise DomainError(f"density {density.name!r} has no declared order")
-    mean = math.exp(log_integral(
-        lambda x: np.log(x) + density.log_pdf(x), density.support)[0])
-    second = math.exp(log_integral(
-        lambda x: 2.0 * np.log(x) + density.log_pdf(x), density.support)[0])
-    mean_log = integrate(
-        lambda x: math.log(x) * density.pdf(x), density.support).value
-    second_log = integrate(
-        lambda x: math.log(x) ** 2 * density.pdf(x), density.support).value
+
+    def moments(log_m, log_x):
+        mass = np.exp(log_m)
+        return np.array([logsumexp(log_m + log_x), logsumexp(log_m + 2.0 * log_x),
+                         mass @ log_x, mass @ (log_x * log_x)])
+
+    res = _log_x_rule(density, moments)
+    log_mean, log_second, mean_log, second_log = map(float, res.value)
+    mean, second = math.exp(log_mean), math.exp(log_second)
     variance = second - mean * mean
     ratio = variance / (mean * mean)
     var_log = second_log - mean_log * mean_log
@@ -233,7 +250,7 @@ def order_p_variance_check(density: Density1D,
     return OrderPVarianceReport(
         density_name=density.name, p=p, mean=mean, variance=variance,
         ratio=ratio, mean_log=mean_log, var_log=var_log, caps=caps,
-        margins=margins, ok=bool(ok), tol=tol,
+        margins=margins, ok=bool(ok), tol=tol, converged=res.converged,
     )
 
 
@@ -247,6 +264,6 @@ def quantile_density_concavity(density: Density1D, ts: Sequence[float],
     arr = check_grid(ts, "probability levels", min_size=3)
     if arr[0] <= 0.0 or arr[-1] >= 1.0:
         raise DomainError("probability levels must lie strictly inside (0, 1)")
-    vals = np.array([quantile_density(density, t) for t in arr])
+    vals = quantile_density(density, arr)
     return _convexity_report(f"{density.name}:quantile_density", "concave",
                              arr, vals, tol)

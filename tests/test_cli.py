@@ -1,10 +1,16 @@
 """Tests for the command-line runner: grids, exits, determinism, outputs."""
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import infoconc.cli as cli
+import infoconc.numerics
 from infoconc.cli import UsageError, main, parse_grid, parse_int_grid
 
 
@@ -391,6 +397,57 @@ class TestDensityCommands:
         assert abs(float(mid[1]) - (1.0 - float(mid[0]))) < 1e-9
 
 
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--model", "gamma", "--p", "2", "--kind", "raw",
+         "--p-grid", "1:6:1"],
+        ["order_p", "--model", "gamma", "--p", "5"],
+    ], ids=["lyapunov", "order_p"])
+    def test_unconverged_quadrature_is_inconclusive(self, argv, tmp_path,
+                                                    monkeypatch):
+        # one step of the node rule leaves no step to compare it with, so
+        # no quadrature point converges
+        monkeypatch.setattr(infoconc.numerics, "MAX_LEVELS", 1)
+        js = tmp_path / "out.json"
+        assert main(argv + ["--out-json", str(js)]) == 0
+        counts = read_json_no_meta(js)["verdict_counts"]
+        assert counts["HOLDS"] == 0 and counts["VIOLATED"] == 0
+        assert counts["INCONCLUSIVE"] > 0
+
+    def test_unconverged_order_spoils_the_three_chords_through_it(
+            self, tmp_path, monkeypatch):
+        real = cli.moment_curve
+
+        def order_4_unconverged(*args):
+            curve = real(*args)
+            converged = curve.converged.copy()
+            converged[3] = False
+            return dataclasses.replace(curve, converged=converged)
+
+        monkeypatch.setattr(cli, "moment_curve", order_4_unconverged)
+        js = tmp_path / "out.json"
+        assert main(["lyapunov", "--model", "exponential", "--p-grid", "1:8:1",
+                     "--out-json", str(js)]) == 0
+        verdicts = [r["verdict"] for r in read_json_no_meta(js)["results"]]
+        # the chords centred at orders 3, 4 and 5 use order 4
+        assert verdicts == ["", "HOLDS", "INCONCLUSIVE", "INCONCLUSIVE",
+                            "INCONCLUSIVE", "HOLDS", "HOLDS", ""]
+
+    def test_one_unconverged_integral_spoils_every_order_p_row(
+            self, tmp_path, monkeypatch):
+        real = cli.order_p_variance_check
+
+        def log_square_unconverged(density):
+            report = real(density)
+            return dataclasses.replace(
+                report, converged=np.array([True, True, True, False]))
+
+        monkeypatch.setattr(cli, "order_p_variance_check", log_square_unconverged)
+        js = tmp_path / "out.json"
+        assert main(["order_p", "--model", "gamma", "--p", "5",
+                     "--out-json", str(js)]) == 0
+        assert read_json_no_meta(js)["verdict_counts"] == {
+            "HOLDS": 0, "INCONCLUSIVE": 4, "VIOLATED": 0}
+
     @pytest.mark.parametrize("grid", ["0.2,0.4", "0.5,0.3,0.4,0.9"])
     def test_quantile_density_rejects_bad_grid(self, grid, tmp_path, capsys):
         # too few levels, and levels out of order
@@ -484,3 +541,22 @@ class TestListBounds:
         assert len(entries) >= 12
         assert all(set(e) == {"name", "formula", "validity", "statement"}
                    for e in entries)
+
+    def test_out_csv_is_a_usage_error(self, tmp_path, capsys):
+        # the catalog is no table of rows: the flag used to be accepted and
+        # ignored
+        path = tmp_path / "bounds.csv"
+        assert main(["list-bounds", "--out-csv", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not path.exists()
+
+
+def test_import_leaves_quadpack_and_brent_unloaded():
+    # scipy.integrate and scipy.optimize add a few tenths of a second to
+    # every start; only numerics.integrate and find_root_increasing use them
+    code = ("import sys, infoconc.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

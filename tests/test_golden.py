@@ -126,11 +126,11 @@ DIGESTS = {
     "list_bounds":
         "8aa847e9d35867f73df5c519d7e7cd2418f0602fcbbcdc7a89066db32f6741a0",
     "lyapunov_exp_normalized":
-        "c6711220391afec6dc034e03a0291fb2012bb8cb7d4b981deed5f9c24fce6122",
+        "365933dc7424fb1c0c41063eaa452c3a5272538fe8791a49b6415327e9bcd58f",
     "lyapunov_gamma_raw":
-        "56e6eeb5bdb4d90ae34abb87aca8d8dc9748e7e4d9ce87e79431b058d7b132a9",
+        "c6ff049c07cf7fed5cf82b9b2968c8111b4f34110ba3fc41aaf3f90a067fdf9d",
     "lyapunov_half_normal_hat":
-        "cd329d8e9de04918aaa6a8404032a9c13e54a3e20f045801c152eee7684bae30",
+        "b7e2f2b244763579acbdcf8cb58e05846725e0f8a42082e24d2ad6621d2881ce",
     "mgf_gaussian":
         "a5bc404a850f2da50cbf4442c2a3be48acd9244d5bcaf035d16be7032f3cdf14",
     "mgf_mixed_components":
@@ -138,7 +138,7 @@ DIGESTS = {
     "mgf_one_sided":
         "bd79838252c220dbb4b0151b07a1977fe17d4037bc23b407054adafe9364cad6",
     "order_p_gamma":
-        "5d0ff7399af04d2219b0ea437655a9d19e3e17bd5c1ba96d5604a4c94916a047",
+        "fba58440dc991294045744537ed618f6034e1e2d4e3e7f4dc39af24bd02d85b2",
     "quantile_density_exp":
         "e9c83a28ec77aa1795d281f69993c35946881ef242ae70653e012b576b8826c4",
     "quantile_density_gamma":

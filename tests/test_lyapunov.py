@@ -135,6 +135,7 @@ class TestConvexityDirections:
             grid=np.arange(1.0, 7.0),
             log_values=np.sin(np.arange(1.0, 7.0)),
             quad_errors=np.zeros(6),
+            converged=np.ones(6, dtype=bool),
         )
         assert not check_convexity_direction(wobble, "convex").ok
         assert not check_convexity_direction(wobble, "concave").ok

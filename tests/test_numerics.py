@@ -10,15 +10,28 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import digamma, gammainc
 
+import infoconc.numerics
+from infoconc.distributions import (
+    from_log_density,
+    gamma,
+    gaussian1d,
+    half_normal,
+    laplace,
+    uniform,
+)
+from infoconc.lyapunov import moment_curve, order_p_variance_check
 from infoconc.numerics import (
     BracketError,
     DomainError,
     IntegrandError,
     QuadratureResult,
     check_grid,
+    de_rule,
     find_root_increasing,
     golden_section_min,
+    peak_width,
     unimodal_argmax,
     integrate,
     log_gamma,
@@ -193,8 +206,136 @@ def test_log_integral_gaussian():
 
 def test_log_integral_huge_moment_no_overflow():
     # integral x^40 e^-x = Gamma(41); direct evaluation would reach 1e47
-    lv, _ = log_integral(lambda x: 40.0 * math.log(x) - x, (0.0, math.inf))
+    lv, _ = log_integral(lambda x: 40.0 * np.log(x) - x, (0.0, math.inf))
     assert abs(lv - log_gamma(41.0)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# de_rule: accuracy against closed forms on every support shape
+# ---------------------------------------------------------------------------
+
+ORDERS = np.arange(0.5, 40.25, 0.5)     # the CLI's default moment orders
+
+
+def rule_for(d, reduce):
+    """``reduce(log_w + log f(x), log f(x))`` over the nodes of d's support."""
+    return de_rule(lambda x, log_w: reduce(log_w + d.log_pdf(x), d.log_pdf(x)),
+                   d.support, center=d.mode,
+                   scale=peak_width(d.log_pdf, d.mode, d.support))
+
+
+def truncated_exponential():
+    return from_log_density("trunc_exp", lambda x: -x, (0.0, 3.0))
+
+
+@pytest.mark.parametrize("d, exact", [
+    (gamma(1.0), lambda p: math.lgamma(p + 1.0)),
+    (gamma(1.5), lambda p: math.lgamma(p + 1.5) - math.lgamma(1.5)),
+    (gamma(2.0), lambda p: math.lgamma(p + 2.0)),
+    (gamma(5.0), lambda p: math.lgamma(p + 5.0) - math.lgamma(5.0)),
+    (half_normal(), lambda p: (0.5 * p * math.log(2.0)
+                               + math.lgamma(0.5 * (p + 1.0))
+                               - 0.5 * math.log(math.pi))),
+    (uniform(0.0, 1.0), lambda p: -math.log(p + 1.0)),
+    (uniform(0.5, 2.5), lambda p: math.log((2.5 ** (p + 1.0) - 0.5 ** (p + 1.0))
+                                           / (2.0 * (p + 1.0)))),
+    (truncated_exponential(), lambda p: (math.log(gammainc(p + 1.0, 3.0))
+                                         + math.lgamma(p + 1.0)
+                                         - math.log(-math.expm1(-3.0)))),
+], ids=["gamma1", "gamma1.5", "gamma2", "gamma5", "half_normal", "uniform01",
+        "uniform0.5_2.5", "trunc_exp"])
+def test_rule_log_moments(d, exact):
+    curve = moment_curve(d, "raw", ORDERS)
+    assert curve.converged.all()
+    want = np.array([exact(p) for p in ORDERS])
+    assert np.max(np.abs(curve.log_values - want)) <= 1e-12
+
+
+def test_rule_truncated_exponential_mass_and_entropy():
+    d = truncated_exponential()
+    mass = -math.expm1(-3.0)
+    # log f(x) = -x - log(mass)
+    assert abs(float(d.log_pdf(1.0)) + 1.0 + math.log(mass)) <= 1e-12
+    mean = (1.0 - 4.0 * math.exp(-3.0)) / mass
+    assert abs(d.entropy - (math.log(mass) + mean)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [gaussian1d(0.5, 2.0), laplace()],
+                         ids=lambda d: d.name)
+def test_rule_real_line_mass_and_entropy(d):
+    res = rule_for(d, lambda log_m, log_f: np.array(
+        [np.exp(log_m).sum(), -(np.exp(log_m) @ log_f)]))
+    assert res.converged.all()
+    assert abs(res.value[0] - 1.0) <= 1e-12
+    assert abs(res.value[1] - d.entropy) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 5.0, 20.0])
+def test_rule_signed_sums_give_digamma_and_trigamma(p):
+    # log xi for xi ~ gamma(p) has mean psi(p) and variance psi1(p)
+    report = order_p_variance_check(gamma(p))
+    assert report.converged.all()
+    assert abs(report.mean_log - float(digamma(p))) <= 1e-12
+    assert abs(report.var_log - trigamma(p)) <= 1e-12
+
+
+def test_rule_custom_logistic_quantile_closed_form():
+    loc, s = 0.2, 0.9
+    d = from_log_density(
+        "logistic", lambda x: -(x - loc) / s - 2.0 * np.logaddexp(0.0, -(x - loc) / s),
+        (-math.inf, math.inf))
+    t = np.linspace(0.01, 0.99, 99)
+    q = loc + s * np.log(t / (1.0 - t))
+    assert np.max(np.abs(d.quantile(t) - q)) <= 1e-12
+    assert np.max(np.abs(d.cdf(q) - t)) <= 1e-12
+
+
+def test_rule_array_ends_give_one_node_set_per_end():
+    y = np.array([0.1, 1.0, 4.0, 30.0])
+    mass = lambda x, log_w: np.exp(log_w - x).sum(axis=-1)
+    below = de_rule(mass, (0.0, y))
+    above = de_rule(mass, (y, math.inf))
+    assert below.value.shape == above.value.shape == (4,)
+    assert np.allclose(below.value, -np.expm1(-y), rtol=1e-14, atol=0.0)
+    assert np.allclose(above.value, np.exp(-y), rtol=1e-13, atol=0.0)
+
+
+def test_rule_counts_evaluations_and_flags_a_level_budget_of_one(monkeypatch):
+    mass = lambda x, log_w: np.exp(log_w - x).sum()
+    full = de_rule(mass, (0.0, math.inf))
+    assert full.converged and full.evaluations > 0
+    monkeypatch.setattr(infoconc.numerics, "MAX_LEVELS", 1)
+    one = de_rule(mass, (0.0, math.inf))
+    assert not one.converged
+    assert one.abs_error_estimate == math.inf
+    assert 0 < one.evaluations < full.evaluations
+
+
+def test_rule_nan_is_an_error():
+    with pytest.raises(IntegrandError):
+        de_rule(lambda x, log_w: np.exp(log_w) @ np.where(x > 0.5, np.nan, 1.0),
+                (0.0, 1.0))
+
+
+def test_rule_rejects_empty_interval_and_bad_scale():
+    with pytest.raises(DomainError):
+        de_rule(lambda x, log_w: log_w.sum(), (1.0, 1.0))
+    with pytest.raises(DomainError):
+        de_rule(lambda x, log_w: log_w.sum(), (0.0, math.inf), scale=0.0)
+
+
+@pytest.mark.parametrize("log_f, mode, support, drop", [
+    (lambda x: -x, 0.0, (0.0, math.inf), 1.0),
+    (lambda x: -0.5 * (x / 3.0) ** 2, 0.0, (-math.inf, math.inf), 3.0 * math.sqrt(2.0)),
+    # falls fast on the right, slowly on the left: the slow side counts
+    (lambda x: (x - 1.0) - np.exp(x - 1.0), 1.0, (-math.inf, math.inf), 1.8414),
+])
+def test_peak_width_within_a_factor_two(log_f, mode, support, drop):
+    assert drop <= peak_width(log_f, mode, support) <= 2.0 * drop
+
+
+def test_peak_width_of_a_flat_density_is_the_half_width():
+    assert peak_width(lambda x: np.zeros(x.shape), 1.0, (0.0, 2.0)) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ log-concave processes here the per-coordinate tail bound
 
     P{ |log f_n(X) + h(f_n)| >= s n } <= 3 e^(-s^2 n / 16)
 
-quantifies the speed.  Two families are implemented: products of a fixed
-one-dimensional density, and the stationary Gaussian autoregression
+quantifies the speed; ``TrajectoryReport.exceedance_table`` estimates the
+left-hand side, and ``bounds`` judges it.  Two families are implemented:
+products of a fixed one-dimensional density, and the stationary Gaussian
+autoregression
 
     X_1 ~ N(0, sd^2/(1 - rho^2)),   X_k = rho X_{k-1} + sd Z_k.
 
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds, distributions
+from . import distributions
 from .distributions import (Density1D, LOG_2PI, ParameterError, RngStream,
                             density_from_spec, spec_reader)
 from .infotools import McEstimate
@@ -126,9 +128,6 @@ class ExceedanceRow:
     s: float
     exceedances: int
     estimate: McEstimate
-    bound: float
-    in_window: bool
-    verdict: bounds.BoundVerdict
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class TrajectoryReport:
 
     def exceedance_table(self, s_values: Sequence[float],
                          confidence: float = 0.999) -> list:
-        """Tail of the centered deviations against 3 e^(-s^2 n/16) per length."""
+        """Wilson estimates of P{|centered deviation| >= s} per length and s."""
         svals = check_grid(s_values, "s grid")
         if svals[0] <= 0.0:
             raise DomainError("tail levels s must be positive")
@@ -167,14 +166,10 @@ class TrajectoryReport:
         for j, n in enumerate(self.n_grid):
             for s in svals:
                 count = int(np.count_nonzero(dev[:, j] >= s))
-                est = McEstimate.from_proportion(count, self.trials, confidence)
-                tail = bounds.per_coordinate_tail_bound(float(s), int(n))
-                verdict = bounds.compare(est, tail.value, direction="upper",
-                                         trivial=1.0)
                 rows.append(ExceedanceRow(
-                    n=int(n), s=float(s), exceedances=count, estimate=est,
-                    bound=tail.value, in_window=tail.in_window, verdict=verdict,
-                ))
+                    n=int(n), s=float(s), exceedances=count,
+                    estimate=McEstimate.from_proportion(count, self.trials,
+                                                        confidence)))
         return rows
 
 

@@ -1,13 +1,15 @@
-"""Closed-form concentration and moment bounds, plus the verdict comparator.
+"""Closed-form concentration and moment bounds, and every verdict.
 
 Every bound certified by the experiment layer is evaluated here, in one
 place, with its validity window.  Bounds whose window depends on the
 arguments return a ``BoundValue`` carrying an ``in_window`` flag; evaluation
 outside the window is permitted (the curves are still defined) but flagged
-so reports can exclude those points from certification.
+so reports can exclude those points from certification.  A bound past the
+largest double is ``inf``.
 
-The ``compare`` function turns an empirical confidence interval and a bound
-value into one of three verdicts:
+The estimators return estimates and the exact checks margins; only this
+module judges them.  ``compare`` turns a confidence interval and a bound
+into one of three verdicts, ``exact_verdict`` a margin and its tolerance:
 
 HOLDS         the whole interval sits on the right side of the bound
 VIOLATED      the whole interval sits on the wrong side
@@ -45,6 +47,7 @@ __all__ = [
     "variance_cap_nd",
     "log_cp",
     "compare",
+    "exact_verdict",
     "catalog",
 ]
 
@@ -179,7 +182,11 @@ def mgf_bound_nd(alpha: float, n: int) -> BoundValue:
         raise DomainError(f"alpha must be nonnegative, got {alpha!r}")
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n!r}")
-    return BoundValue(3.0 * math.exp(4.0 * alpha * alpha), alpha <= 0.25 * math.sqrt(n) + 1e-12)
+    try:
+        value = 3.0 * math.exp(4.0 * alpha * alpha)
+    except OverflowError:
+        value = math.inf
+    return BoundValue(value, alpha <= 0.25 * math.sqrt(n) + 1e-12)
 
 
 def fixed_scale_mgf_bound() -> FixedScaleMgf:
@@ -256,6 +263,14 @@ def compare(
         vacuous=vacuous,
         direction=direction,
     )
+
+
+def exact_verdict(margin: float, tol: float, converged: bool) -> str:
+    """An exact margin's verdict: HOLDS down to -tol, VIOLATED below, and
+    INCONCLUSIVE when its quadrature did not converge."""
+    if not converged:
+        return INCONCLUSIVE
+    return HOLDS if margin >= -tol else VIOLATED
 
 
 @dataclass(frozen=True)

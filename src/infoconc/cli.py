@@ -181,16 +181,9 @@ def _cells(e) -> tuple:
     return (e.value, e.std_error, e.ci_low, e.ci_high)
 
 
-def _holds(margin: float, tol: float, converged: bool = True) -> str:
-    """An exact margin's verdict; an unconverged quadrature certifies nothing."""
-    if not converged:
-        return bounds.INCONCLUSIVE
-    return bounds.HOLDS if margin >= -tol else bounds.VIOLATED
-
-
 # Row builders: each turns its experiment's subject into CSV rows (in the
 # order of the experiment's header), the config entries it adds, and an
-# optional last stdout line.
+# optional last stdout line; every verdict in them comes from bounds.
 
 def _tail_rows(batch, args):
     ts = parse_grid(args.t_grid)
@@ -235,9 +228,11 @@ def _entropy_power_rows(batch, args):
     svals = parse_grid(args.s_grid)
     rows = []
     for s in svals:
-        res = entropy_power_band(batch, s, confidence=args.confidence)
-        rows.append((s, *_cells(res.estimate), res.bound, res.in_window,
-                     res.verdict.vacuous, res.verdict.verdict))
+        est = entropy_power_band(batch, s, confidence=args.confidence)
+        tail = bounds.per_coordinate_tail_bound(s, batch.dim)
+        v = bounds.compare(est, 1.0 - tail.value, "lower", trivial=0.0)
+        rows.append((s, *_cells(est), v.bound, tail.in_window, v.vacuous,
+                     v.verdict))
     return rows, {"s_grid": svals}, None
 
 
@@ -252,7 +247,7 @@ def _convexity_rows(report, *columns, converged=None) -> list:
         if 0 < i < last:
             d = float(report.defects[i - 1])
             ok = converged is None or bool(converged[i - 1:i + 2].all())
-            rows.append(row + (d, _holds(d, report.tol, ok)))
+            rows.append(row + (d, bounds.exact_verdict(d, report.tol, ok)))
         else:
             rows.append(row + ("", ""))
     return rows
@@ -286,7 +281,7 @@ def _order_p_rows(density, args):
                         "log_simple": (caps.log_cap, report.var_log)}
     converged = bool(report.converged.all())
     rows = [(name, *cap_and_observed[name], margin,
-             _holds(margin, report.tol, converged))
+             bounds.exact_verdict(margin, report.tol, converged))
             for name, margin in report.margins.items() if margin is not None]
     return (rows, {"p": report.p, "tol": report.tol},
             f"var_log={report.var_log:.12g} trigamma_cap={caps.trigamma:.12g} "
@@ -295,9 +290,12 @@ def _order_p_rows(density, args):
 
 def _aep_rows(report, args):
     svals = parse_grid(args.s_grid)
-    rows = [(row.n, row.s, row.exceedances, *_cells(row.estimate), row.bound,
-             row.in_window, row.verdict.vacuous, row.verdict.verdict)
-            for row in report.exceedance_table(svals, confidence=args.confidence)]
+    rows = []
+    for row in report.exceedance_table(svals, confidence=args.confidence):
+        tail = bounds.per_coordinate_tail_bound(row.s, row.n)
+        v = bounds.compare(row.estimate, tail.value, "upper", trivial=1.0)
+        rows.append((row.n, row.s, row.exceedances, *_cells(row.estimate),
+                     tail.value, tail.in_window, v.vacuous, v.verdict))
     medians = report.sup_deviation_medians()
     config = {"s_grid": svals, "entropy_rate": report.entropy_rate,
               "sup_deviation_medians": [float(x) for x in medians]}

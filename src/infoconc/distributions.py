@@ -35,6 +35,7 @@ from scipy.special import gammainc, gammaincinv, digamma, logsumexp, ndtr, ndtri
 
 from .numerics import (
     DomainError,
+    NumericsError,
     de_rule,
     log_gamma,
     peak_width,
@@ -405,7 +406,8 @@ def from_log_density(
     ``cdf`` integrates the tail beyond each point on the far side from the
     mode.  ``quantile`` starts from the cumulative node masses and takes
     Newton steps on log F below the mode's level and on log(1 - F) above,
-    both concave for a log-concave density.  Sampling uses the log-concave
+    both concave for a log-concave density; a rule or Newton loop that does
+    not converge raises NumericsError.  Sampling uses the log-concave
     rejection envelope, which detects material violations of log-concavity.
     """
     a, b = support
@@ -419,6 +421,11 @@ def from_log_density(
     scale = peak_width(raw, mode, support)
     last = {}
 
+    def converged(result, what: str) -> np.ndarray:
+        if not np.all(result.converged):
+            raise NumericsError(f"custom density {name!r}: {what} did not converge")
+        return result.value
+
     def log_mass_and_mean(x, log_w):
         log_g = raw(x)
         log_m = log_w + log_g
@@ -427,8 +434,8 @@ def from_log_density(
         last.update(x=x, masses=masses)
         return np.array([log_z, masses @ np.where(masses > 0.0, log_g, 0.0)])
 
-    log_z, mean_log_g = de_rule(log_mass_and_mean, support, center=mode,
-                                scale=scale).value
+    rule = de_rule(log_mass_and_mean, support, center=mode, scale=scale)
+    log_z, mean_log_g = converged(rule, "the normalization and entropy rule")
     log_pdf = lambda x: _masked_log(x, (a, b), lambda y: raw(y) - log_z)
     # F at the nodes of the normalizing set: the quantiles' start points
     order = np.argsort(last["x"])
@@ -447,7 +454,8 @@ def from_log_density(
             for i in range(0, index.size, 2048):
                 part = index[i:i + 2048]
                 ends = (y[part], b) if side else (a, y[part])
-                out[part] = de_rule(log_mass, ends, scale=scale).value
+                out[part] = converged(de_rule(log_mass, ends, scale=scale),
+                                      "a tail rule of cdf or quantile")
         return out
 
     def cdf(x) -> np.ndarray:
@@ -474,8 +482,9 @@ def from_log_density(
             done = np.abs(new - y) <= 1e-13 * (np.abs(new) + scale)
             y = new
             if done.all():
-                break
-        return y.reshape(t.shape)
+                return y.reshape(t.shape)
+        raise NumericsError(f"custom density {name!r}: the quantile's Newton "
+                            f"steps did not settle in {_NEWTON_STEPS}")
 
     return Density1D(
         name=name,
@@ -593,17 +602,9 @@ class Product(ModelND):
         self.dim = len(components)
         self.entropy = float(sum(c.entropy for c in components))
         self.spec = {"family": "product", "params": {"components": [c.spec for c in components]}}
-        # columns of each distinct component object (identity, not spec: two
-        # custom densities may share a name); a contiguous run is a slice
-        columns = {}
-        for i, c in enumerate(components):
-            columns.setdefault(id(c), (c, []))[1].append(i)
-        self._groups = []
-        for c, cols in columns.values():
-            run = cols[-1] - cols[0] == len(cols) - 1
-            self._groups.append((c, slice(cols[0], cols[-1] + 1) if run else np.asarray(cols)))
-        # the sampling runs, in column order: adjacent columns of one
-        # component object share a draw when its sampler splits
+        # the column runs, in column order: adjacent columns of one component
+        # object (identity, not spec: two custom densities may share a name)
+        # share a draw when its sampler splits, and a log_pdf call
         self._runs = []
         for i, c in enumerate(components):
             last = self._runs[-1] if self._runs else None
@@ -615,8 +616,8 @@ class Product(ModelND):
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         # sums the same C-contiguous layout as stacking one log_pdf per column
         parts = np.empty(rows.shape)
-        for c, cols in self._groups:
-            parts[:, cols] = c.log_pdf(rows[:, cols])
+        for c, lo, hi in self._runs:
+            parts[:, lo:hi] = c.log_pdf(rows[:, lo:hi])
         return np.sum(parts, axis=-1)
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:

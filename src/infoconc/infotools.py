@@ -15,6 +15,7 @@ the Philox stream, so the result is byte-identical for any worker count.
 Proportions get Wilson score intervals, which behave sensibly at zero
 observed exceedances; means get the usual normal approximation.  Exponential
 moments are accumulated in log space so large deviations cannot overflow.
+These are estimates only; ``bounds`` decides windows, vacuity and verdicts.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from . import bounds
 from .distributions import ModelND, RngStream
 from .numerics import DomainError, check_grid
 
@@ -35,7 +35,6 @@ __all__ = [
     "InfoSampleBatch",
     "TailRow",
     "MgfRow",
-    "BandResult",
     "sample_information",
     "empirical_tail",
     "empirical_mgf",
@@ -203,7 +202,10 @@ def _logsumexp(a: np.ndarray) -> float:
 def _safe_exp(x: float) -> float:
     # math.exp raises OverflowError past ~709.78; an infinite estimate is
     # the honest answer there
-    return math.exp(x) if x < 709.0 else math.inf
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
@@ -213,9 +215,8 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
 
     Accumulation happens in log space: both the first and second empirical
     moments of exp(alpha y) are formed with a log-sum-exp, so no overflow
-    occurs even when alpha y is large.  Whether an alpha lies in the
-    validity window of a theoretical bound is the bound's to say (see
-    ``bounds.mgf_bound_nd`` and ``bounds.mgf_bound_1d``).
+    occurs even when alpha y is large; a mean past the largest double is
+    ``inf``, with the interval [0, inf].
     """
     arr = check_grid(alphas, "alpha grid")
     if form == "two_sided_abs":
@@ -237,9 +238,13 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
             l2 = _logsumexp(2.0 * z) - log_m
             mean = _safe_exp(l1)
             if math.isfinite(mean):
-                var = max(0.0, math.expm1(l2 - 2.0 * l1)) * math.exp(2.0 * l1)
-                # sample variance correction m/(m-1) is negligible at these m
-                se = math.sqrt(var / batch.m)
+                # sample variance correction m/(m-1) is negligible at these
+                # m; past an overflowing mean^2 the mean is factored out,
+                # and l2 - 2 l1 <= log m keeps the excess finite
+                excess = max(0.0, math.expm1(l2 - 2.0 * l1))
+                var = excess * _safe_exp(2.0 * l1)
+                se = (math.sqrt(var / batch.m) if math.isfinite(var)
+                      else mean * math.sqrt(excess / batch.m))
                 est = McEstimate.from_mean_se(mean, se, batch.m, confidence)
             else:
                 # overflowed estimate: no statistical claim either way
@@ -249,33 +254,18 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
     return rows
 
 
-@dataclass(frozen=True)
-class BandResult:
-    s: float
-    n: int
-    estimate: McEstimate
-    bound: float
-    in_window: bool
-    verdict: bounds.BoundVerdict
-
-
 def entropy_power_band(batch: InfoSampleBatch, s: float = 1.0,
-                       confidence: float = DEFAULT_CONFIDENCE) -> BandResult:
+                       confidence: float = DEFAULT_CONFIDENCE) -> McEstimate:
     """Coverage of the band f(X)^(-2/n) within e^(+-2s) of the entropy power.
 
     The band is exactly the event |dev| < s n, so its probability is floored
-    by 1 - 3 e^(-s^2 n / 16) inside the window s <= 2.
+    by 1 - 3 e^(-s^2 n / 16) (``bounds.per_coordinate_tail_bound``) inside
+    the window s <= 2.
     """
     if s <= 0.0:
         raise DomainError(f"band half-width must be positive, got {s!r}")
-    n = batch.dim
-    inside = int(np.count_nonzero(np.abs(batch.deviations) < s * n))
-    est = McEstimate.from_proportion(inside, batch.m, confidence)
-    tail = bounds.per_coordinate_tail_bound(s, n)
-    floor = 1.0 - tail.value
-    verdict = bounds.compare(est, floor, direction="lower", trivial=0.0)
-    return BandResult(s=float(s), n=n, estimate=est, bound=floor,
-                      in_window=tail.in_window, verdict=verdict)
+    inside = int(np.count_nonzero(np.abs(batch.deviations) < s * batch.dim))
+    return McEstimate.from_proportion(inside, batch.m, confidence)
 
 
 def deviation_variance(batch: InfoSampleBatch,

@@ -202,13 +202,16 @@ def test_07_dimensional_mgf_verdicts():
 def test_08_entropy_power_band():
     t0 = time.perf_counter()
     fails = []
+    tail = bounds.per_coordinate_tail_bound(1.0, 64)
+    if not tail.in_window:
+        fails.append("band outside window")
     for family in ("gaussian", "exponential"):
         band = entropy_power_band(info_batch(family, 64), s=1.0)
-        if not band.in_window:
-            fails.append(f"{family}: band outside window")
-        if band.verdict.verdict != HOLDS:
-            fails.append(f"{family}: coverage {band.estimate.value:.5f} vs "
-                         f"floor {band.bound:.5f} gave {band.verdict.verdict}")
+        verdict = bounds.compare(band, 1.0 - tail.value, direction="lower",
+                                 trivial=0.0)
+        if verdict.verdict != HOLDS:
+            fails.append(f"{family}: coverage {band.value:.5f} vs "
+                         f"floor {verdict.bound:.5f} gave {verdict.verdict}")
     conclude(8, "entropy power band covers 1 - 3 exp(-4) of the mass at n=64",
              fails, time.perf_counter() - t0, budget=60.0)
 
@@ -250,12 +253,15 @@ def test_11_aep_convergence():
     report = run_trajectories(GaussAR1(rho=0.5), np.array([16, 64, 256, 1024]),
                               trials=10**4, rng=RngStream(SEED, 500), workers=2)
     for row in report.exceedance_table([0.5]):
+        bound = bounds.per_coordinate_tail_bound(row.s, row.n).value
+        verdict = bounds.compare(row.estimate, bound, direction="upper",
+                                 trivial=1.0)
         expected = 3.0 * math.exp(-row.n / 64.0)
-        if abs(row.bound - expected) > 1e-12:
-            fails.append(f"n={row.n}: bound {row.bound} != 3 exp(-n/64)")
-        if row.estimate.ci_low > row.bound or row.verdict.verdict == VIOLATED:
+        if abs(bound - expected) > 1e-12:
+            fails.append(f"n={row.n}: bound {bound} != 3 exp(-n/64)")
+        if row.estimate.ci_low > bound or verdict.verdict == VIOLATED:
             fails.append(f"n={row.n}: frequency {row.estimate.value:.2e} "
-                         f"significantly above {row.bound:.2e}")
+                         f"significantly above {bound:.2e}")
     medians = report.sup_deviation_medians()
     if not np.all(np.diff(medians) < 0.0):
         fails.append(f"sup-deviation medians not decreasing: {medians}")

@@ -25,7 +25,7 @@ from infoconc.aep import (
     TRIAL_BLOCK,
     run_trajectories,
 )
-from infoconc.bounds import HOLDS
+from infoconc.bounds import HOLDS, compare, per_coordinate_tail_bound
 from infoconc.distributions import (
     ParameterError,
     RngStream,
@@ -237,21 +237,28 @@ class TestConvergenceAndExceedance:
         assert len(rows) == 2
         small, large = rows
         assert small.n == 16 and large.n == 256
+        # judged as the aep command judges a row
+        small_v, large_v = (
+            compare(r.estimate, per_coordinate_tail_bound(r.s, r.n).value,
+                    "upper", trivial=1.0) for r in rows)
         # at n = 16 the bound exceeds one: tagged, still mechanically fine
-        assert small.bound > 1.0
-        assert small.verdict.vacuous
-        assert small.verdict.verdict == HOLDS
+        assert small_v.bound > 1.0
+        assert small_v.vacuous
+        assert small_v.verdict == HOLDS
         # at n = 256 the bound is informative and the tail is far below it
-        assert abs(large.bound - 3.0 * math.exp(-4.0)) < 1e-15
-        assert not large.verdict.vacuous
-        assert large.verdict.verdict == HOLDS
-        assert large.estimate.ci_low <= large.bound
+        assert abs(large_v.bound - 3.0 * math.exp(-4.0)) < 1e-15
+        assert not large_v.vacuous
+        assert large_v.verdict == HOLDS
+        assert large.estimate.ci_low <= large_v.bound
 
     def test_exceedance_window_flag(self):
         report = run_trajectories(GaussAR1(0.5, 1.0), [16], 100, RngStream(15))
+        # the table estimates at any positive s; the window s <= 2 belongs
+        # to the bound
         rows = report.exceedance_table([0.5, 2.5])
-        assert rows[0].in_window
-        assert not rows[1].in_window
+        assert [(r.n, r.s) for r in rows] == [(16, 0.5), (16, 2.5)]
+        assert per_coordinate_tail_bound(rows[0].s, rows[0].n).in_window
+        assert not per_coordinate_tail_bound(rows[1].s, rows[1].n).in_window
 
     def test_exceedance_validation(self):
         report = run_trajectories(GaussAR1(0.5, 1.0), [4], 100, RngStream(16))

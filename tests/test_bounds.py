@@ -18,6 +18,7 @@ from infoconc.bounds import (
     catalog,
     chebyshev_tail_1d,
     compare,
+    exact_verdict,
     exp_tail_bound,
     fixed_scale_mgf_bound,
     gaussian_tail_bound,
@@ -146,6 +147,13 @@ class TestMgfBounds:
         edge = 0.25 * math.sqrt(n)
         assert mgf_bound_nd(edge, n).in_window
         assert not mgf_bound_nd(edge + 0.01, n).in_window
+
+    def test_dimensional_overflow_is_inf(self):
+        # e^(4 alpha^2) passes the largest double at alpha ~ 13.32, inside
+        # the window sqrt(4096)/4 = 16
+        b = mgf_bound_nd(14.0, 4096)
+        assert b.value == math.inf and b.in_window
+        assert mgf_bound_nd(13.0, 4096).value == 3.0 * math.exp(676.0)
 
     def test_dimensional_domain(self):
         with pytest.raises(DomainError):
@@ -322,6 +330,19 @@ class TestCompare:
     def test_unknown_direction(self):
         with pytest.raises(DomainError):
             compare(interval(0.0, 1.0), 0.5, direction="middle")
+
+
+class TestExactVerdict:
+    def test_margin_within_tolerance_holds(self):
+        assert exact_verdict(0.25, 1e-9, True) == HOLDS
+        assert exact_verdict(-1e-9, 1e-9, True) == HOLDS
+
+    def test_margin_beyond_tolerance_is_violated(self):
+        assert exact_verdict(-2e-9, 1e-9, True) == VIOLATED
+
+    def test_unconverged_certifies_nothing(self):
+        assert exact_verdict(0.25, 1e-9, False) == INCONCLUSIVE
+        assert exact_verdict(-1.0, 1e-9, False) == INCONCLUSIVE
 
 
 class TestCatalog:

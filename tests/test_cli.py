@@ -21,6 +21,12 @@ def read_json_no_meta(path):
     return payload
 
 
+def read_csv_rows(path):
+    """The CSV rows as dicts of header name to cell text."""
+    header, *rows = path.read_text().splitlines()
+    return [dict(zip(header.split(","), r.split(","))) for r in rows]
+
+
 class TestGridParsing:
     def test_range_inclusive(self):
         grid = parse_grid("0:8:0.5")
@@ -347,6 +353,36 @@ class TestOtherBatchCommands:
         assert cols["verdict"] == "HOLDS"
         assert abs(float(cols["floor_bound"]) - (1.0 - 3.0 * math.exp(-4.0))) < 1e-12
 
+    def test_entropy_power_vacuous_and_out_of_window_rows(self, tmp_path):
+        csv = tmp_path / "band.csv"
+        rc = main(["entropy_power", "--model", "gaussian", "--dim", "4",
+                   "--samples", "20000", "--seed", "7",
+                   "--s-grid", "0.1,2,2.5", "--out-csv", str(csv)])
+        assert rc == 0
+        low, edge, wide = read_csv_rows(csv)
+        # at s = 0.1 and n = 4 the floor 1 - 3 e^(-s^2 n/16) is negative:
+        # a vacuous lower bound certifies nothing
+        assert abs(float(low["floor_bound"]) + 1.9925093671923801) < 1e-15
+        assert (low["in_window"], low["vacuous"], low["verdict"]) == \
+            ("true", "true", "INCONCLUSIVE")
+        assert edge["in_window"] == "true"
+        assert wide["in_window"] == "false"
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "exponential", "--alpha-grid", "100"],
+        ["--model", "exponential", "--alpha-grid", "200"],
+        ["--model", "gaussian", "--dim", "4096", "--alpha-grid", "14"],
+    ], ids=["mean_square_overflows", "mean_overflows", "bound_overflows"])
+    def test_mgf_overflow_is_a_row(self, argv, tmp_path, capsys):
+        csv = tmp_path / "mgf.csv"
+        assert main(["mgf", *argv, "--samples", "1000", "--seed", "1",
+                     "--out-csv", str(csv)]) == 0
+        assert capsys.readouterr().err == ""
+        (row,) = read_csv_rows(csv)
+        # 3 e^(4 alpha^2) is past the largest double at alpha >= 13.3
+        assert row["bound"] == "inf"
+        assert not math.isnan(float(row["std_error"]))
+
 
 class TestDensityCommands:
     def test_lyapunov_exponential_flat(self, tmp_path, capsys):
@@ -476,6 +512,22 @@ class TestAepCommand:
         meds = payload["config"]["sup_deviation_medians"]
         assert len(meds) == 2 and meds[0] > meds[1]
         assert "sup-deviation medians" in capsys.readouterr().out
+
+    def test_vacuous_and_informative_rows(self, tmp_path):
+        csv = tmp_path / "aep.csv"
+        rc = main(["aep", "--model", "gauss_ar1", "--rho", "0.5",
+                   "--samples", "2000", "--seed", "14", "--n-grid", "16,256",
+                   "--s-grid", "0.5", "--out-csv", str(csv)])
+        assert rc == 0
+        small, large = read_csv_rows(csv)
+        # at n = 16 the bound 3 e^(-s^2 n/16) exceeds one: tagged vacuous,
+        # and an upper bound above every probability still holds
+        assert float(small["bound"]) > 1.0
+        assert (small["in_window"], small["vacuous"], small["verdict"]) == \
+            ("true", "true", "HOLDS")
+        assert abs(float(large["bound"]) - 3.0 * math.exp(-4.0)) < 1e-15
+        assert (large["vacuous"], large["verdict"]) == ("false", "HOLDS")
+        assert float(large["ci_low"]) <= float(large["bound"])
 
     def test_iid_base(self, tmp_path):
         rc = main(["aep", "--model", "exponential", "--samples", "200",

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from scipy.special import chdtr, chdtrc
 
-from infoconc.bounds import HOLDS, INCONCLUSIVE, compare, mgf_bound_nd
+from infoconc.bounds import (HOLDS, INCONCLUSIVE, compare, mgf_bound_nd,
+                             per_coordinate_tail_bound)
 from infoconc.distributions import (
     AffineMap,
     GaussianModel,
@@ -290,45 +291,57 @@ class TestEmpiricalMgf:
             empirical_mgf(expo, [0.5], form="diagonal")
 
 
+def band_verdict(estimate, s, n):
+    """The band floor 1 - 3 e^(-s^2 n/16) against a coverage estimate,
+    judged as the entropy_power command judges it."""
+    floor = 1.0 - per_coordinate_tail_bound(s, n).value
+    return compare(estimate, floor, "lower", trivial=0.0)
+
+
 class TestBands:
     def test_entropy_power_band_gaussian(self):
         batch = sample_information(GaussianModel(64), 100000, RngStream(4096))
-        res = entropy_power_band(batch, s=1.0)
-        assert res.in_window
-        assert abs(res.bound - (1.0 - 3.0 * math.exp(-4.0))) < 1e-15
-        assert res.verdict.verdict == HOLDS
+        est = entropy_power_band(batch, s=1.0)
+        verdict = band_verdict(est, 1.0, 64)
+        assert per_coordinate_tail_bound(1.0, 64).in_window
+        assert abs(verdict.bound - (1.0 - 3.0 * math.exp(-4.0))) < 1e-15
+        assert verdict.verdict == HOLDS
         # the exact coverage is 1 - 8e-15; every sample should land inside
-        assert res.estimate.value > 0.999
+        assert est.value > 0.999
 
     def test_band_window_flag(self):
+        # the estimator takes any positive half-width; the window s <= 2
+        # belongs to the bound
         batch = make_batch(np.zeros(100), dim=4)
-        assert not entropy_power_band(batch, s=2.5).in_window
-        assert entropy_power_band(batch, s=2.0).in_window
+        assert entropy_power_band(batch, s=2.5).value == 1.0
+        assert not per_coordinate_tail_bound(2.5, 4).in_window
+        assert per_coordinate_tail_bound(2.0, 4).in_window
 
     # the band is the entropy-typical set {|dev| < s n}
     def test_typical_set_vacuous_regime(self):
         # at s = 0.1 and n = 4 the floor is negative, so the check
         # certifies nothing and must say so
         batch = sample_information(GaussianModel(4), 50000, RngStream(7))
-        res = entropy_power_band(batch, 0.1)
-        assert abs(res.bound - TYPICAL_BOUND_01_4) < 1e-15
-        assert res.verdict.vacuous
-        assert res.verdict.verdict == INCONCLUSIVE
+        est = entropy_power_band(batch, 0.1)
+        verdict = band_verdict(est, 0.1, 4)
+        assert abs(verdict.bound - TYPICAL_BOUND_01_4) < 1e-15
+        assert verdict.vacuous
+        assert verdict.verdict == INCONCLUSIVE
         # the coverage estimate itself is still a valid Wilson interval
         exact = chdtr(4, 4.8) - chdtr(4, 3.2)
-        assert res.estimate.ci_low <= exact <= res.estimate.ci_high
+        assert est.ci_low <= exact <= est.ci_high
 
     def test_typical_set_informative_regime(self):
         batch = sample_information(GaussianModel(256), 50000, RngStream(8))
-        res = entropy_power_band(batch, 0.5)
-        assert not res.verdict.vacuous
-        assert res.verdict.verdict == HOLDS
+        verdict = band_verdict(entropy_power_band(batch, 0.5), 0.5, 256)
+        assert not verdict.vacuous
+        assert verdict.verdict == HOLDS
 
     def test_band_excludes_boundary(self):
         # four of ten deviations sit exactly on |dev| = s n
         batch = make_batch([2.0, -2.0, 2.0, -2.0, 0.0, 0.5, -0.5, 1.0, 3.0, -3.0],
                            dim=2)
-        assert entropy_power_band(batch, s=1.0).estimate.value == 0.4
+        assert entropy_power_band(batch, s=1.0).value == 0.4
 
     def test_band_domain(self):
         batch = make_batch(np.zeros(10), dim=2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, gammainc
 
+import infoconc.distributions
 import infoconc.numerics
 from infoconc.distributions import (
     from_log_density,
@@ -26,6 +27,7 @@ from infoconc.numerics import (
     BracketError,
     DomainError,
     IntegrandError,
+    NumericsError,
     QuadratureResult,
     check_grid,
     de_rule,
@@ -279,15 +281,41 @@ def test_rule_signed_sums_give_digamma_and_trigamma(p):
     assert abs(report.var_log - trigamma(p)) <= 1e-12
 
 
-def test_rule_custom_logistic_quantile_closed_form():
-    loc, s = 0.2, 0.9
-    d = from_log_density(
+def logistic(loc=0.2, s=0.9):
+    return from_log_density(
         "logistic", lambda x: -(x - loc) / s - 2.0 * np.logaddexp(0.0, -(x - loc) / s),
         (-math.inf, math.inf))
+
+
+def test_rule_custom_logistic_quantile_closed_form():
+    loc, s = 0.2, 0.9
+    d = logistic(loc, s)
     t = np.linspace(0.01, 0.99, 99)
     q = loc + s * np.log(t / (1.0 - t))
     assert np.max(np.abs(d.quantile(t) - q)) <= 1e-12
     assert np.max(np.abs(d.cdf(q) - t)) <= 1e-12
+
+
+def test_custom_density_from_an_unconverged_rule_raises(monkeypatch):
+    monkeypatch.setattr(infoconc.numerics, "MAX_LEVELS", 1)
+    with pytest.raises(NumericsError, match="normalization"):
+        logistic()
+
+
+def test_custom_cdf_and_quantile_from_unconverged_tail_rules_raise(monkeypatch):
+    d = logistic()
+    monkeypatch.setattr(infoconc.numerics, "MAX_LEVELS", 1)
+    with pytest.raises(NumericsError, match="tail rule"):
+        d.cdf(np.array([-1.0, 0.5]))
+    with pytest.raises(NumericsError, match="tail rule"):
+        d.quantile(np.array([0.3, 0.7]))
+
+
+def test_custom_quantile_newton_steps_that_run_out_raise(monkeypatch):
+    d = logistic()
+    monkeypatch.setattr(infoconc.distributions, "_NEWTON_STEPS", 1)
+    with pytest.raises(NumericsError, match="Newton"):
+        d.quantile(np.array([0.3, 0.7]))
 
 
 def test_rule_array_ends_give_one_node_set_per_end():

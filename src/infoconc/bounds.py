@@ -229,12 +229,15 @@ def compare(
         The trivial extreme of the quantity (1 for probabilities compared
         from above, 0 for probabilities compared from below).  Bounds beyond
         it are tagged vacuous; a vacuous lower bound is also forced to
-        INCONCLUSIVE because it cannot certify anything.
+        INCONCLUSIVE because it cannot certify anything.  So is an infinite
+        upper bound, whatever ``trivial``.
     """
     lo, hi = float(estimate.ci_low), float(estimate.ci_high)
     if direction == "upper":
-        vacuous = trivial is not None and bound > trivial
-        if hi <= bound:
+        vacuous = bound == math.inf or (trivial is not None and bound > trivial)
+        if bound == math.inf:
+            verdict = INCONCLUSIVE
+        elif hi <= bound:
             verdict = HOLDS
         elif lo > bound:
             verdict = VIOLATED

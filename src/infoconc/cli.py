@@ -264,7 +264,7 @@ def _lyapunov_rows(density, args):
     grid = parse_grid(args.p_grid)
     curve = moment_curve(density, args.kind, grid)
     direction = "convex" if args.kind == "raw" else "concave"
-    report = check_convexity_direction(curve, direction, tol=1e-7)
+    report = check_convexity_direction(curve, direction)
     config = {"kind": args.kind, "p_grid": grid, "direction": direction}
     return (_convexity_rows(report, curve.quad_errors,
                             converged=curve.converged), config,

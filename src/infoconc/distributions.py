@@ -417,7 +417,7 @@ def from_log_density(
         raise ParameterError("order-p densities must have nonnegative support")
 
     raw = lambda x: np.asarray(log_density_fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-    mode = unimodal_argmax(lambda x: float(raw(np.asarray([x]))[0]), support)
+    mode = unimodal_argmax(raw, support)
     scale = peak_width(raw, mode, support)
     last = {}
 

@@ -216,8 +216,11 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
     Accumulation happens in log space: both the first and second empirical
     moments of exp(alpha y) are formed with a log-sum-exp, so no overflow
     occurs even when alpha y is large; a mean past the largest double is
-    ``inf``, with the interval [0, inf].
+    ``inf``, with the interval [0, inf].  A batch of fewer than two draws
+    has no standard error and raises DomainError.
     """
+    if batch.m < 2:
+        raise DomainError("need at least two draws for an MGF estimate")
     arr = check_grid(alphas, "alpha grid")
     if form == "two_sided_abs":
         y = np.abs(batch.deviations) / math.sqrt(batch.dim)

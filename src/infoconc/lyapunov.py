@@ -53,6 +53,11 @@ P_MAX = 40.0
 
 _KINDS = ("raw", "normalized", "hat")
 
+# How far below zero a margin may fall and pass: moment-curve chords,
+# moment comparisons and variance caps; quantile-density chords.
+_TOL = 1e-7
+_QUANTILE_DENSITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class MomentCurve:
@@ -134,15 +139,15 @@ def _midpoint_defects(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return chord - ys[1:-1]
 
 
-def check_convexity_direction(curve: MomentCurve, direction: str,
-                              tol: float = 1e-7) -> ConvexityReport:
+def check_convexity_direction(curve: MomentCurve,
+                              direction: str) -> ConvexityReport:
     """Check every interior grid point against the chord of its neighbors."""
     if direction not in ("convex", "concave"):
         raise DomainError(f"unknown direction {direction!r}")
     if curve.grid.size < 3:
         raise DomainError("need at least three grid points")
     return _convexity_report(f"{curve.density_name}:{curve.kind}", direction,
-                             curve.grid, curve.log_values, tol)
+                             curve.grid, curve.log_values, _TOL)
 
 
 def _convexity_report(name: str, direction: str, xs: np.ndarray,
@@ -172,8 +177,8 @@ class KhinchineReport:
     tol: float
 
 
-def khinchine_check(density: Density1D, grid: Sequence[float],
-                    tol: float = 1e-7) -> KhinchineReport:
+def khinchine_check(density: Density1D,
+                    grid: Sequence[float]) -> KhinchineReport:
     """Moment comparison E eta^p <= Gamma(p+1) (E eta)^p on a grid.
 
     In terms of the normalized curve L this is L(p) <= p L(1); margins are
@@ -191,8 +196,8 @@ def khinchine_check(density: Density1D, grid: Sequence[float],
         density_name=density.name,
         grid=arr,
         margins=margins,
-        ok=bool(np.min(margins) >= -tol),
-        tol=tol,
+        ok=bool(np.min(margins) >= -_TOL),
+        tol=_TOL,
     )
 
 
@@ -215,8 +220,7 @@ class OrderPVarianceReport:
     converged: np.ndarray
 
 
-def order_p_variance_check(density: Density1D,
-                           tol: float = 1e-7) -> OrderPVarianceReport:
+def order_p_variance_check(density: Density1D) -> OrderPVarianceReport:
     """Quadrature moments of an order-p density against every variance cap.
 
     Caps come from the closed forms; the moments are computed here by
@@ -246,16 +250,16 @@ def order_p_variance_check(density: Density1D,
         "trigamma": caps.trigamma - var_log,
         "log_simple": (caps.log_cap - var_log) if caps.log_cap is not None else None,
     }
-    ok = all(v >= -tol for v in margins.values() if v is not None)
+    ok = all(v >= -_TOL for v in margins.values() if v is not None)
     return OrderPVarianceReport(
         density_name=density.name, p=p, mean=mean, variance=variance,
         ratio=ratio, mean_log=mean_log, var_log=var_log, caps=caps,
-        margins=margins, ok=bool(ok), tol=tol, converged=res.converged,
+        margins=margins, ok=bool(ok), tol=_TOL, converged=res.converged,
     )
 
 
-def quantile_density_concavity(density: Density1D, ts: Sequence[float],
-                               tol: float = 1e-9) -> ConvexityReport:
+def quantile_density_concavity(density: Density1D,
+                               ts: Sequence[float]) -> ConvexityReport:
     """Concavity of I(t) = f(F^-1(t)) on a grid of probability levels.
 
     This function is concave on (0, 1) precisely for log-concave f, so the
@@ -266,4 +270,4 @@ def quantile_density_concavity(density: Density1D, ts: Sequence[float],
         raise DomainError("probability levels must lie strictly inside (0, 1)")
     vals = quantile_density(density, arr)
     return _convexity_report(f"{density.name}:quantile_density", "concave",
-                             arr, vals, tol)
+                             arr, vals, _QUANTILE_DENSITY_TOL)

@@ -4,8 +4,10 @@ Everything downstream (densities, moment curves, entropy integrals) funnels
 through this module so that accuracy assumptions live in one place.  The
 exact checks integrate with ``de_rule``: one double-exponential node set,
 on which the integrand is evaluated as one array and every quantity is a
-reduction.  ``integrate`` and ``find_root_increasing`` wrap scipy's QUADPACK
-and Brent solvers for scalar callables, importing them only when called.
+reduction, centred by ``unimodal_argmax`` and scaled by ``peak_width``,
+both array scans.  ``integrate`` and ``find_root_increasing`` wrap scipy's
+QUADPACK and Brent solvers for scalar callables, importing them only when
+called.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ __all__ = [
     "peak_width",
     "log_integral",
     "find_root_increasing",
-    "golden_section_min",
     "unimodal_argmax",
 ]
 
@@ -52,7 +53,8 @@ _REACH = {True: (math.asinh(-math.log(0.5 * _NEAR) / math.pi),) * 2,
           False: (math.asinh(-math.log(_NEAR) / _HALF_PI),
                   math.asinh(math.log(_FAR) / _HALF_PI))}
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Offsets from a finite end or a mode that unimodal_argmax and peak_width scan.
+_DOUBLINGS = 2.0 ** np.arange(-40.0, 41.0)
 
 
 class NumericsError(Exception):
@@ -264,8 +266,7 @@ def peak_width(log_f: Callable[[np.ndarray], np.ndarray], mode: float,
     standard deviation for a log-concave density.  A log_f that never falls
     gives the half-width of a bounded support, else 1."""
     a, b = support
-    steps = 2.0 ** np.arange(-40.0, 41.0)
-    xs = np.concatenate([mode - steps, mode + steps])
+    xs = np.concatenate([mode - _DOUBLINGS, mode + _DOUBLINGS])
     xs = xs[(xs > a) & (xs < b)]
     with np.errstate(over="ignore"):
         vals = np.asarray(log_f(xs), dtype=np.float64)
@@ -289,7 +290,7 @@ def log_integral(
     ``peak_width``, and the integral is a log-sum-exp over them, so the log
     is accurate to about ``rel_tol`` whatever the size of the integral.
     """
-    peak = unimodal_argmax(lambda x: float(exponent(np.asarray([x]))[0]), support)
+    peak = unimodal_argmax(exponent, support)
     res = de_rule(lambda x, log_w: logsumexp(log_w + exponent(x), axis=-1),
                   support, center=peak,
                   scale=peak_width(exponent, peak, support), tol=rel_tol)
@@ -298,58 +299,35 @@ def log_integral(
     return float(res.value), float(res.abs_error_estimate)
 
 
-def unimodal_argmax(f: Callable[[float], float],
+def unimodal_argmax(log_f: Callable[[np.ndarray], np.ndarray],
                     support: Tuple[float, float]) -> float:
-    """A maximizer of a unimodal f: a coarse scan (geometric towards infinite
-    ends, 63 points inside a bounded interval; errors and NaN count as -inf)
-    brackets the peak, then golden-section search refines it."""
+    """A maximizer of a unimodal log_f evaluated on arrays, within 1e-12
+    relative.  One call on a scan (doublings from a finite end or both sides
+    of 0, 63 points inside a bounded interval) brackets the peak; each
+    further call puts 32 points across the bracket and shrinks it about
+    16-fold.  NaN counts as -inf; floating-point warnings are off."""
     a, b = support
-    if math.isinf(b) and not math.isinf(a):
-        xs = [a + 2.0 ** k for k in range(-40, 41)]
-    elif math.isinf(a) and math.isinf(b):
-        xs = [-(2.0 ** k) for k in range(40, -41, -1)] + [0.0] + [2.0 ** k for k in range(-40, 41)]
+    if not a < b:
+        raise DomainError(f"empty support {support!r}")
+    if math.isinf(a) and math.isinf(b):
+        xs = np.concatenate([-_DOUBLINGS[::-1], [0.0], _DOUBLINGS])
+    elif math.isinf(b):
+        xs = a + _DOUBLINGS
     elif math.isinf(a):
-        xs = [b - 2.0 ** k for k in range(40, -41, -1)]
+        xs = b - _DOUBLINGS[::-1]
     else:
-        xs = [a + (b - a) * i / 64.0 for i in range(1, 64)]
-    vals = []
-    for x in xs:
-        try:
-            v = f(x)
-        except (OverflowError, ValueError):
-            v = -math.inf
-        vals.append(v if not math.isnan(v) else -math.inf)
-    k = max(range(len(xs)), key=vals.__getitem__)
-    lo = xs[k - 1] if k > 0 else (a if not math.isinf(a) else xs[0] - 1.0)
-    hi = xs[k + 1] if k + 1 < len(xs) else (b if not math.isinf(b) else xs[-1] + 1.0)
-    return golden_section_min(lambda x: -f(x), lo, hi)
-
-
-def golden_section_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Golden-section minimizer for a unimodal function on [lo, hi]."""
-    if not lo < hi:
-        raise DomainError(f"invalid golden-section interval [{lo!r}, {hi!r}]")
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if hi - lo <= tol * (1.0 + abs(lo) + abs(hi)):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (lo + hi) / 2.0
+        xs = a + (b - a) * np.arange(1.0, 64.0) / 64.0
+    lo = a if math.isfinite(a) else xs[0] - 1.0
+    hi = b if math.isfinite(b) else xs[-1] + 1.0
+    while True:
+        with np.errstate(all="ignore"):
+            vals = np.asarray(log_f(xs), dtype=np.float64)
+        k = int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))
+        lo = xs[k - 1] if k > 0 else lo
+        hi = xs[k + 1] if k + 1 < xs.size else hi
+        if hi - lo <= 1e-12 * (1.0 + abs(lo) + abs(hi)):
+            return float(0.5 * (lo + hi))
+        xs = np.linspace(lo, hi, 34)[1:-1]
 
 
 def find_root_increasing(

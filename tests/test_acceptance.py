@@ -110,8 +110,8 @@ def test_04_reverse_lyapunov_suite():
     for d in zoo:
         raw = moment_curve(d, "raw", grid)
         norm = moment_curve(d, "normalized", grid)
-        fwd = check_convexity_direction(raw, "convex", tol=1e-7)
-        rev = check_convexity_direction(norm, "concave", tol=1e-7)
+        fwd = check_convexity_direction(raw, "convex")
+        rev = check_convexity_direction(norm, "concave")
         if not fwd.ok:
             fails.append(f"{d.name}: raw convexity defect {fwd.worst_defect:.2e}")
         if not rev.ok:
@@ -274,7 +274,7 @@ def test_12_quantile_density_concavity():
     fails = []
     levels = np.arange(0.05, 0.95 + 1e-9, 0.05)
     for d in dist.standard_zoo():
-        rep = quantile_density_concavity(d, levels, tol=1e-9)
+        rep = quantile_density_concavity(d, levels)
         if not rep.ok:
             fails.append(f"{d.name}: worst defect {rep.worst_defect:.2e}")
     conclude(12, "quantile densities are concave across the zoo",

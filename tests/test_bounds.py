@@ -303,6 +303,12 @@ class TestCompare:
         assert v.verdict == HOLDS
         assert v.vacuous
 
+    @pytest.mark.parametrize("hi", [2.0, math.inf])
+    def test_upper_infinite_bound_certifies_nothing(self, hi):
+        v = compare(interval(1.5, hi), math.inf, direction="upper")
+        assert v.vacuous
+        assert v.verdict == INCONCLUSIVE
+
     def test_upper_bound_exactly_trivial_not_tagged(self):
         v = compare(interval(0.5, 0.6), 1.0, direction="upper", trivial=1.0)
         assert not v.vacuous

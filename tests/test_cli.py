@@ -377,11 +377,24 @@ class TestOtherBatchCommands:
         csv = tmp_path / "mgf.csv"
         assert main(["mgf", *argv, "--samples", "1000", "--seed", "1",
                      "--out-csv", str(csv)]) == 0
-        assert capsys.readouterr().err == ""
+        out, err = capsys.readouterr()
+        assert err == ""
         (row,) = read_csv_rows(csv)
-        # 3 e^(4 alpha^2) is past the largest double at alpha >= 13.3
+        # 3 e^(4 alpha^2) is past the largest double at alpha >= 13.3, and
+        # an infinite bound certifies nothing
         assert row["bound"] == "inf"
         assert not math.isnan(float(row["std_error"]))
+        assert row["verdict"] == "INCONCLUSIVE"
+        assert "HOLDS=0 INCONCLUSIVE=1" in out
+
+    def test_mgf_of_one_draw_is_an_error(self, tmp_path, capsys):
+        csv, js = tmp_path / "mgf.csv", tmp_path / "mgf.json"
+        assert main(["mgf", "--model", "gaussian", "--samples", "1",
+                     "--out-csv", str(csv), "--out-json", str(js)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "two draws" in err
+        assert not csv.exists() and not js.exists()
 
 
 class TestDensityCommands:

@@ -527,6 +527,21 @@ def test_custom_density_sampler_ks(chi3):
     assert stat < KS_COEFF_1E3 / math.sqrt(200_000)
 
 
+def test_custom_density_build_evaluates_arrays():
+    # the mode search, peak width and normalizing rule each evaluate the
+    # log-density on whole arrays; only the envelope's peak is one point
+    sizes = []
+
+    def logistic(x):
+        sizes.append(np.size(x))
+        return -x - 2.0 * np.logaddexp(0.0, -x)
+
+    d = from_log_density("logistic", logistic, (-math.inf, math.inf))
+    assert sum(size == 1 for size in sizes) <= 1
+    assert len(sizes) <= 20
+    assert d.mode == pytest.approx(0.0, abs=1e-6)
+
+
 def test_custom_density_rejects_bad_support():
     with pytest.raises(ParameterError):
         from_log_density("bad", lambda x: -x * x, (2.0, 2.0))

@@ -289,6 +289,9 @@ class TestEmpiricalMgf:
             empirical_mgf(expo, [-0.5], form="two_sided_abs")
         with pytest.raises(DomainError):
             empirical_mgf(expo, [0.5], form="diagonal")
+        # one draw has no standard error
+        with pytest.raises(DomainError):
+            empirical_mgf(make_batch([0.5]), [0.0, 0.5])
 
 
 def band_verdict(estimate, s, n):

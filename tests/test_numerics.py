@@ -32,7 +32,6 @@ from infoconc.numerics import (
     check_grid,
     de_rule,
     find_root_increasing,
-    golden_section_min,
     peak_width,
     unimodal_argmax,
     integrate,
@@ -407,34 +406,41 @@ def test_root_endpoint_hit():
 
 
 # ---------------------------------------------------------------------------
-# golden section
+# unimodal_argmax
 # ---------------------------------------------------------------------------
-
-def test_golden_section_parabola():
-    x = golden_section_min(lambda t: (t - 1.7) ** 2, -5.0, 5.0)
-    assert abs(x - 1.7) <= 1e-9
-
-
-def test_golden_section_boundary_minimum():
-    x = golden_section_min(lambda t: t, 2.0, 3.0)
-    assert abs(x - 2.0) <= 1e-8
-
-
-def test_golden_section_bad_interval():
-    with pytest.raises(DomainError):
-        golden_section_min(lambda t: t * t, 1.0, 1.0)
-
 
 @pytest.mark.parametrize("support, f, peak", [
     ((-math.inf, math.inf), lambda t: -(t - 1.3) ** 2, 1.3),
-    ((0.0, math.inf), lambda t: 2.5 * math.log(t) - t, 2.5),
-    ((-math.inf, 0.0), lambda t: -abs(t + 0.7), -0.7),
+    ((0.0, math.inf), lambda t: 2.5 * np.log(t) - t, 2.5),
+    ((-math.inf, 0.0), lambda t: -np.abs(t + 0.7), -0.7),
     ((0.0, 3.0), lambda t: -(t - 1.2) ** 2, 1.2),
     ((0.0, 3.0), lambda t: -t, 0.0),
+    ((-5.0, 5.0), lambda t: (t - 1.7) * (1.7 - t), 1.7),
+    # maximum at a finite end
+    ((2.0, 3.0), lambda t: -t, 2.0),
+    ((1.0, 1.0), lambda t: -t * t, DomainError),
+    # Laplace kink off every scan point
+    ((-math.inf, math.inf), lambda t: -np.abs(t - 0.3), 0.3),
+    # flat: every interior point is a maximizer
+    ((0.0, 2.0), lambda t: np.zeros(t.shape), None),
+    # NaN, the log of a negative, counts as -inf
+    ((-math.inf, math.inf), lambda t: np.log(t - 1.0) - t, 2.0),
 ])
 def test_unimodal_argmax(support, f, peak):
-    # near a smooth peak f is flat to rounding within ~sqrt(eps) of it
-    assert abs(unimodal_argmax(f, support) - peak) <= 1e-6
+    if peak is DomainError:
+        with pytest.raises(DomainError):
+            unimodal_argmax(f, support)
+        return
+    x = unimodal_argmax(f, support)
+    assert type(x) is float
+    if peak is None:
+        assert support[0] < x < support[1]
+    else:
+        # near a smooth peak f is flat to rounding within ~sqrt(eps) of it,
+        # but its value there is the peak value to rounding
+        assert abs(x - peak) <= 1e-6
+        top = f(np.array([peak]))[0]
+        assert f(np.array([x]))[0] >= top - 1e-12 * (1.0 + abs(top))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from . import distributions
 from .distributions import (Density1D, LOG_2PI, ParameterError, RngStream,
                             density_from_spec, spec_reader)
 from .infotools import McEstimate
-from .numerics import DomainError, check_grid
+from .numerics import DomainError, NumericsError, check_grid
 
 __all__ = [
     "TRIAL_BLOCK",
@@ -203,7 +203,8 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     carried into the next piece's first step and only the grid columns a
     piece covers are recorded, so ``info`` holds the same bytes as the
     cumulative sum of whole trajectories while a worker's memory stays
-    bounded by the budget, whatever the longest length.
+    bounded by the budget, whatever the longest length.  A per-coordinate
+    deviation that is NaN or infinite raises NumericsError.
     """
     grid = check_grid(n_grid, "length grid")
     if grid[0] < 1.0 or np.any(grid != np.floor(grid)):
@@ -225,22 +226,23 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
         pieces.append((start, stop - start, sel, cols[sel] - start))
 
     def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-        for r in range(lo, hi, rows):
-            k = min(rows, hi - r)
-            carry = None
-            for start, w, sel, local in pieces:
-                steps = process._neg_log_steps(gen, k, w, start)
-                if carry is not None:  # adding 0.0 would turn -0.0 into 0.0
-                    steps[:, 0] += carry
-                cum = np.cumsum(steps, axis=1, out=steps)
-                carry = cum[:, -1].copy()
-                info[r:r + k, sel] = cum[:, local] / grid[sel]
+        # a NaN or infinity is reported once, below, not warned of per block
+        with np.errstate(all="ignore"):
+            for r in range(lo, hi, rows):
+                k = min(rows, hi - r)
+                carry = None
+                for start, w, sel, local in pieces:
+                    steps = process._neg_log_steps(gen, k, w, start)
+                    if carry is not None:  # adding 0.0 would turn -0.0 into 0.0
+                        steps[:, 0] += carry
+                    cum = np.cumsum(steps, axis=1, out=steps)
+                    carry = cum[:, -1].copy()
+                    info[r:r + k, sel] = cum[:, local] / grid[sel]
 
     rng.run_blocks(trials, TRIAL_BLOCK, run_block, workers)
-    return TrajectoryReport(
-        entropy_rate=process.entropy_rate,
-        n_grid=grid,
-        joint_entropies=np.array([process.joint_entropy(int(n)) for n in grid]),
-        info=info,
-        trials=trials,
-    )
+    joint = np.array([process.joint_entropy(int(n)) for n in grid])
+    if not (np.isfinite(info).all() and np.isfinite(joint).all()):
+        raise NumericsError("per-coordinate information deviations are not "
+                            "all finite; check the process parameters")
+    return TrajectoryReport(entropy_rate=process.entropy_rate, n_grid=grid,
+                            joint_entropies=joint, info=info, trials=trials)

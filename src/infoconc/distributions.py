@@ -4,8 +4,9 @@ Two layers live here.  ``Density1D`` wraps a one-dimensional log-concave
 density together with everything the experiments need from it: normalized
 log-density, exact sampler, differential entropy in nats, quantiles, and
 the optional order-p factorization f(x) = x^(p-1) g(x).  ``ModelND`` builds
-n-dimensional models from those pieces (independent products, Gaussians
-with a covariance factor, affine pushforwards, uniform balls).
+n-dimensional models from those pieces (independent products, the
+standard normal, affine pushforwards, uniform balls); a Gaussian with a mean
+or covariance factor is the ``AffineMap`` image of the standard normal.
 
 Sampling is exact everywhere: inverse-CDF where the quantile has a closed
 form, Marsaglia and Tsang's squeeze method (numpy's ``standard_gamma``)
@@ -18,8 +19,8 @@ reproduces the same values.
 
 The n-dimensional log-densities work on whole blocks of points: a product
 evaluates each distinct component object once on all of its columns, and
-a Gaussian covariance factor or affine matrix is factored once, at
-construction, so each call is one triangular solve per factor.
+an affine matrix is factored once, at construction, so each call is one
+triangular solve per factor.
 """
 from __future__ import annotations
 
@@ -665,55 +666,22 @@ class _Solver:
 
 
 class GaussianModel(ModelND):
-    """Gaussian with mean vector and covariance factor T (cov = T T')."""
+    """Standard normal N(0, I) in ``dim`` dimensions.  A mean and covariance
+    factor T (cov = T T') make the AffineMap image T X + mean of it."""
 
-    def __init__(self, dim: int = None, mean=None, cov_factor=None):
-        if mean is None and cov_factor is None and dim is None:
-            raise ParameterError("GaussianModel needs dim or mean/cov_factor")
-        if mean is not None:
-            mean = np.asarray(mean, dtype=np.float64)
-            dim = mean.shape[0] if dim is None else dim
-        if cov_factor is not None:
-            cov_factor = np.asarray(cov_factor, dtype=np.float64)
-            dim = cov_factor.shape[0] if dim is None else dim
+    def __init__(self, dim: int):
         self.dim = _whole(dim, "gaussian dimension")
         if self.dim < 1:
             raise ParameterError(f"gaussian dimension must be >= 1, got {self.dim!r}")
-        self.mean = np.zeros(self.dim) if mean is None else mean
-        if self.mean.shape != (self.dim,):
-            raise ParameterError("mean shape does not match dim")
-        self._standard = cov_factor is None
-        if self._standard:
-            self.cov_factor = np.eye(self.dim)
-            self._logabsdet = 0.0
-        else:
-            if cov_factor.shape != (self.dim, self.dim):
-                raise ParameterError("cov_factor must be a square matrix matching dim")
-            self.cov_factor = cov_factor
-            sign, logdet = np.linalg.slogdet(cov_factor)
-            if sign == 0 or not math.isfinite(logdet):
-                raise ParameterError("cov_factor must be invertible")
-            self._logabsdet = float(logdet)
-            self._solve = _Solver(cov_factor)
-        self.entropy = 0.5 * self.dim * math.log(2.0 * math.pi * math.e) + self._logabsdet
+        self.entropy = 0.5 * self.dim * math.log(2.0 * math.pi * math.e)
         self.spec = {"family": "gaussian", "params": {"dim": self.dim}}
-        if not self._standard or np.any(self.mean != 0.0):
-            self.spec["params"]["mean"] = self.mean.tolist()
-            self.spec["params"]["cov_factor"] = self.cov_factor.tolist()
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
-        centered = rows - self.mean
-        if not self._standard:
-            centered = self._solve(centered)
-        q = np.sum(centered * centered, axis=-1)
-        return -0.5 * self.dim * LOG_2PI - self._logabsdet - 0.5 * q
+        q = np.sum(rows * rows, axis=-1)
+        return -0.5 * self.dim * LOG_2PI - 0.5 * q
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        x = gen.standard_normal((size, self.dim))
-        if not self._standard:
-            x = x @ self.cov_factor.T
-        x += self.mean
-        return x
+        return gen.standard_normal((size, self.dim))
 
 
 class AffineMap(ModelND):
@@ -850,11 +818,17 @@ def model_from_spec(spec: dict) -> ModelND:
             raise ParameterError("product spec needs 'components' or ('component', 'copies')")
         return Product(comps)
     if family == "gaussian":
-        return GaussianModel(
-            dim=params.get("dim"),
-            mean=params.get("mean"),
-            cov_factor=params.get("cov_factor"),
-        )
+        # N(mean, T T') is the affine image T X + mean of X ~ N(0, I)
+        mean, factor = params.get("mean"), params.get("cov_factor")
+        dim = params.get("dim")
+        if dim is None:
+            if factor is None and mean is None:
+                raise ParameterError("gaussian spec needs 'dim', 'mean' or 'cov_factor'")
+            dim = len(mean if factor is None else factor)
+        base = GaussianModel(dim)
+        if mean is None and factor is None:
+            return base
+        return AffineMap(base, np.eye(base.dim) if factor is None else factor, mean)
     if family == "ball_uniform":
         return BallUniform(dim=params["dim"], radius=params.get("radius", 1.0))
     if family == "affine":

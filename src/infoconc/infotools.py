@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import ModelND, RngStream
-from .numerics import DomainError, check_grid
+from .numerics import DomainError, NumericsError, check_grid
 
 __all__ = [
     "BLOCK_SIZE",
@@ -134,7 +134,9 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
 
     Work is partitioned by ``rng.run_blocks`` into fixed blocks of
     BLOCK_SIZE draws, so the deviations array is identical for any
-    ``workers`` value.
+    ``workers`` value.  A deviation that is NaN or infinite, as from a NaN
+    or infinite model parameter, raises NumericsError: no tail count or
+    moment of it means anything.
     """
     if m <= 0:
         raise DomainError(f"sample count must be positive, got {m!r}")
@@ -142,10 +144,15 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
     out = np.empty(m, dtype=float)
 
     def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-        x = model.sample(gen, hi - lo)
-        out[lo:hi] = -model.log_density(x) - h
+        # a NaN or infinity is reported once, below, not warned of per block
+        with np.errstate(all="ignore"):
+            x = model.sample(gen, hi - lo)
+            out[lo:hi] = -model.log_density(x) - h
 
     rng.run_blocks(m, BLOCK_SIZE, run_block, workers)
+    if not np.isfinite(out).all():
+        raise NumericsError("information deviations are not all finite; "
+                            "check the model parameters")
     return InfoSampleBatch(dim=model.dim, m=m, deviations=out)
 
 

@@ -34,7 +34,7 @@ from infoconc.distributions import (
     laplace,
     uniform,
 )
-from infoconc.numerics import DomainError
+from infoconc.numerics import DomainError, NumericsError
 
 RATE_SD1 = 1.4189385332046727
 RATE_SD2 = 2.112085713764618
@@ -177,6 +177,15 @@ class TestRunTrajectories:
             run_trajectories(proc, [4], 1, RngStream(1))
         with pytest.raises(DomainError):
             run_trajectories(proc, [4], 10, RngStream(1), workers=0)
+
+    @pytest.mark.parametrize("proc", [
+        GaussAR1(0.5, math.nan),
+        IIDProcess(gaussian1d(math.nan, 1.0)),
+        IIDProcess(uniform(-math.inf, 0.0)),
+    ], ids=["ar1_nan_sd", "gaussian1d_nan_mu", "uniform_infinite_end"])
+    def test_non_finite_deviations_raise(self, proc):
+        with pytest.raises(NumericsError):
+            run_trajectories(proc, [4, 16], 100, RngStream(1))
 
 
 def whole_block_info(process, grid, trials, rng):

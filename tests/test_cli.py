@@ -171,11 +171,15 @@ class TestUsageErrors:
          '{"family": "exponential"}, "copies": 2.5}}'],
         ["tail", "--model", '{"family": "product", "params": {"component": '
          '{"family": "exponential"}, "copies": true}}'],
+        ["tail", "--model", '{"family": "gaussian", "params": {"mean": 5}}'],
+        ["tail", "--model", '{"family": "gaussian", "params": {"cov_factor": 2}}'],
+        ["tail", "--model", '{"family": "gaussian", "params": {}}'],
     ], ids=["ar1_rho_type", "ar1_params_list", "iid_no_base", "copies_type",
             "components_type", "ball_no_dim", "affine_no_matrix",
             "ragged_cov_factor", "family_type", "gamma_p_type",
             "gaussian_dim_fraction", "ball_dim_fraction", "copies_fraction",
-            "copies_bool"])
+            "copies_bool", "gaussian_scalar_mean", "gaussian_scalar_factor",
+            "gaussian_no_dim"])
     def test_malformed_spec(self, argv, tmp_path, capsys):
         csv = tmp_path / "out.csv"
         extra = {"aep": ["--samples", "10", "--n-grid", "2,4"],
@@ -183,6 +187,25 @@ class TestUsageErrors:
         assert main([*argv, *extra, "--out-csv", str(csv)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not csv.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--model",
+         '{"family":"gaussian","params":{"dim":2,"mean":[0,NaN]}}',
+         "--t-grid", "0:2:1"],
+        ["tail", "--model", '{"family":"uniform","params":{"a":-Infinity,"b":0}}',
+         "--t-grid", "0:2:1"],
+        ["aep", "--model", '{"family":"gaussian1d","params":{"mu":NaN}}',
+         "--n-grid", "4,16"],
+        ["aep", "--model", "gauss_ar1", "--sd", "nan", "--n-grid", "4,16"],
+    ], ids=["gaussian_nan_mean", "uniform_infinite_end", "aep_nan_mu",
+            "aep_nan_sd"])
+    def test_non_finite_deviations_are_errors(self, argv, tmp_path, capsys):
+        csv, js = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main([*argv, "--samples", "1000", "--seed", "1",
+                     "--out-csv", str(csv), "--out-json", str(js)]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error:") and "HOLDS" not in out.out
+        assert not csv.exists() and not js.exists()
 
     @pytest.mark.parametrize("argv", [
         ["tail", "--model", "exponential", "--t-grid", "0,nan,1"],

@@ -275,7 +275,8 @@ def test_gaussian_general_factor_matches_direct_formula():
     rng = np.random.default_rng(1)
     t = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
     mu = np.array([0.5, -1.0, 2.0])
-    m = GaussianModel(mean=mu, cov_factor=t)
+    m = model_from_spec({"family": "gaussian",
+                         "params": {"mean": mu.tolist(), "cov_factor": t.tolist()}})
     cov = t @ t.T
     x = rng.normal(size=(5, 3))
     diff = x - mu
@@ -290,7 +291,8 @@ def test_gaussian_general_factor_matches_direct_formula():
 
 def test_gaussian_factor_sample_covariance():
     t = np.array([[2.0, 0.0], [1.0, 0.5]])
-    m = GaussianModel(mean=np.zeros(2), cov_factor=t)
+    m = model_from_spec({"family": "gaussian",
+                         "params": {"mean": [0.0, 0.0], "cov_factor": t.tolist()}})
     x = m.sample(RngStream(seed=3).generator(), 200_000)
     cov = np.cov(x.T)
     assert np.allclose(cov, t @ t.T, atol=0.05)
@@ -641,6 +643,8 @@ def test_one_dim_family_promotes_to_model():
                                          "copies": 2.5}},
         {"family": "product", "params": {"component": {"family": "laplace"},
                                          "copies": True}},
+        {"family": "gaussian", "params": {"mean": 5}},
+        {"family": "gaussian", "params": {"cov_factor": 2}},
     ],
 )
 def test_bad_specs_raise_parameter_error(spec):

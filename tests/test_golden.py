@@ -154,7 +154,7 @@ DIGESTS = {
     "tail_workers2":
         "bfcdd7cf39860179fdea3d10fb57ed5ed50e19090c0a9221e173575c42778d04",
     "variance_cov_factor":
-        "8deb54e01cbb7380defb35b0116800abb6163fc2123f379572293a07f71cf4f5",
+        "5ad2d7a17c42c09989fc0332f60da27f9e1a955faf1a30c6e52c6d4126534e66",
     "variance_exp":
         "7978cfc59303892eccd80f928de05046177a1a58fcc2b82d259c1740e7995cc6",
 }

@@ -25,6 +25,7 @@ from infoconc.distributions import (
     exponential,
     gamma,
     gaussian1d,
+    model_from_spec,
 )
 from infoconc.infotools import (
     BLOCK_SIZE,
@@ -37,7 +38,7 @@ from infoconc.infotools import (
     entropy_power_band,
     sample_information,
 )
-from infoconc.numerics import DomainError
+from infoconc.numerics import DomainError, NumericsError
 
 # Frozen reference values.
 Z_999 = 3.2905267314919255            # ndtri(0.9995)
@@ -159,7 +160,8 @@ class TestSampleInformation:
         gen = np.random.default_rng(5)
         full = np.eye(16) + 0.5 * gen.standard_normal((16, 16))
         model = (AffineMap(Product([exponential()] * 16), full)
-                 if make == "affine" else GaussianModel(cov_factor=full))
+                 if make == "affine" else model_from_spec(
+                     {"family": "gaussian", "params": {"cov_factor": full.tolist()}}))
         m = 2 * BLOCK_SIZE + 513
         ref = sample_information(model, m, RngStream(3), workers=1).deviations
         switch = sys.getswitchinterval()
@@ -170,6 +172,33 @@ class TestSampleInformation:
                 assert got.deviations.tobytes() == ref.tobytes()
         finally:
             sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gaussian_mean_and_factor_is_the_affine_image(self, workers):
+        # one linear-map path: the gaussian spelling and the explicit affine
+        # image of the standard normal give the same deviation bytes
+        gen = np.random.default_rng(7)
+        t = (np.eye(5) + 0.5 * gen.standard_normal((5, 5))).tolist()
+        mu = gen.standard_normal(5).tolist()
+        gaussian = {"family": "gaussian", "params": {"mean": mu, "cov_factor": t}}
+        affine = {"family": "affine", "params": {
+            "base": {"family": "gaussian", "params": {"dim": 5}},
+            "matrix": t, "shift": mu}}
+        m = BLOCK_SIZE + 999
+        a = sample_information(model_from_spec(gaussian), m, RngStream(4),
+                               workers=workers)
+        b = sample_information(model_from_spec(affine), m, RngStream(4),
+                               workers=workers)
+        assert a.deviations.tobytes() == b.deviations.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "gaussian", "params": {"dim": 2, "mean": [0.0, math.nan]}},
+        {"family": "uniform", "params": {"a": -math.inf, "b": 0.0}},
+        {"family": "gaussian1d", "params": {"mu": math.nan}},
+    ], ids=["gaussian_nan_mean", "uniform_infinite_end", "gaussian1d_nan_mu"])
+    def test_non_finite_deviations_raise(self, spec):
+        with pytest.raises(NumericsError):
+            sample_information(model_from_spec(spec), 1000, RngStream(1))
 
     def test_full_blocks_are_stable_across_total_size(self):
         # block b depends only on its index, so a longer run extends a

@@ -18,15 +18,15 @@ conditional Gaussian per step, which is exact and O(n); the dense
 covariance form Sigma_ij = sigma1^2 rho^|i-j| exists only in the tests as
 an independent oracle.
 
-Trajectories are simulated on ``RngStream.run_blocks``, the one block
-schedule of the package, in fixed blocks of TRIAL_BLOCK trials, block b
-drawing from counter offset b of the Philox stream, so reports are
-byte-identical for any worker count.  Within a block, steps are drawn and
-summed in pieces of at most ``distributions._CHUNK_ELEMENTS`` steps: whole
-trials when they fit, column pieces of one trial when it is longer.  The
-running sum is carried from piece to piece, so the recorded information
-is the same bytes as summing whole trajectories, and a worker holds a few
-piece-sized arrays however long the trajectories are.
+A report reads each trajectory only at its grid lengths.  For most of the
+zoo the information of one step is c + Gamma(k, 1) in law, so such a
+process is drawn at the grid points directly, one Gamma draw per trial and
+grid interval, without the base sampler or log_pdf; any other i.i.d. base
+(gamma(p > 1), custom densities) draws every step, in bounded pieces (see
+``run_trajectories``).  Trajectories are simulated on
+``RngStream.run_blocks``, the one block schedule of the package, in fixed
+blocks of TRIAL_BLOCK trials, block b drawing from counter offset b of the
+Philox stream, so reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import distributions
 from .distributions import (Density1D, LOG_2PI, ParameterError, RngStream,
-                            density_from_spec, spec_reader)
+                            _finite, density_from_spec, spec_reader)
 from .infotools import McEstimate
 from .numerics import DomainError, NumericsError, check_grid
 
@@ -57,12 +57,15 @@ TRIAL_BLOCK = 1024
 
 
 class IIDProcess:
-    """Independent copies of a fixed one-dimensional density."""
+    """Independent copies of a fixed one-dimensional density; ``info_law``
+    is (k, c, c) for a base with information law (k, c), else None."""
 
     def __init__(self, base: Density1D):
         self.base = base
         self.entropy_rate = float(base.entropy)
         self.spec = {"process": "iid", "base": base.spec}
+        law = base.info_law
+        self.info_law = None if law is None else (law[0], law[1], law[1])
 
     def joint_entropy(self, n: int) -> float:
         return n * self.entropy_rate
@@ -72,26 +75,30 @@ class IIDProcess:
         return np.sum(self.base.log_pdf(x), axis=1)
 
     def _neg_log_steps(self, gen: np.random.Generator, trials: int,
-                       length: int, start: int = 0) -> np.ndarray:
-        """-log f of steps start .. start + length - 1 of ``trials``
-        trajectories given their pasts, drawn trial by trial from ``gen``."""
+                       length: int) -> np.ndarray:
+        """-log f of ``length`` steps of ``trials`` trajectories, drawn
+        trial by trial from ``gen``."""
         x = self.base.sample(gen, trials * length).reshape(trials, length)
         return -self.base.log_pdf(x)
 
 
 class GaussAR1:
-    """Stationary Gaussian autoregression of order one."""
+    """Stationary Gaussian autoregression of order one.  The information
+    of a step is a constant plus z^2/2 ~ Gamma(1/2, 1) of its innovation z:
+    ``info_law`` is (1/2, constant of step 1, constant of later steps)."""
 
     def __init__(self, rho: float = 0.5, sd: float = 1.0):
+        rho, sd = _finite(rho, "autoregression rho"), _finite(sd, "innovation sd")
         if not -1.0 < rho < 1.0:
             raise ParameterError(f"autoregression needs |rho| < 1, got {rho!r}")
         if sd <= 0.0:
             raise ParameterError(f"innovation scale must be positive, got {sd!r}")
-        self.rho = float(rho)
-        self.sd = float(sd)
+        self.rho, self.sd = rho, sd
         self.sigma1_sq = sd * sd / (1.0 - rho * rho)
         self.entropy_rate = 0.5 * (LOG_2PI + 1.0 + math.log(sd * sd))
         self.spec = {"process": "gauss_ar1", "params": {"rho": self.rho, "sd": self.sd}}
+        self.info_law = (0.5, 0.5 * (LOG_2PI + math.log(self.sigma1_sq)),
+                         0.5 * (LOG_2PI + math.log(sd * sd)))
 
     def joint_entropy(self, n: int) -> float:
         first = 0.5 * (LOG_2PI + 1.0 + math.log(self.sigma1_sq))
@@ -107,19 +114,6 @@ class GaussAR1:
             out = out - 0.5 * (x.shape[1] - 1) * (LOG_2PI + math.log(self.sd**2)) \
                 - 0.5 * np.sum(resid * resid, axis=1) / (self.sd * self.sd)
         return out
-
-    def _neg_log_steps(self, gen: np.random.Generator, trials: int,
-                       length: int, start: int = 0) -> np.ndarray:
-        # the innovations are exactly the standardized conditionals, so the
-        # per-step -log f is a constant plus z^2/2; no need to materialize x
-        z = gen.standard_normal((trials, length))
-        steps = 0.5 * z * z
-        rest = 0
-        if start == 0:  # the stationary first step
-            steps[:, 0] += 0.5 * (LOG_2PI + math.log(self.sigma1_sq))
-            rest = 1
-        steps[:, rest:] += 0.5 * (LOG_2PI + math.log(self.sd * self.sd))
-        return steps
 
 
 @dataclass(frozen=True)
@@ -192,11 +186,16 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
                      rng: RngStream, workers: int = 1) -> TrajectoryReport:
     """Simulate ``trials`` trajectories and record -log f_n / n at each n.
 
-    Each trajectory is generated once at the longest grid length; shorter
-    lengths reuse its prefix through the cumulative sums, which is exactly
-    the nesting a single growing sample path would produce.
+    Each trajectory is one growing sample path read at the grid lengths.
+    When the process has an information law (k, c1, c), the path is drawn
+    at the grid points directly: the information of the d steps between
+    two grid lengths is their constants plus Gamma(k d, 1), independent
+    over disjoint intervals, so one ``standard_gamma`` draw per trial and
+    interval, a cumulative sum and the constant offsets c n + c1 - c have
+    exactly the joint law of the step sums at the grid points.
 
-    A block of trials is drawn and summed in pieces of at most
+    Otherwise every step is drawn and its -log f summed.  A block of
+    trials is then drawn and summed in pieces of at most
     ``distributions._CHUNK_ELEMENTS`` steps, whole trials at a time or,
     for a trial longer than that, one column piece of it at a time, in the
     trial-by-trial order of the stream.  Each piece's running sum is
@@ -212,32 +211,41 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     grid = grid.astype(np.int64)
     if trials < 2:
         raise DomainError(f"need at least two trials, got {trials!r}")
-    length = int(grid[-1])
-    cols = grid - 1
     info = np.empty((trials, grid.size))
-    budget = distributions._CHUNK_ELEMENTS
-    rows = max(1, budget // length)
-    width = min(length, budget)
-    # the grid columns each column piece covers, as piece-local indices
-    pieces = []
-    for start in range(0, length, width):
-        stop = min(start + width, length)
-        sel = np.flatnonzero((cols >= start) & (cols < stop))
-        pieces.append((start, stop - start, sel, cols[sel] - start))
+    if process.info_law is not None:
+        k, first, c = process.info_law
+        shapes = k * np.diff(grid, prepend=0)
+        offsets = c * grid + (first - c)
 
-    def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-        # a NaN or infinity is reported once, below, not warned of per block
-        with np.errstate(all="ignore"):
-            for r in range(lo, hi, rows):
-                k = min(rows, hi - r)
-                carry = None
-                for start, w, sel, local in pieces:
-                    steps = process._neg_log_steps(gen, k, w, start)
-                    if carry is not None:  # adding 0.0 would turn -0.0 into 0.0
-                        steps[:, 0] += carry
-                    cum = np.cumsum(steps, axis=1, out=steps)
-                    carry = cum[:, -1].copy()
-                    info[r:r + k, sel] = cum[:, local] / grid[sel]
+        def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
+            g = gen.standard_gamma(shapes, (hi - lo, grid.size))
+            info[lo:hi] = (np.cumsum(g, axis=1, out=g) + offsets) / grid
+    else:
+        length = int(grid[-1])
+        cols = grid - 1
+        budget = distributions._CHUNK_ELEMENTS
+        rows = max(1, budget // length)
+        width = min(length, budget)
+        # the grid columns each column piece covers, as piece-local indices
+        pieces = []
+        for start in range(0, length, width):
+            stop = min(start + width, length)
+            sel = np.flatnonzero((cols >= start) & (cols < stop))
+            pieces.append((stop - start, sel, cols[sel] - start))
+
+        def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
+            # a NaN or infinity is reported once, below, not warned of per block
+            with np.errstate(all="ignore"):
+                for r in range(lo, hi, rows):
+                    k = min(rows, hi - r)
+                    carry = None
+                    for w, sel, local in pieces:
+                        steps = process._neg_log_steps(gen, k, w)
+                        if carry is not None:  # adding 0.0 would turn -0.0 into 0.0
+                            steps[:, 0] += carry
+                        cum = np.cumsum(steps, axis=1, out=steps)
+                        carry = cum[:, -1].copy()
+                        info[r:r + k, sel] = cum[:, local] / grid[sel]
 
     rng.run_blocks(trials, TRIAL_BLOCK, run_block, workers)
     joint = np.array([process.joint_entropy(int(n)) for n in grid])

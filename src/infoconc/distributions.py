@@ -77,6 +77,14 @@ class ParameterError(ValueError):
     """Invalid family parameters or malformed model specification."""
 
 
+def _finite(value, what: str) -> float:
+    """value as a float; NaN or an infinity is a ParameterError naming it."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def _whole(value, what: str) -> int:
     """value as an int; a bool or a non-integral number is a ParameterError."""
     if isinstance(value, bool) or not float(value).is_integer():
@@ -162,6 +170,8 @@ class Density1D:
         Whether ``sample(gen, a + b)`` draws the values of ``sample(gen, a)``
         followed by ``sample(gen, b)``; false for the rejection sampler,
         whose batches are sized from the request.
+    info_law : (k, c) or None
+        When set, -log f(X) is c + Gamma(k, 1) in law (k = 0: the constant c).
     """
 
     name: str
@@ -171,6 +181,7 @@ class Density1D:
     spec: dict = field(repr=False)
     order_p: Optional[float] = None
     splittable_sampler: bool = True
+    info_law: Optional[Tuple[float, float]] = None
     _log_pdf: Callable = field(repr=False, default=None)
     _sampler: Callable = field(repr=False, default=None)
     _quantile: Callable = field(repr=False, default=None)
@@ -281,6 +292,7 @@ def exponential() -> Density1D:
         mode=0.0,
         spec={"family": "exponential"},
         order_p=1.0,
+        info_law=(1.0, 0.0),
         _log_pdf=lambda x: _masked_log(x, (0.0, math.inf), lambda y: -y),
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
@@ -290,7 +302,7 @@ def exponential() -> Density1D:
 
 def gamma(p: float) -> Density1D:
     """Gamma with shape p >= 1 and unit rate: f(x) = x^(p-1) e^-x / Gamma(p)."""
-    p = float(p)
+    p = _finite(p, "gamma shape p")
     if not p >= 1.0:
         raise ParameterError(f"gamma shape must satisfy p >= 1, got {p!r}")
     if p == 1.0:
@@ -317,7 +329,7 @@ def gamma(p: float) -> Density1D:
 
 def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
     """Normal with mean mu and standard deviation sigma."""
-    mu, sigma = float(mu), float(sigma)
+    mu, sigma = _finite(mu, "gaussian1d mu"), _finite(sigma, "gaussian1d sigma")
     if not sigma > 0.0:
         raise ParameterError(f"gaussian sigma must be positive, got {sigma!r}")
     c = -0.5 * LOG_2PI - math.log(sigma)
@@ -328,6 +340,7 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
         entropy=0.5 * math.log(2.0 * math.pi * math.e * sigma**2),
         mode=mu,
         spec={"family": "gaussian1d", "params": {"mu": mu, "sigma": sigma}},
+        info_law=(0.5, -c),
         _log_pdf=lambda x: c - 0.5 * ((np.asarray(x, dtype=np.float64) - mu) / sigma) ** 2,
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
@@ -347,6 +360,7 @@ def laplace() -> Density1D:
         entropy=1.0 + math.log(2.0),
         mode=0.0,
         spec={"family": "laplace"},
+        info_law=(1.0, math.log(2.0)),
         _log_pdf=lambda x: -np.abs(np.asarray(x, dtype=np.float64)) - math.log(2.0),
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
@@ -356,7 +370,7 @@ def laplace() -> Density1D:
 
 def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
     """Uniform on (a, b)."""
-    a, b = float(a), float(b)
+    a, b = _finite(a, "uniform a"), _finite(b, "uniform b")
     if not a < b:
         raise ParameterError(f"uniform requires a < b, got a={a!r}, b={b!r}")
     width = b - a
@@ -368,6 +382,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
         mode=0.5 * (a + b),
         spec={"family": "uniform", "params": {"a": a, "b": b}},
         order_p=1.0 if a >= 0.0 else None,
+        info_law=(0.0, logw),
         _log_pdf=lambda x: _masked_log(x, (a, b), lambda y: np.full(y.shape, -logw)),
         _sampler=lambda gen, size: a + width * gen.random(size),
         _quantile=lambda t: a + width * np.asarray(t, dtype=np.float64),
@@ -387,6 +402,7 @@ def half_normal() -> Density1D:
         mode=0.0,
         spec={"family": "half_normal"},
         order_p=1.0,
+        info_law=(0.5, -c),
         _log_pdf=log_pdf,
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
@@ -637,18 +653,20 @@ class Product(ModelND):
 class _Solver:
     """x -> T^-1 x on each row of a (rows, n) array, for an invertible T.
 
-    T is factored once: a lower-triangular T is its own factor, any other
-    is split as P L U by ``scipy.linalg.lu``.  A call is one
-    ``solve_triangular`` per factor on the whole (n, rows) block.  The
-    factors are only read, so one solver can serve concurrent worker
+    T is factored once: the identity has no factor, a lower-triangular T is
+    its own factor, any other is split as P L U by ``scipy.linalg.lu``.  A
+    call is one ``solve_triangular`` per factor on the whole (n, rows) block.
+    The factors are only read, so one solver can serve concurrent worker
     threads; ``lu_solve`` on a shared ``lu_factor`` pair is not safe that
     way and gave wrong solutions under two threads.
     """
 
     def __init__(self, matrix: np.ndarray):
+        self.identity = np.array_equal(matrix, np.eye(len(matrix)))
         if np.array_equal(np.tril(matrix), matrix):
             self._perm = None
-            self._factors = [(np.asfortranarray(matrix), True, False)]
+            self._factors = [] if self.identity else [
+                (np.asfortranarray(matrix), True, False)]
         else:
             p, l, u = lu(matrix)
             self._perm = np.argmax(p, axis=0)  # P^T b == b[perm]
@@ -718,8 +736,10 @@ class AffineMap(ModelND):
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         # same draws as the base model, pushed through the map (coupling used
-        # by the affine-invariance checks)
-        y = self.base.sample(gen, size) @ self.matrix.T
+        # by the affine-invariance checks); x @ I' is x, bit for bit
+        y = self.base.sample(gen, size)
+        if not self._solve.identity:
+            y = y @ self.matrix.T
         y += self.shift
         return y
 

@@ -2,11 +2,14 @@
 
 Oracles: the autoregression's joint density is checked against the dense
 multivariate Gaussian with covariance Sigma_ij = sigma1^2 rho^|i-j| (built
-with plain linear algebra, a fully independent route), and the per-step
-shortcut is checked by rebuilding the trajectory from its own innovations.
-The streamed simulator is checked byte for byte against the cumulative sum
-of whole blocks, with the piece budget forced small enough to split trials
-into column pieces.  Frozen entropy rates:
+with plain linear algebra, a fully independent route).  The information
+law route (one Gamma draw per grid interval) is checked in law against
+trajectories drawn step by step: the base sampler and log_pdf for i.i.d.
+processes, the AR(1) recursion and the dense covariance for the
+autoregression, by two-sample KS tests and the exact mean and variance of
+c n + Gamma(k n).  The streamed step route is checked byte for byte
+against the cumulative sum of whole blocks, with the piece budget forced
+small enough to split trials into column pieces.  Frozen entropy rates:
 
     sd = 1:  (1/2) log(2 pi e)            = 1.4189385332046727
     sd = 2:  (1/2) log(2 pi e) + log 2    = 2.112085713764618
@@ -14,9 +17,12 @@ into column pieces.  Frozen entropy rates:
 """
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logit
+from scipy.stats import ks_2samp
 
 import infoconc.distributions
 from infoconc.aep import (
@@ -30,7 +36,10 @@ from infoconc.distributions import (
     ParameterError,
     RngStream,
     exponential,
+    from_log_density,
+    gamma,
     gaussian1d,
+    half_normal,
     laplace,
     uniform,
 )
@@ -52,6 +61,50 @@ def dense_gaussian_log_density(x, rho, sd):
     assert sign > 0
     quad = np.einsum("ij,ij->i", x, np.linalg.solve(cov, x.T).T)
     return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+
+
+LAW_GRID = [1, 3, 10]
+LAW_TRIALS = 20000
+
+
+def step_route_info(process, grid, trials, gen):
+    """-log f_n / n of trajectories drawn step by step: the base sampler and
+    log_pdf for an i.i.d. process, the AR(1) recursion and the dense
+    covariance density for the autoregression."""
+    n_max = grid[-1]
+    if isinstance(process, GaussAR1):
+        z = gen.standard_normal((trials, n_max))
+        x = np.empty_like(z)
+        x[:, 0] = math.sqrt(process.sigma1_sq) * z[:, 0]
+        for k in range(1, n_max):
+            x[:, k] = process.rho * x[:, k - 1] + process.sd * z[:, k]
+        return np.column_stack([
+            -dense_gaussian_log_density(x[:, :n], process.rho, process.sd) / n
+            for n in grid])
+    x = process.base.sample(gen, trials * n_max).reshape(trials, n_max)
+    cum = np.cumsum(-process.base.log_pdf(x), axis=1)
+    return cum[:, np.asarray(grid) - 1] / np.asarray(grid)
+
+
+def assert_same_law(process, seed):
+    """Law-route info against the step route (KS), and against the exact
+    mean h_n / n and variance k / n of (c n + c1 - c + Gamma(k n)) / n."""
+    law = run_trajectories(process, LAW_GRID, LAW_TRIALS, RngStream(seed)).info
+    steps = step_route_info(process, LAW_GRID, LAW_TRIALS,
+                            RngStream(seed, stream_id=1).generator())
+    k = process.info_law[0]
+    for j, n in enumerate(LAW_GRID):
+        mean = process.joint_entropy(n) / n
+        if k == 0.0:  # no randomness: both routes give the entropy rate
+            assert np.allclose(law[:, j], mean, rtol=1e-14, atol=1e-15)
+            assert np.allclose(steps[:, j], mean, rtol=1e-14, atol=1e-15)
+            continue
+        assert ks_2samp(law[:, j], steps[:, j]).pvalue > 1e-3, n
+        var = k / n
+        assert abs(law[:, j].mean() - mean) < 5.0 * math.sqrt(var / LAW_TRIALS)
+        # the sample variance of Gamma(k n) has excess kurtosis 6 / (k n)
+        slack = 5.0 * var * math.sqrt((2.0 + 6.0 / (k * n)) / LAW_TRIALS)
+        assert abs(law[:, j].var() - var) < slack, n
 
 
 class TestProcessDefinitions:
@@ -91,18 +144,9 @@ class TestProcessDefinitions:
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_step_shortcut_matches_rebuilt_trajectory(self):
-        # rebuild x from the same innovations and compare the chain rule
-        # against the per-step accounting used by the simulator
-        proc = GaussAR1(0.6, 1.2)
-        z = RngStream(23).generator().standard_normal((4, 6))
-        gen = RngStream(23).generator()
-        steps = proc._neg_log_steps(gen, 4, 6)
-        x = np.empty_like(z)
-        x[:, 0] = math.sqrt(proc.sigma1_sq) * z[:, 0]
-        for k in range(1, 6):
-            x[:, k] = proc.rho * x[:, k - 1] + proc.sd * z[:, k]
-        assert np.max(np.abs(proc.joint_log_density(x)
-                             + steps.sum(axis=1))) < 1e-10
+        # the Gamma(1/2) law shortcut against trajectories rebuilt by the
+        # recursion and evaluated by the dense covariance
+        assert_same_law(GaussAR1(0.6, 1.2), 23)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -111,6 +155,64 @@ class TestProcessDefinitions:
             GaussAR1(-1.2, 1.0)
         with pytest.raises(ParameterError):
             GaussAR1(0.5, 0.0)
+        for rho, sd, name in [(math.nan, 1.0, "rho"), (0.5, math.nan, "sd"),
+                              (0.5, math.inf, "sd")]:
+            with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                GaussAR1(rho, sd)
+
+    def test_iid_process_passes_the_base_law_through(self):
+        assert IIDProcess(laplace()).info_law == (1.0, math.log(2.0),
+                                                  math.log(2.0))
+        assert IIDProcess(gamma(2.0)).info_law is None
+
+    def test_ar1_law_constants_match_joint_entropy(self):
+        proc = GaussAR1(0.7, 1.3)
+        k, first, c = proc.info_law
+        assert k == 0.5
+        assert abs(k + first - proc.joint_entropy(1)) < 1e-14
+        assert abs(k + c - proc.entropy_rate) < 1e-14
+
+
+LAW_FAMILIES = {
+    "exponential": exponential(),
+    "laplace": laplace(),
+    "gaussian1d": gaussian1d(0.7, 1.9),
+    "half_normal": half_normal(),
+    "uniform": uniform(-1.0, 2.0),
+}
+
+
+class TestInformationLaw:
+    @pytest.mark.parametrize("name", sorted(LAW_FAMILIES))
+    def test_law_route_matches_step_route(self, name):
+        assert_same_law(IIDProcess(LAW_FAMILIES[name]), 61)
+
+    @pytest.mark.parametrize("process", [
+        GaussAR1(0.6, 1.2), IIDProcess(laplace()), IIDProcess(uniform(0.5, 2.5)),
+    ], ids=["ar1", "laplace", "uniform"])
+    def test_law_route_worker_invariant(self, process):
+        trials = 3 * TRIAL_BLOCK + 17
+        runs = [run_trajectories(process, [1, 3, 10, 100], trials,
+                                 RngStream(67), workers=w).info.tobytes()
+                for w in (1, 2, 5)]
+        assert runs[0] == runs[1] == runs[2]
+
+
+class NanLaw:
+    """A process whose information law has a NaN constant."""
+    entropy_rate = 1.0
+    info_law = (1.0, math.nan, math.nan)
+
+    def joint_entropy(self, n):
+        return float(n)
+
+
+class NanSteps(NanLaw):
+    """A process drawn step by step whose steps are NaN."""
+    info_law = None
+
+    def _neg_log_steps(self, gen, trials, length):
+        return np.full((trials, length), math.nan)
 
 
 class TestRunTrajectories:
@@ -178,33 +280,70 @@ class TestRunTrajectories:
         with pytest.raises(DomainError):
             run_trajectories(proc, [4], 10, RngStream(1), workers=0)
 
-    @pytest.mark.parametrize("proc", [
-        GaussAR1(0.5, math.nan),
-        IIDProcess(gaussian1d(math.nan, 1.0)),
-        IIDProcess(uniform(-math.inf, 0.0)),
+    @pytest.mark.parametrize("build", [
+        lambda: GaussAR1(0.5, math.nan),
+        lambda: IIDProcess(gaussian1d(math.nan, 1.0)),
+        lambda: IIDProcess(uniform(-math.inf, 0.0)),
     ], ids=["ar1_nan_sd", "gaussian1d_nan_mu", "uniform_infinite_end"])
-    def test_non_finite_deviations_raise(self, proc):
-        with pytest.raises(NumericsError):
-            run_trajectories(proc, [4, 16], 100, RngStream(1))
+    def test_non_finite_deviations_raise(self, build):
+        # a non-finite parameter is refused where the process is built, so
+        # a law that ignores it (a location) cannot hide it
+        with pytest.raises(ParameterError, match="must be finite"):
+            run_trajectories(build(), [4, 16], 100, RngStream(1))
+
+    @pytest.mark.parametrize("process", [NanLaw(), NanSteps()],
+                             ids=["law", "steps"])
+    def test_non_finite_information_raises(self, process):
+        with pytest.raises(NumericsError, match="not all finite"):
+            run_trajectories(process, [4, 16], 100, RngStream(1))
 
 
 def whole_block_info(process, grid, trials, rng):
-    """-log f_n / n from each block's whole (trials, n_max) step array."""
+    """-log f_n / n of each block drawn whole: the interval Gamma draws of a
+    process with an information law, else the cumulative sum of the block's
+    whole (trials, n_max) array of base draws."""
     grid = np.asarray(grid, dtype=np.int64)
+    n_max = int(grid[-1])
     info = np.empty((trials, grid.size))
     for b, lo in enumerate(range(0, trials, TRIAL_BLOCK)):
         hi = min(lo + TRIAL_BLOCK, trials)
-        steps = process._neg_log_steps(rng.generator(b), hi - lo, int(grid[-1]))
-        cum = np.cumsum(steps, axis=1)
-        info[lo:hi] = cum[:, grid - 1] / grid
+        gen = rng.generator(b)
+        if process.info_law is None:
+            x = process.base.sample(gen, (hi - lo) * n_max)
+            cum = np.cumsum(-process.base.log_pdf(x.reshape(hi - lo, n_max)),
+                            axis=1)
+            info[lo:hi] = cum[:, grid - 1] / grid
+        else:
+            k, first, c = process.info_law
+            g = gen.standard_gamma(k * np.diff(grid, prepend=0),
+                                   (hi - lo, grid.size))
+            info[lo:hi] = (np.cumsum(g, axis=1) + (c * grid + (first - c))) / grid
     return info
 
 
-PROCESSES = [GaussAR1(0.5, 1.3), IIDProcess(laplace())]
+def logistic():
+    """The logistic density, built by ``from_log_density``."""
+    return from_log_density(
+        "logistic", lambda x: -np.abs(x) - 2.0 * np.log1p(np.exp(-np.abs(x))),
+        (-math.inf, math.inf))
+
+
+def _logistic():
+    # sampled here by its closed-form inverse CDF: the rejection sampler
+    # sizes its batches from the request, so its pieces could not match
+    # whole blocks
+    return replace(logistic(), splittable_sampler=True,
+                   _sampler=infoconc.distributions._inverse_cdf_sampler(logit))
+
+
+# the first two take the law route, the last two draw every step
+PROCESSES = [GaussAR1(0.5, 1.3), IIDProcess(laplace()),
+             IIDProcess(gamma(2.0)), IIDProcess(_logistic())]
+PROCESS_IDS = ["ar1", "laplace", "gamma2", "custom"]
 
 
 class TestStreamedBlocks:
-    @pytest.mark.parametrize("process", PROCESSES, ids=["ar1", "laplace"])
+    @pytest.mark.parametrize("process", PROCESSES, ids=PROCESS_IDS)
     @pytest.mark.parametrize("grid", [[1], [1, 5, 40], [7, 8, 14]])
     @pytest.mark.parametrize("budget", [7, 1000, "n_max + 1"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -219,7 +358,7 @@ class TestStreamedBlocks:
         got = run_trajectories(process, grid, trials, rng, workers=workers)
         assert got.info.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("process", PROCESSES, ids=["ar1", "laplace"])
+    @pytest.mark.parametrize("process", PROCESSES, ids=PROCESS_IDS)
     def test_memory_bounded_for_long_trajectories(self, process):
         # a whole 8 x 2^20 step array and its cumulative sum alone are 128 MB
         tracemalloc.start()
@@ -230,6 +369,14 @@ class TestStreamedBlocks:
             tracemalloc.stop()
         assert np.all(np.isfinite(report.info))
         assert peak < 32 * 2**20
+
+    def test_rejection_sampled_custom_base_is_worker_invariant(self, monkeypatch):
+        base = logistic()
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 7)
+        runs = [run_trajectories(IIDProcess(base), [7, 8, 14], TRIAL_BLOCK + 3,
+                                 RngStream(47), workers=w).info.tobytes()
+                for w in (1, 2)]
+        assert runs[0] == runs[1]
 
 
 class TestConvergenceAndExceedance:

@@ -188,23 +188,28 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not csv.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["tail", "--model",
-         '{"family":"gaussian","params":{"dim":2,"mean":[0,NaN]}}',
-         "--t-grid", "0:2:1"],
-        ["tail", "--model", '{"family":"uniform","params":{"a":-Infinity,"b":0}}',
-         "--t-grid", "0:2:1"],
-        ["aep", "--model", '{"family":"gaussian1d","params":{"mu":NaN}}',
-         "--n-grid", "4,16"],
-        ["aep", "--model", "gauss_ar1", "--sd", "nan", "--n-grid", "4,16"],
+    # a non-finite 1-D or process parameter is refused, by name, where the
+    # model is built; a NaN gaussian mean reaches the isfinite pass
+    @pytest.mark.parametrize("argv,message", [
+        (["tail", "--model",
+          '{"family":"gaussian","params":{"dim":2,"mean":[0,NaN]}}',
+          "--t-grid", "0:2:1"], "not all finite"),
+        (["tail", "--model", '{"family":"uniform","params":{"a":-Infinity,"b":0}}',
+          "--t-grid", "0:2:1"], "uniform a must be finite"),
+        (["aep", "--model", '{"family":"gaussian1d","params":{"mu":NaN}}',
+          "--n-grid", "4,16"], "gaussian1d mu must be finite"),
+        (["aep", "--model", "gauss_ar1", "--sd", "nan", "--n-grid", "4,16"],
+         "innovation sd must be finite"),
     ], ids=["gaussian_nan_mean", "uniform_infinite_end", "aep_nan_mu",
             "aep_nan_sd"])
-    def test_non_finite_deviations_are_errors(self, argv, tmp_path, capsys):
+    def test_non_finite_deviations_are_errors(self, argv, message, tmp_path,
+                                              capsys):
         csv, js = tmp_path / "out.csv", tmp_path / "out.json"
         assert main([*argv, "--samples", "1000", "--seed", "1",
                      "--out-csv", str(csv), "--out-json", str(js)]) == 1
         out = capsys.readouterr()
         assert out.err.startswith("error:") and "HOLDS" not in out.out
+        assert message in out.err
         assert not csv.exists() and not js.exists()
 
     @pytest.mark.parametrize("argv", [

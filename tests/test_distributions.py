@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.special import gammainc
 
 import infoconc.distributions
@@ -352,6 +353,21 @@ def test_affine_map_determinant_rules():
     )
 
 
+def test_affine_identity_matrix_applies_only_the_shift():
+    # the identity is skipped, and the bytes are those of the matrix
+    # product and the triangular solve it would have taken
+    base = Product([exponential(), gaussian1d(), laplace()])
+    shift = np.array([0.5, -1.0, 2.0])
+    m = AffineMap(base, np.eye(3), shift)
+    assert m._solve.identity
+    assert not AffineMap(base, 2.0 * np.eye(3))._solve.identity
+    xb = base.sample(RngStream(seed=79).generator(), 500)
+    xm = m.sample(RngStream(seed=79).generator(), 500)
+    assert np.array_equal(xm, xb @ np.eye(3).T + shift)
+    pre = solve_triangular(np.eye(3), (xm - shift).T, lower=True).T
+    assert np.array_equal(m.log_density(xm), base.log_density(pre) - 0.0)
+
+
 def test_affine_map_requires_invertible_matrix():
     with pytest.raises(ParameterError):
         AffineMap(GaussianModel(dim=2), np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -650,6 +666,32 @@ def test_one_dim_family_promotes_to_model():
 def test_bad_specs_raise_parameter_error(spec):
     with pytest.raises(ParameterError):
         model_from_spec(spec)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: gaussian1d(math.nan, 1.0), "gaussian1d mu"),
+    (lambda: gaussian1d(0.0, math.inf), "gaussian1d sigma"),
+    (lambda: uniform(-math.inf, 0.0), "uniform a"),
+    (lambda: uniform(0.0, math.nan), "uniform b"),
+    (lambda: gamma(math.inf), "gamma shape p"),
+    (lambda: density_from_spec({"family": "gaussian1d",
+                                "params": {"mu": math.nan}}), "gaussian1d mu"),
+], ids=["mu", "sigma", "a", "b", "p", "spec_mu"])
+def test_non_finite_parameters_are_named(build, name):
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        build()
+
+
+def test_information_law_mean_is_the_entropy():
+    # -log f(X) = c + Gamma(k, 1) in law has mean c + k = h(f); the shapes
+    # are checked in law by the trajectory tests
+    for d in [exponential(), gamma(1.0), laplace(), gaussian1d(0.7, 1.9),
+              half_normal(), uniform(-1.0, 2.0)]:
+        k, c = d.info_law
+        assert k + c == pytest.approx(d.entropy, abs=1e-14), d.name
+    assert gamma(2.0).info_law is None
+    bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
+    assert bump.info_law is None
 
 
 def test_make_standard_dispatch():

@@ -112,13 +112,13 @@ CASES = {
 # SHA-256 of each case, taken with DIGEST_VERSIONS
 DIGESTS = {
     "aep_gauss_ar1":
-        "8a987ee3307d4b704c1ba47bc838949493356396d593eae7b8152e9a391d6a8e",
+        "c69d61152301eca0c083ce5e30f9f5184900824a87b623c654449206491a05cb",
     "aep_iid_exponential":
-        "95c6f1bb10dd26312013926d3de7cf6584125bcb22a07bf3f0cb7e2b73621072",
+        "47e86e2a30001597db3e0d80ea0490f76b8c79fe2d132d0e1f519b156efbd5c3",
     "aep_iid_json_workers2":
-        "ab673dd026f42c6b6040583287cd51ad8c779b12ff490122959e70966f298841",
+        "5dd4e2aad058a50ed95e01b1a75e4549274c3f07edfc508c8201f9288f149390",
     "aep_process_file":
-        "742a13dbf71abcf5fd6024bfbac259e2df17deddb652b028e8e83b3d4f557c99",
+        "bb8be3abf4e8d0d2d634076c4ea20b287e961b8f2bc252ee3c1c70a55def53cd",
     "entropy_power_affine":
         "ee46424b9dc6d9facb8fe7215cac1bf58dca0e62081ee913d2a6d353b4592bef",
     "entropy_power_gaussian":

@@ -20,6 +20,7 @@ from infoconc.bounds import (HOLDS, INCONCLUSIVE, compare, mgf_bound_nd,
 from infoconc.distributions import (
     AffineMap,
     GaussianModel,
+    ParameterError,
     Product,
     RngStream,
     exponential,
@@ -191,13 +192,27 @@ class TestSampleInformation:
                                workers=workers)
         assert a.deviations.tobytes() == b.deviations.tobytes()
 
-    @pytest.mark.parametrize("spec", [
-        {"family": "gaussian", "params": {"dim": 2, "mean": [0.0, math.nan]}},
-        {"family": "uniform", "params": {"a": -math.inf, "b": 0.0}},
-        {"family": "gaussian1d", "params": {"mu": math.nan}},
+    def test_mean_only_gaussian_is_the_identity_affine_image(self):
+        mu = [0.5, -1.0, 2.0]
+        gaussian = {"family": "gaussian", "params": {"mean": mu}}
+        affine = {"family": "affine", "params": {
+            "base": {"family": "gaussian", "params": {"dim": 3}},
+            "matrix": np.eye(3).tolist(), "shift": mu}}
+        a = sample_information(model_from_spec(gaussian), 5000, RngStream(4))
+        b = sample_information(model_from_spec(affine), 5000, RngStream(4))
+        assert np.array_equal(a.deviations, b.deviations)
+
+    # a non-finite 1-D family parameter is refused where the model is
+    # built; a NaN mean reaches the one isfinite pass of the sampler
+    @pytest.mark.parametrize("spec,error", [
+        ({"family": "gaussian", "params": {"dim": 2, "mean": [0.0, math.nan]}},
+         NumericsError),
+        ({"family": "uniform", "params": {"a": -math.inf, "b": 0.0}},
+         ParameterError),
+        ({"family": "gaussian1d", "params": {"mu": math.nan}}, ParameterError),
     ], ids=["gaussian_nan_mean", "uniform_infinite_end", "gaussian1d_nan_mu"])
-    def test_non_finite_deviations_raise(self, spec):
-        with pytest.raises(NumericsError):
+    def test_non_finite_deviations_raise(self, spec, error):
+        with pytest.raises(error):
             sample_information(model_from_spec(spec), 1000, RngStream(1))
 
     def test_full_blocks_are_stable_across_total_size(self):

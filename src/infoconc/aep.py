@@ -187,12 +187,12 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     """Simulate ``trials`` trajectories and record -log f_n / n at each n.
 
     Each trajectory is one growing sample path read at the grid lengths.
-    When the process has an information law (k, c1, c), the path is drawn
-    at the grid points directly: the information of the d steps between
-    two grid lengths is their constants plus Gamma(k d, 1), independent
-    over disjoint intervals, so one ``standard_gamma`` draw per trial and
-    interval, a cumulative sum and the constant offsets c n + c1 - c have
-    exactly the joint law of the step sums at the grid points.
+    With an information law (k, c1, c), the d steps between two grid
+    lengths sum to their constants plus Gamma(k d, 1), independent over
+    disjoint intervals: one ``standard_gamma`` draw per trial and interval,
+    a cumulative sum and the offsets c n + c1 - c have exactly the joint
+    law of the path at the grid points.  Thread hand-offs cost more than a
+    few such draws, so a worker starts per ``_CHUNK_ELEMENTS`` of them.
 
     Otherwise every step is drawn and its -log f summed.  A block of
     trials is then drawn and summed in pieces of at most
@@ -216,6 +216,7 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
         k, first, c = process.info_law
         shapes = k * np.diff(grid, prepend=0)
         offsets = c * grid + (first - c)
+        workers = min(workers, -(-trials * grid.size // distributions._CHUNK_ELEMENTS))
 
         def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
             g = gen.standard_gamma(shapes, (hi - lo, grid.size))

@@ -197,6 +197,27 @@ class TestInformationLaw:
                 for w in (1, 2, 5)]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_law_route_pool_size(self, monkeypatch):
+        # one worker per started _CHUNK_ELEMENTS of draws; the bytes are the
+        # same whether the blocks run on the pool or not
+        used = []
+        run_blocks = RngStream.run_blocks
+
+        def spy(self, total, block, work, workers=1):
+            used.append(workers)
+            run_blocks(self, total, block, work, workers)
+
+        monkeypatch.setattr(RngStream, "run_blocks", spy)
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 4096)
+        process = IIDProcess(laplace())
+        runs = [run_trajectories(process, [1, 3, 10, 100], trials,
+                                 RngStream(71), workers=5).info.tobytes()
+                for trials in (TRIAL_BLOCK, 2 * TRIAL_BLOCK + 5, 4 * TRIAL_BLOCK)]
+        assert used == [1, 3, 4]
+        single = run_trajectories(process, [1, 3, 10, 100], 4 * TRIAL_BLOCK,
+                                  RngStream(71), workers=1)
+        assert single.info.tobytes() == runs[2]
+
 
 class NanLaw:
     """A process whose information law has a NaN constant."""

@@ -22,6 +22,7 @@ a usage or runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -499,8 +500,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parsing only reads the parser and fills a fresh namespace, so one serves
+# every call of main in the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "experiment", None) is None:

@@ -20,7 +20,8 @@ reproduces the same values.
 The n-dimensional log-densities work on whole blocks of points: a product
 evaluates each distinct component object once on all of its columns, and
 an affine matrix is factored once, at construction, so each call is one
-triangular solve per factor.
+triangular solve per factor.  A builder imports the scipy functions its
+density or matrix needs, so importing this module loads no scipy module.
 """
 from __future__ import annotations
 
@@ -31,8 +32,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import lu, solve_triangular
-from scipy.special import gammainc, gammaincinv, digamma, logsumexp, ndtr, ndtri
 
 from .numerics import (
     DomainError,
@@ -257,7 +256,8 @@ def _rejection_sampler(log_pdf: Callable, mode: float) -> Callable:
         out = np.empty(size)
         have = 0
         while have < size:
-            k = max(4 * (size - have) + (size - have) // 2, 256)
+            # 4.5 candidates per missing draw, at most a few MB per round
+            k = max(min(9 * (size - have) // 2, _CHUNK_ELEMENTS // 8), 256)
             region = gen.random(k)
             w = gen.random(k)
             v = gen.random(k)
@@ -308,6 +308,7 @@ def gamma(p: float) -> Density1D:
     if p == 1.0:
         return replace(exponential(), name="gamma(1)",
                        spec={"family": "gamma", "params": {"p": 1.0}})
+    from scipy.special import digamma, gammainc, gammaincinv
     lgp = log_gamma(p)
     ent = p + lgp + (1.0 - p) * float(digamma(p))
     log_pdf = lambda x: _masked_log(
@@ -332,6 +333,7 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
     mu, sigma = _finite(mu, "gaussian1d mu"), _finite(sigma, "gaussian1d sigma")
     if not sigma > 0.0:
         raise ParameterError(f"gaussian sigma must be positive, got {sigma!r}")
+    from scipy.special import ndtr, ndtri
     c = -0.5 * LOG_2PI - math.log(sigma)
     quantile = lambda t: mu + sigma * ndtri(t)
     return Density1D(
@@ -392,6 +394,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
 
 def half_normal() -> Density1D:
     """Half-normal: f(x) = sqrt(2/pi) e^(-x^2/2) on (0, inf)."""
+    from scipy.special import ndtr, ndtri
     c = 0.5 * math.log(2.0 / math.pi)
     log_pdf = lambda x: _masked_log(x, (0.0, math.inf), lambda y: c - 0.5 * y * y)
     quantile = lambda t: ndtri(0.5 * (1.0 + np.asarray(t, dtype=np.float64)))
@@ -432,6 +435,7 @@ def from_log_density(
         raise ParameterError(f"invalid support {support!r}")
     if order_p is not None and a < 0.0:
         raise ParameterError("order-p densities must have nonnegative support")
+    from scipy.special import logsumexp
 
     raw = lambda x: np.asarray(log_density_fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
     mode = unimodal_argmax(raw, support)
@@ -662,6 +666,8 @@ class _Solver:
     """
 
     def __init__(self, matrix: np.ndarray):
+        from scipy.linalg import lu, solve_triangular
+        self._solve_triangular = solve_triangular
         self.identity = np.array_equal(matrix, np.eye(len(matrix)))
         if np.array_equal(np.tril(matrix), matrix):
             self._perm = None
@@ -678,8 +684,8 @@ class _Solver:
             rows = np.take(rows, self._perm, axis=1)
         b = rows.T
         for factor, lower, unit in self._factors:
-            b = solve_triangular(factor, b, lower=lower, unit_diagonal=unit,
-                                 check_finite=False)
+            b = self._solve_triangular(factor, b, lower=lower,
+                                       unit_diagonal=unit, check_finite=False)
         return b.T
 
 

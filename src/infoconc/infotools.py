@@ -20,11 +20,11 @@ These are estimates only; ``bounds`` decides windows, vacuity and verdicts.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distributions import ModelND, RngStream
 from .numerics import DomainError, NumericsError, check_grid
@@ -53,7 +53,7 @@ DEFAULT_CONFIDENCE = 0.999
 def _z_value(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise DomainError(f"confidence must lie in (0, 1), got {confidence!r}")
-    return float(ndtri(0.5 * (1.0 + confidence)))
+    return statistics.NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import VarianceCaps, order_p_variance_caps
 from .distributions import Density1D, quantile_density
@@ -100,6 +99,7 @@ def moment_curve(density: Density1D, kind: str,
         raise DomainError(
             f"moment curves need a nonnegative variable, support starts at {lo!r}")
     arr = _check_orders(grid)
+    from scipy.special import logsumexp
     res = _log_x_rule(density, lambda log_m, log_x: logsumexp(
         log_m + arr[:, np.newaxis] * log_x, axis=-1))
     log_vals = res.value.copy()
@@ -231,6 +231,7 @@ def order_p_variance_check(density: Density1D) -> OrderPVarianceReport:
     p = density.order_p
     if p is None:
         raise DomainError(f"density {density.name!r} has no declared order")
+    from scipy.special import logsumexp
 
     def moments(log_m, log_x):
         mass = np.exp(log_m)

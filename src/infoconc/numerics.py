@@ -6,8 +6,8 @@ exact checks integrate with ``de_rule``: one double-exponential node set,
 on which the integrand is evaluated as one array and every quantity is a
 reduction, centred by ``unimodal_argmax`` and scaled by ``peak_width``,
 both array scans.  ``integrate`` and ``find_root_increasing`` wrap scipy's
-QUADPACK and Brent solvers for scalar callables, importing them only when
-called.
+QUADPACK and Brent solvers for scalar callables.  Every scipy module is
+imported only where a function needs it, so importing this one loads none.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp, polygamma
 
 __all__ = [
     "NumericsError",
@@ -125,6 +124,7 @@ def trigamma(p: float) -> float:
     """Second derivative of log Gamma, i.e. sum_{k>=0} 1/(p+k)^2, for p > 0."""
     if math.isnan(p) or p <= 0.0:
         raise DomainError(f"trigamma requires p > 0, got {p!r}")
+    from scipy.special import polygamma
     return float(polygamma(1, p))
 
 
@@ -290,6 +290,7 @@ def log_integral(
     ``peak_width``, and the integral is a log-sum-exp over them, so the log
     is accurate to about ``rel_tol`` whatever the size of the integral.
     """
+    from scipy.special import logsumexp
     peak = unimodal_argmax(exponent, support)
     res = de_rule(lambda x, log_w: logsumexp(log_w + exponent(x), axis=-1),
                   support, center=peak,

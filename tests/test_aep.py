@@ -379,12 +379,17 @@ class TestStreamedBlocks:
         got = run_trajectories(process, grid, trials, rng, workers=workers)
         assert got.info.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("process", PROCESSES, ids=PROCESS_IDS)
-    def test_memory_bounded_for_long_trajectories(self, process):
+    @pytest.mark.parametrize("process, trials", [
+        *((process, 8) for process in PROCESSES),
+        # the rejection sampler's rounds of candidates are bounded too; it
+        # draws about 12 uniforms per step, so two trials keep the test short
+        (IIDProcess(logistic()), 2)], ids=[*PROCESS_IDS, "rejection"])
+    def test_memory_bounded_for_long_trajectories(self, process, trials):
         # a whole 8 x 2^20 step array and its cumulative sum alone are 128 MB
         tracemalloc.start()
         try:
-            report = run_trajectories(process, [16, 2**20], 8, RngStream(43))
+            report = run_trajectories(process, [16, 2**20], trials,
+                                      RngStream(43))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

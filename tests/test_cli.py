@@ -644,12 +644,72 @@ class TestListBounds:
         assert not path.exists()
 
 
-def test_import_leaves_quadpack_and_brent_unloaded():
-    # scipy.integrate and scipy.optimize add a few tenths of a second to
-    # every start; only numerics.integrate and find_root_increasing use them
-    code = ("import sys, infoconc.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+_ON_DEMAND = ("scipy.integrate", "scipy.linalg", "scipy.optimize",
+              "scipy.special")
+
+
+def _fresh_process(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter on this path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _scipy_loaded_after(code: str) -> list:
+    """The modules of _ON_DEMAND loaded once ``code`` ran in a new process."""
+    out = _fresh_process(code + "\nimport json, sys\nprint(json.dumps(sorted("
+                         f"m for m in {_ON_DEMAND!r} if m in sys.modules)))")
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_leaves_quadpack_and_brent_unloaded():
+    # scipy.special and scipy.linalg add about 0.3 s to every start, more
+    # than numpy, and scipy.integrate and scipy.optimize more again; only the
+    # models and checks that use them import them, so none of these loads any
+    assert _scipy_loaded_after("import infoconc.cli") == []
+    for argv in (["aep", "--model", "laplace", "--samples", "2000",
+                  "--workers", "2"],
+                 ["tail", "--model", "exponential", "--samples", "2000"],
+                 ["list-bounds"]):
+        code = f"import infoconc.cli\nassert infoconc.cli.main({argv!r}) == 0"
+        assert _scipy_loaded_after(code) == [], argv
+
+
+@pytest.mark.parametrize("spec, loaded", [
+    ({"family": "gamma", "params": {"p": 2.0}}, "scipy.special"),
+    ({"family": "affine", "params": {"base": {"family": "exponential"},
+                                     "matrix": [[2.0]]}}, "scipy.linalg"),
+], ids=["gamma2", "affine"])
+def test_models_import_what_they_use_when_built(spec, loaded):
+    # each import runs while the model is built on the calling thread, none
+    # in the sampling pool: sampling on two workers loads nothing further
+    code = ("import sys\n"
+            "from infoconc import distributions, infotools\n"
+            f"model = distributions.model_from_spec({spec!r})\n"
+            "before = sorted(sys.modules)\n"
+            "infotools.sample_information(model, 2 * infotools.BLOCK_SIZE,\n"
+            "    distributions.RngStream(3), workers=2)\n"
+            "assert sorted(sys.modules) == before")
+    assert loaded in _scipy_loaded_after(code)
+
+
+def test_parser_is_reused_with_fresh_defaults(tmp_path):
+    # main keeps one parser per process: flags given to one call must not
+    # become the defaults of the next
+    base = ["tail", "--model", "exponential", "--samples", "3000",
+            "--t-grid", "0:2:1"]
+    assert main([*base, "--confidence", "0.99", "--workers", "2"]) == 0
+    outputs = []
+    for tag in ("in_process", "fresh"):
+        files = ["--out-csv", str(tmp_path / f"{tag}.csv"),
+                 "--out-json", str(tmp_path / f"{tag}.json")]
+        if tag == "in_process":
+            assert main(base + files) == 0
+        else:
+            _fresh_process(f"import infoconc.cli\n"
+                           f"assert infoconc.cli.main({base + files!r}) == 0")
+        outputs.append(((tmp_path / f"{tag}.csv").read_bytes(),
+                        read_json_no_meta(tmp_path / f"{tag}.json")))
+    assert outputs[0] == outputs[1]
+    config = outputs[0][1]["config"]
+    assert config["confidence"] == 0.999

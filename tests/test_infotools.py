@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import chdtr, chdtrc
+from scipy.special import chdtr, chdtrc, ndtri
 
 from infoconc.bounds import (HOLDS, INCONCLUSIVE, compare, mgf_bound_nd,
                              per_coordinate_tail_bound)
@@ -32,6 +32,7 @@ from infoconc.infotools import (
     BLOCK_SIZE,
     InfoSampleBatch,
     McEstimate,
+    _z_value,
     deviation_mean,
     deviation_variance,
     empirical_mgf,
@@ -79,7 +80,6 @@ class TestMcEstimate:
     def test_wilson_against_closed_form(self):
         m, k, conf = 5000, 1234, 0.99
         est = McEstimate.from_proportion(k, m, conf)
-        from scipy.special import ndtri
         z = float(ndtri(0.995))
         phat = k / m
         denom = 1.0 + z * z / m
@@ -100,6 +100,15 @@ class TestMcEstimate:
             est = McEstimate.from_proportion(int(k), m, confidence=0.95)
             covered += est.ci_low <= p_true <= est.ci_high
         assert covered >= 910
+
+    def test_z_value_matches_ndtri(self):
+        # statistics.NormalDist replaced scipy's ndtri: bit for bit at the
+        # default level; elsewhere the two inverses differ by up to 3 ulp
+        assert _z_value(0.999) == float(ndtri(0.9995)) == Z_999
+        for c in [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995,
+                  0.9999, 0.99999, 0.999999, 1.0 - 1e-9, 1.0 - 1e-12]:
+            want = float(ndtri(0.5 * (1.0 + c)))
+            assert abs(_z_value(c) - want) <= 3 * math.ulp(want)
 
     def test_mean_interval(self):
         est = McEstimate.from_values(np.array([1.0, 2.0, 3.0, 4.0]), 0.999)

@@ -42,11 +42,12 @@ from .distributions import (
     uniform,
 )
 from .bounds import (
-    BoundValue,
+    Bound,
     BoundVerdict,
     catalog,
     chebyshev_tail_1d,
     compare,
+    entropy_power_floor,
     exp_tail_bound,
     fixed_scale_mgf_bound,
     gaussian_tail_bound,

@@ -13,10 +13,10 @@ autoregression
 
     X_1 ~ N(0, sd^2/(1 - rho^2)),   X_k = rho X_{k-1} + sd Z_k.
 
-The autoregression evaluates its joint density by the chain rule, one
-conditional Gaussian per step, which is exact and O(n); the dense
-covariance form Sigma_ij = sigma1^2 rho^|i-j| exists only in the tests as
-an independent oracle.
+By the chain rule, one conditional Gaussian per step, the information of
+an autoregression step is a constant plus z^2/2 of its standardized
+innovation z; the dense covariance form Sigma_ij = sigma1^2 rho^|i-j|
+exists only in the tests, as an independent oracle for that law.
 
 A report reads each trajectory only at its grid lengths.  For most of the
 zoo the information of one step is c + Gamma(k, 1) in law, so such a
@@ -70,10 +70,6 @@ class IIDProcess:
     def joint_entropy(self, n: int) -> float:
         return n * self.entropy_rate
 
-    def joint_log_density(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.sum(self.base.log_pdf(x), axis=1)
-
     def _neg_log_steps(self, gen: np.random.Generator, trials: int,
                        length: int) -> np.ndarray:
         """-log f of ``length`` steps of ``trials`` trajectories, drawn
@@ -103,17 +99,6 @@ class GaussAR1:
     def joint_entropy(self, n: int) -> float:
         first = 0.5 * (LOG_2PI + 1.0 + math.log(self.sigma1_sq))
         return first + (n - 1) * self.entropy_rate
-
-    def joint_log_density(self, x: np.ndarray) -> np.ndarray:
-        """Chain-rule evaluation: one conditional Gaussian per step."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = -0.5 * (LOG_2PI + math.log(self.sigma1_sq)) \
-            - 0.5 * x[:, 0] ** 2 / self.sigma1_sq
-        if x.shape[1] > 1:
-            resid = x[:, 1:] - self.rho * x[:, :-1]
-            out = out - 0.5 * (x.shape[1] - 1) * (LOG_2PI + math.log(self.sd**2)) \
-                - 0.5 * np.sum(resid * resid, axis=1) / (self.sd * self.sd)
-        return out
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,27 @@
 """Closed-form concentration and moment bounds, and every verdict.
 
 Every bound certified by the experiment layer is evaluated here, in one
-place, with its validity window.  Bounds whose window depends on the
-arguments return a ``BoundValue`` carrying an ``in_window`` flag; evaluation
-outside the window is permitted (the curves are still defined) but flagged
-so reports can exclude those points from certification.  A bound past the
-largest double is ``inf``.
+place, as a ``Bound``: its value, whether the arguments lie in its validity
+window, its direction ("upper" caps the quantity from above, "lower" floors
+it from below) and the quantity's trivial extreme (1 for a probability
+capped from above, 0 for one floored from below, None where there is none).
+Evaluation outside the window is permitted (the curves are still defined)
+but flagged so reports can exclude those points from certification.  A
+bound past the largest double is ``inf``.
 
 The estimators return estimates and the exact checks margins; only this
-module judges them.  ``compare`` turns a confidence interval and a bound
-into one of three verdicts, ``exact_verdict`` a margin and its tolerance:
+module judges them.  ``compare(estimate, bound)`` turns a confidence
+interval and a ``Bound`` into one of three verdicts, ``exact_verdict`` a
+margin and its tolerance:
 
 HOLDS         the whole interval sits on the right side of the bound
 VIOLATED      the whole interval sits on the wrong side
 INCONCLUSIVE  the interval straddles the bound
 
-A bound weaker than the trivial one (probability above 1, or a lower bound
-below 0) is tagged vacuous; for lower bounds that also forces INCONCLUSIVE,
-since such a comparison certifies nothing.
+A bound beyond its trivial value (probability above 1, or a lower bound
+below 0) is tagged vacuous, and so is an infinite upper bound; a vacuous
+lower bound or an infinite upper bound also forces INCONCLUSIVE, since such
+a comparison certifies nothing.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from typing import NamedTuple, Optional
 from .numerics import DomainError, trigamma
 
 __all__ = [
-    "BoundValue",
+    "Bound",
     "BoundVerdict",
     "VarianceCaps",
     "FixedScaleMgf",
@@ -38,6 +42,7 @@ __all__ = [
     "exp_tail_bound",
     "gaussian_tail_bound",
     "per_coordinate_tail_bound",
+    "entropy_power_floor",
     "mgf_bound_1d",
     "chebyshev_tail_1d",
     "order_p_mgf_bound",
@@ -56,20 +61,28 @@ VIOLATED = "VIOLATED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class BoundValue(NamedTuple):
+@dataclass(frozen=True)
+class Bound:
+    """A bound's value, window, direction and trivial value; see the module
+    docstring."""
+
     value: float
-    in_window: bool
+    in_window: bool = True
+    direction: str = "upper"
+    trivial: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.direction not in ("upper", "lower"):
+            raise DomainError(f"unknown direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
 class BoundVerdict:
     verdict: str
     bound: float
-    ci_low: float
-    ci_high: float
     margin: float
     vacuous: bool
-    direction: str
+    in_window: bool
 
 
 @dataclass(frozen=True)
@@ -92,23 +105,24 @@ class FixedScaleMgf(NamedTuple):
     bound: float
 
 
-def exp_tail_bound(t: float) -> float:
+def exp_tail_bound(t: float) -> Bound:
     """Two-sided tail bound 2 e^(-t/16) for |h~ - h| >= t sqrt(n), any n."""
     if t < 0.0:
         raise DomainError(f"tail threshold must be nonnegative, got {t!r}")
-    return 2.0 * math.exp(-t / 16.0)
+    return Bound(2.0 * math.exp(-t / 16.0), trivial=1.0)
 
 
-def gaussian_tail_bound(t: float, n: int) -> BoundValue:
+def gaussian_tail_bound(t: float, n: int) -> Bound:
     """Gaussian-form tail bound 3 e^(-t^2/16), valid for 0 <= t <= 2 sqrt(n)."""
     if t < 0.0:
         raise DomainError(f"tail threshold must be nonnegative, got {t!r}")
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n!r}")
-    return BoundValue(3.0 * math.exp(-t * t / 16.0), t <= 2.0 * math.sqrt(n) + 1e-12)
+    return Bound(3.0 * math.exp(-t * t / 16.0),
+                 t <= 2.0 * math.sqrt(n) + 1e-12, trivial=1.0)
 
 
-def per_coordinate_tail_bound(s: float, n: int) -> BoundValue:
+def per_coordinate_tail_bound(s: float, n: int) -> Bound:
     """Per-coordinate tail bound 3 e^(-s^2 n/16), valid for 0 <= s <= 2.
 
     Same curve as the gaussian form at t = s sqrt(n); stated separately
@@ -118,7 +132,16 @@ def per_coordinate_tail_bound(s: float, n: int) -> BoundValue:
         raise DomainError(f"tail threshold must be nonnegative, got {s!r}")
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n!r}")
-    return BoundValue(3.0 * math.exp(-s * s * n / 16.0), s <= 2.0 + 1e-12)
+    return Bound(3.0 * math.exp(-s * s * n / 16.0), s <= 2.0 + 1e-12,
+                 trivial=1.0)
+
+
+def entropy_power_floor(s: float, n: int) -> Bound:
+    """Floor 1 - 3 e^(-s^2 n/16) on the probability that f(X)^(-2/n) lies
+    within e^(+-2s) of the entropy power, valid for 0 <= s <= 2: the
+    complement of the per-coordinate tail."""
+    tail = per_coordinate_tail_bound(s, n)
+    return Bound(1.0 - tail.value, tail.in_window, "lower", 0.0)
 
 
 def mgf_bound_1d(alpha: float) -> float:
@@ -136,7 +159,7 @@ def chebyshev_tail_1d(t: float) -> float:
     return 4.0 * math.exp(-t / 2.0)
 
 
-def order_p_mgf_bound(alpha: float, p: float, form: str = "two_sided") -> BoundValue:
+def order_p_mgf_bound(alpha: float, p: float, form: str = "two_sided") -> Bound:
     """Moment-generating bounds for log xi of an order-p variable.
 
     two_sided: E exp(alpha |log xi - E log xi|) <= 2 e^(2 alpha^2/(p-1)),
@@ -149,9 +172,9 @@ def order_p_mgf_bound(alpha: float, p: float, form: str = "two_sided") -> BoundV
     if form == "two_sided":
         if alpha < 0.0:
             raise DomainError(f"two-sided form needs alpha >= 0, got {alpha!r}")
-        return BoundValue(2.0 * math.exp(w), alpha <= p - 1.0 + 1e-12)
+        return Bound(2.0 * math.exp(w), alpha <= p - 1.0 + 1e-12)
     if form == "one_sided":
-        return BoundValue(math.exp(w), abs(alpha) <= p - 1.0 + 1e-12)
+        return Bound(math.exp(w), abs(alpha) <= p - 1.0 + 1e-12)
     raise DomainError(f"unknown form {form!r}")
 
 
@@ -175,7 +198,7 @@ def order_p_variance_caps(p: float) -> VarianceCaps:
     )
 
 
-def mgf_bound_nd(alpha: float, n: int) -> BoundValue:
+def mgf_bound_nd(alpha: float, n: int) -> Bound:
     """Dimensional bound 3 e^(4 alpha^2) on E exp((alpha/sqrt(n)) |h~ - h|),
     valid for 0 <= alpha <= sqrt(n)/4."""
     if alpha < 0.0:
@@ -186,7 +209,7 @@ def mgf_bound_nd(alpha: float, n: int) -> BoundValue:
         value = 3.0 * math.exp(4.0 * alpha * alpha)
     except OverflowError:
         value = math.inf
-    return BoundValue(value, alpha <= 0.25 * math.sqrt(n) + 1e-12)
+    return Bound(value, alpha <= 0.25 * math.sqrt(n) + 1e-12)
 
 
 def fixed_scale_mgf_bound() -> FixedScaleMgf:
@@ -194,7 +217,7 @@ def fixed_scale_mgf_bound() -> FixedScaleMgf:
     return FixedScaleMgf(scale=1.0 / 16.0, bound=2.0)
 
 
-def variance_cap_nd(n: int) -> float:
+def variance_cap_nd(n: int) -> Bound:
     """Reference cap on Var(h~) derived from the dimensional MGF bound.
 
     With beta = alpha/sqrt(n) and A = 3 e^(4 alpha^2) at alpha =
@@ -206,66 +229,43 @@ def variance_cap_nd(n: int) -> float:
     alpha = min(0.5, 0.25 * math.sqrt(n))
     beta = alpha / math.sqrt(n)
     a = 3.0 * math.exp(4.0 * alpha * alpha)
-    return 4.0 * a / (math.e * beta) ** 2
+    return Bound(4.0 * a / (math.e * beta) ** 2)
 
 
-def compare(
-    estimate,
-    bound: float,
-    direction: str = "upper",
-    trivial: Optional[float] = None,
-) -> BoundVerdict:
+def compare(estimate, bound: Bound) -> BoundVerdict:
     """Turn an empirical confidence interval into a verdict against a bound.
 
-    Parameters
-    ----------
-    estimate : object with ci_low / ci_high attributes (e.g. McEstimate).
-    bound : float
-        Theoretical bound the estimate is compared against.
-    direction : "upper" | "lower"
-        Whether the bound caps the quantity from above or floors it from
-        below.
-    trivial : float or None
-        The trivial extreme of the quantity (1 for probabilities compared
-        from above, 0 for probabilities compared from below).  Bounds beyond
-        it are tagged vacuous; a vacuous lower bound is also forced to
-        INCONCLUSIVE because it cannot certify anything.  So is an infinite
-        upper bound, whatever ``trivial``.
+    ``estimate`` has ci_low / ci_high attributes (e.g. McEstimate).  The
+    bound's direction says which side of it the interval must sit on, and
+    its trivial value which bounds are vacuous; its window is carried into
+    the verdict as it is.
     """
     lo, hi = float(estimate.ci_low), float(estimate.ci_high)
-    if direction == "upper":
-        vacuous = bound == math.inf or (trivial is not None and bound > trivial)
-        if bound == math.inf:
+    b, trivial = bound.value, bound.trivial
+    if bound.direction == "upper":
+        vacuous = b == math.inf or (trivial is not None and b > trivial)
+        if b == math.inf:
             verdict = INCONCLUSIVE
-        elif hi <= bound:
+        elif hi <= b:
             verdict = HOLDS
-        elif lo > bound:
+        elif lo > b:
             verdict = VIOLATED
         else:
             verdict = INCONCLUSIVE
-        margin = bound - hi
-    elif direction == "lower":
-        vacuous = trivial is not None and bound < trivial
+        margin = b - hi
+    else:
+        vacuous = trivial is not None and b < trivial
         if vacuous:
             verdict = INCONCLUSIVE
-        elif lo >= bound:
+        elif lo >= b:
             verdict = HOLDS
-        elif hi < bound:
+        elif hi < b:
             verdict = VIOLATED
         else:
             verdict = INCONCLUSIVE
-        margin = lo - bound
-    else:
-        raise DomainError(f"unknown direction {direction!r}")
-    return BoundVerdict(
-        verdict=verdict,
-        bound=float(bound),
-        ci_low=lo,
-        ci_high=hi,
-        margin=float(margin),
-        vacuous=vacuous,
-        direction=direction,
-    )
+        margin = lo - b
+    return BoundVerdict(verdict, float(b), float(margin), vacuous,
+                        bound.in_window)
 
 
 def exact_verdict(margin: float, tol: float, converged: bool) -> str:

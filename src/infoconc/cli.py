@@ -184,20 +184,20 @@ def _cells(e) -> tuple:
 
 # Row builders: each turns its experiment's subject into CSV rows (in the
 # order of the experiment's header), the config entries it adds, and an
-# optional last stdout line; every verdict in them comes from bounds.
+# optional last stdout line; every verdict in them comes from bounds, and
+# a Monte Carlo row reads its bound, window and vacuity off the same verdict.
 
 def _tail_rows(batch, args):
     ts = parse_grid(args.t_grid)
     rows = []
     for row in empirical_tail(batch, ts, scaling=args.scaling,
                               confidence=args.confidence):
-        exp_b = bounds.exp_tail_bound(row.t)
-        exp_v = bounds.compare(row.estimate, exp_b, "upper", trivial=1.0)
-        gauss = bounds.gaussian_tail_bound(row.t, batch.dim)
-        gauss_v = bounds.compare(row.estimate, gauss.value, "upper", trivial=1.0)
+        exp_v = bounds.compare(row.estimate, bounds.exp_tail_bound(row.t))
+        gauss_v = bounds.compare(row.estimate,
+                                 bounds.gaussian_tail_bound(row.t, batch.dim))
         rows.append((row.t, row.threshold_nats, row.exceedances,
-                     *_cells(row.estimate), exp_b, exp_v.vacuous,
-                     exp_v.verdict, gauss.value, gauss.in_window,
+                     *_cells(row.estimate), exp_v.bound, exp_v.vacuous,
+                     exp_v.verdict, gauss_v.bound, gauss_v.in_window,
                      gauss_v.verdict))
     return rows, {"t_grid": ts, "scaling": args.scaling}, None
 
@@ -209,9 +209,9 @@ def _mgf_rows(batch, args):
                              confidence=args.confidence):
         # e^(a y) <= e^(|a| |y|): a one-sided row of either sign sits under
         # the two-sided bound at |a|
-        b = bounds.mgf_bound_nd(abs(row.alpha), batch.dim)
-        v = bounds.compare(row.estimate, b.value, "upper")
-        rows.append((row.alpha, *_cells(row.estimate), b.value, b.in_window,
+        v = bounds.compare(row.estimate,
+                           bounds.mgf_bound_nd(abs(row.alpha), batch.dim))
+        rows.append((row.alpha, *_cells(row.estimate), v.bound, v.in_window,
                      v.verdict))
     return rows, {"alpha_grid": alphas, "form": args.form}, None
 
@@ -219,10 +219,9 @@ def _mgf_rows(batch, args):
 def _variance_rows(batch, args):
     mean = deviation_mean(batch, args.confidence)
     var = deviation_variance(batch, args.confidence)
-    cap = bounds.variance_cap_nd(batch.dim)
-    verdict = bounds.compare(var, cap, "upper")
+    v = bounds.compare(var, bounds.variance_cap_nd(batch.dim))
     return [(batch.dim, batch.m, mean.value, mean.ci_low, mean.ci_high,
-             *_cells(var), cap, var.value / batch.dim, verdict.verdict)], {}, None
+             *_cells(var), v.bound, var.value / batch.dim, v.verdict)], {}, None
 
 
 def _entropy_power_rows(batch, args):
@@ -230,9 +229,8 @@ def _entropy_power_rows(batch, args):
     rows = []
     for s in svals:
         est = entropy_power_band(batch, s, confidence=args.confidence)
-        tail = bounds.per_coordinate_tail_bound(s, batch.dim)
-        v = bounds.compare(est, 1.0 - tail.value, "lower", trivial=0.0)
-        rows.append((s, *_cells(est), v.bound, tail.in_window, v.vacuous,
+        v = bounds.compare(est, bounds.entropy_power_floor(s, batch.dim))
+        rows.append((s, *_cells(est), v.bound, v.in_window, v.vacuous,
                      v.verdict))
     return rows, {"s_grid": svals}, None
 
@@ -293,10 +291,10 @@ def _aep_rows(report, args):
     svals = parse_grid(args.s_grid)
     rows = []
     for row in report.exceedance_table(svals, confidence=args.confidence):
-        tail = bounds.per_coordinate_tail_bound(row.s, row.n)
-        v = bounds.compare(row.estimate, tail.value, "upper", trivial=1.0)
+        v = bounds.compare(row.estimate,
+                           bounds.per_coordinate_tail_bound(row.s, row.n))
         rows.append((row.n, row.s, row.exceedances, *_cells(row.estimate),
-                     tail.value, tail.in_window, v.vacuous, v.verdict))
+                     v.bound, v.in_window, v.vacuous, v.verdict))
     medians = report.sup_deviation_medians()
     config = {"s_grid": svals, "entropy_rate": report.entropy_rate,
               "sup_deviation_medians": [float(x) for x in medians]}

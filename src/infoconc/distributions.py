@@ -165,10 +165,6 @@ class Density1D:
     order_p : float or None
         When set, the density factors as x^(order_p - 1) * g(x) on positive
         support with g log-concave.
-    splittable_sampler : bool
-        Whether ``sample(gen, a + b)`` draws the values of ``sample(gen, a)``
-        followed by ``sample(gen, b)``; false for the rejection sampler,
-        whose batches are sized from the request.
     info_law : (k, c) or None
         When set, -log f(X) is c + Gamma(k, 1) in law (k = 0: the constant c).
     """
@@ -179,7 +175,6 @@ class Density1D:
     mode: float
     spec: dict = field(repr=False)
     order_p: Optional[float] = None
-    splittable_sampler: bool = True
     info_law: Optional[Tuple[float, float]] = None
     _log_pdf: Callable = field(repr=False, default=None)
     _sampler: Callable = field(repr=False, default=None)
@@ -514,7 +509,6 @@ def from_log_density(
         mode=mode,
         spec={"family": "custom", "params": {"name": name}},
         order_p=order_p,
-        splittable_sampler=False,
         _log_pdf=log_pdf,
         _sampler=_rejection_sampler(log_pdf, mode),
         _quantile=quantile,
@@ -625,11 +619,11 @@ class Product(ModelND):
         self.spec = {"family": "product", "params": {"components": [c.spec for c in components]}}
         # the column runs, in column order: adjacent columns of one component
         # object (identity, not spec: two custom densities may share a name)
-        # share a draw when its sampler splits, and a log_pdf call
+        # share a draw and a log_pdf call
         self._runs = []
         for i, c in enumerate(components):
             last = self._runs[-1] if self._runs else None
-            if last and last[0] is c and c.splittable_sampler:
+            if last and last[0] is c:
                 self._runs[-1] = (c, last[1], i + 1)
             else:
                 self._runs.append((c, i, i + 1))
@@ -643,8 +637,9 @@ class Product(ModelND):
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         # fixed column order keeps streams reproducible; k columns of a run
-        # draw size * k values, the stream of k column draws in turn, at
-        # most about _CHUNK_ELEMENTS at a time
+        # take one draw of size * k values, reshaped, at most about
+        # _CHUNK_ELEMENTS at a time (for an inverse-CDF or gamma component,
+        # the stream of k column draws in turn)
         out = np.empty((size, self.dim))
         step = max(1, _CHUNK_ELEMENTS // max(size, 1))
         for c, lo, hi in self._runs:
@@ -657,22 +652,24 @@ class Product(ModelND):
 class _Solver:
     """x -> T^-1 x on each row of a (rows, n) array, for an invertible T.
 
-    T is factored once: the identity has no factor, a lower-triangular T is
-    its own factor, any other is split as P L U by ``scipy.linalg.lu``.  A
-    call is one ``solve_triangular`` per factor on the whole (n, rows) block.
+    T is factored once: the identity has no factor and loads no scipy
+    module, a lower-triangular T is its own factor, any other is split as
+    P L U by ``scipy.linalg.lu``.  A call is one ``solve_triangular`` per
+    factor on the whole (n, rows) block.
     The factors are only read, so one solver can serve concurrent worker
     threads; ``lu_solve`` on a shared ``lu_factor`` pair is not safe that
     way and gave wrong solutions under two threads.
     """
 
     def __init__(self, matrix: np.ndarray):
+        self.identity = np.array_equal(matrix, np.eye(len(matrix)))
+        self._perm, self._factors = None, []
+        if self.identity:
+            return
         from scipy.linalg import lu, solve_triangular
         self._solve_triangular = solve_triangular
-        self.identity = np.array_equal(matrix, np.eye(len(matrix)))
         if np.array_equal(np.tril(matrix), matrix):
-            self._perm = None
-            self._factors = [] if self.identity else [
-                (np.asfortranarray(matrix), True, False)]
+            self._factors = [(np.asfortranarray(matrix), True, False)]
         else:
             p, l, u = lu(matrix)
             self._perm = np.argmax(p, axis=0)  # P^T b == b[perm]

@@ -269,8 +269,8 @@ def entropy_power_band(batch: InfoSampleBatch, s: float = 1.0,
     """Coverage of the band f(X)^(-2/n) within e^(+-2s) of the entropy power.
 
     The band is exactly the event |dev| < s n, so its probability is floored
-    by 1 - 3 e^(-s^2 n / 16) (``bounds.per_coordinate_tail_bound``) inside
-    the window s <= 2.
+    by 1 - 3 e^(-s^2 n / 16) (``bounds.entropy_power_floor``) inside the
+    window s <= 2.
     """
     if s <= 0.0:
         raise DomainError(f"band half-width must be positive, got {s!r}")

@@ -158,16 +158,13 @@ def test_06_sqrt_n_tail_verdicts():
             batch = info_batch(family, n)
             for row in empirical_tail(batch, t_grid, scaling="sqrt_n"):
                 tag = f"{family} n={n} t={row.t:g}"
-                exp_v = bounds.compare(row.estimate, bounds.exp_tail_bound(row.t),
-                                       direction="upper", trivial=1.0)
+                exp_v = bounds.compare(row.estimate, bounds.exp_tail_bound(row.t))
                 if exp_v.verdict != HOLDS:
                     fails.append(f"{tag}: exp-form verdict {exp_v.verdict}")
-                gauss = bounds.gaussian_tail_bound(row.t, n)
-                if gauss.in_window:
-                    g_v = bounds.compare(row.estimate, gauss.value,
-                                         direction="upper", trivial=1.0)
-                    if g_v.verdict != HOLDS:
-                        fails.append(f"{tag}: gaussian-form verdict {g_v.verdict}")
+                g_v = bounds.compare(row.estimate,
+                                     bounds.gaussian_tail_bound(row.t, n))
+                if g_v.in_window and g_v.verdict != HOLDS:
+                    fails.append(f"{tag}: gaussian-form verdict {g_v.verdict}")
                 if family == "gaussian":
                     exact = exact_gaussian_tail(n, row.threshold_nats)
                     if not row.estimate.ci_low <= exact <= row.estimate.ci_high:
@@ -186,10 +183,9 @@ def test_07_dimensional_mgf_verdicts():
             batch = info_batch(family, n)
             alphas = np.arange(0.0, 0.25 * math.sqrt(n) + 1e-9, 0.25)
             for row in empirical_mgf(batch, alphas, form="two_sided_abs"):
-                bound = bounds.mgf_bound_nd(row.alpha, n)
-                verdict = bounds.compare(row.estimate, bound.value,
-                                         direction="upper")
-                if not bound.in_window:
+                verdict = bounds.compare(row.estimate,
+                                         bounds.mgf_bound_nd(row.alpha, n))
+                if not verdict.in_window:
                     fails.append(f"{family} n={n} alpha={row.alpha:g}: "
                                  "outside window")
                 elif verdict.verdict != HOLDS:
@@ -202,13 +198,12 @@ def test_07_dimensional_mgf_verdicts():
 def test_08_entropy_power_band():
     t0 = time.perf_counter()
     fails = []
-    tail = bounds.per_coordinate_tail_bound(1.0, 64)
-    if not tail.in_window:
+    floor = bounds.entropy_power_floor(1.0, 64)
+    if not floor.in_window:
         fails.append("band outside window")
     for family in ("gaussian", "exponential"):
         band = entropy_power_band(info_batch(family, 64), s=1.0)
-        verdict = bounds.compare(band, 1.0 - tail.value, direction="lower",
-                                 trivial=0.0)
+        verdict = bounds.compare(band, floor)
         if verdict.verdict != HOLDS:
             fails.append(f"{family}: coverage {band.value:.5f} vs "
                          f"floor {verdict.bound:.5f} gave {verdict.verdict}")
@@ -253,9 +248,9 @@ def test_11_aep_convergence():
     report = run_trajectories(GaussAR1(rho=0.5), np.array([16, 64, 256, 1024]),
                               trials=10**4, rng=RngStream(SEED, 500), workers=2)
     for row in report.exceedance_table([0.5]):
-        bound = bounds.per_coordinate_tail_bound(row.s, row.n).value
-        verdict = bounds.compare(row.estimate, bound, direction="upper",
-                                 trivial=1.0)
+        verdict = bounds.compare(
+            row.estimate, bounds.per_coordinate_tail_bound(row.s, row.n))
+        bound = verdict.bound
         expected = 3.0 * math.exp(-row.n / 64.0)
         if abs(bound - expected) > 1e-12:
             fails.append(f"n={row.n}: bound {bound} != 3 exp(-n/64)")

@@ -1,13 +1,12 @@
 """Tests for the equipartition simulation layer.
 
-Oracles: the autoregression's joint density is checked against the dense
-multivariate Gaussian with covariance Sigma_ij = sigma1^2 rho^|i-j| (built
-with plain linear algebra, a fully independent route).  The information
-law route (one Gamma draw per grid interval) is checked in law against
-trajectories drawn step by step: the base sampler and log_pdf for i.i.d.
-processes, the AR(1) recursion and the dense covariance for the
-autoregression, by two-sample KS tests and the exact mean and variance of
-c n + Gamma(k n).  The streamed step route is checked byte for byte
+Oracles: the information law route (one Gamma draw per grid interval) is
+checked in law against trajectories drawn step by step: the base sampler
+and log_pdf for i.i.d. processes; for the autoregression, the AR(1)
+recursion evaluated by the dense multivariate Gaussian with covariance
+Sigma_ij = sigma1^2 rho^|i-j| (built with plain linear algebra, a fully
+independent route).  The checks are two-sample KS tests and the exact mean
+and variance of c n + Gamma(k n).  The streamed step route is checked byte for byte
 against the cumulative sum of whole blocks, with the piece budget forced
 small enough to split trials into column pieces.  Frozen entropy rates:
 
@@ -113,11 +112,6 @@ class TestProcessDefinitions:
         assert proc.entropy_rate == 1.0
         assert proc.joint_entropy(7) == 7.0
 
-    def test_iid_joint_density_is_a_sum(self):
-        proc = IIDProcess(exponential())
-        x = np.array([[1.0, 2.0, 0.5]])
-        assert abs(proc.joint_log_density(x)[0] + 3.5) < 1e-12
-
     def test_ar1_stationary_variance(self):
         proc = GaussAR1(0.5, 1.0)
         assert abs(proc.sigma1_sq - 4.0 / 3.0) < 1e-15
@@ -132,16 +126,6 @@ class TestProcessDefinitions:
         for n in (2, 3, 10, 100):
             inc = proc.joint_entropy(n) - proc.joint_entropy(n - 1)
             assert abs(inc - proc.entropy_rate) < 1e-12
-
-    @pytest.mark.parametrize("rho,sd", [(0.5, 1.0), (0.8, 1.7), (-0.4, 0.6)])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_chain_rule_matches_dense_covariance(self, rho, sd, n):
-        proc = GaussAR1(rho, sd)
-        gen = RngStream(17).generator()
-        x = gen.standard_normal((5, n)) * sd
-        got = proc.joint_log_density(x)
-        want = dense_gaussian_log_density(x, rho, sd)
-        assert np.max(np.abs(got - want)) < 1e-9
 
     def test_step_shortcut_matches_rebuilt_trajectory(self):
         # the Gamma(1/2) law shortcut against trajectories rebuilt by the
@@ -353,7 +337,7 @@ def _logistic():
     # sampled here by its closed-form inverse CDF: the rejection sampler
     # sizes its batches from the request, so its pieces could not match
     # whole blocks
-    return replace(logistic(), splittable_sampler=True,
+    return replace(logistic(),
                    _sampler=infoconc.distributions._inverse_cdf_sampler(logit))
 
 
@@ -419,10 +403,9 @@ class TestConvergenceAndExceedance:
         assert len(rows) == 2
         small, large = rows
         assert small.n == 16 and large.n == 256
-        # judged as the aep command judges a row
         small_v, large_v = (
-            compare(r.estimate, per_coordinate_tail_bound(r.s, r.n).value,
-                    "upper", trivial=1.0) for r in rows)
+            compare(r.estimate, per_coordinate_tail_bound(r.s, r.n))
+            for r in rows)
         # at n = 16 the bound exceeds one: tagged, still mechanically fine
         assert small_v.bound > 1.0
         assert small_v.vacuous

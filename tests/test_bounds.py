@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from infoconc.bounds import (
-    BoundValue,
     HOLDS,
     INCONCLUSIVE,
     VIOLATED,
+    Bound,
     catalog,
     chebyshev_tail_1d,
     compare,
+    entropy_power_floor,
     exact_verdict,
     exp_tail_bound,
     fixed_scale_mgf_bound,
@@ -48,13 +49,13 @@ def interval(lo, hi):
 
 class TestTailBounds:
     def test_exp_tail_values(self):
-        assert exp_tail_bound(0.0) == 2.0
-        assert abs(exp_tail_bound(16.0) - 2.0 / math.e) < 1e-15
-        assert abs(exp_tail_bound(8.0) - 2.0 * math.exp(-0.5)) < 1e-15
+        assert exp_tail_bound(0.0).value == 2.0
+        assert abs(exp_tail_bound(16.0).value - 2.0 / math.e) < 1e-15
+        assert abs(exp_tail_bound(8.0).value - 2.0 * math.exp(-0.5)) < 1e-15
 
     def test_exp_tail_decreasing(self):
         ts = np.arange(0.0, 12.5, 0.5)
-        vals = [exp_tail_bound(t) for t in ts]
+        vals = [exp_tail_bound(t).value for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_exp_tail_negative_threshold(self):
@@ -92,11 +93,18 @@ class TestTailBounds:
         assert per_coordinate_tail_bound(2.0, 8).in_window
         assert not per_coordinate_tail_bound(2.1, 8).in_window
 
+    @pytest.mark.parametrize("s, n", [(0.1, 4), (1.0, 64), (2.0, 8), (2.1, 8)])
+    def test_entropy_power_floor_is_the_tail_complement(self, s, n):
+        tail = per_coordinate_tail_bound(s, n)
+        floor = entropy_power_floor(s, n)
+        assert floor.value == 1.0 - tail.value
+        assert floor.in_window == tail.in_window
+
     def test_crossover_against_root_finder(self):
         # locate where the two tail curves cross: log(exp form / gaussian
         # form) = log(2/3) - t/16 + t^2/16 increases past t = 1/2
         def log_ratio(t):
-            return (math.log(exp_tail_bound(t))
+            return (math.log(exp_tail_bound(t).value)
                     - math.log(gaussian_tail_bound(t, 64).value))
         root = find_root_increasing(log_ratio, 0.0, (1.0, 10.0), tol=1e-12)
         assert abs(root - CROSSOVER) < 1e-10
@@ -104,9 +112,9 @@ class TestTailBounds:
     def test_ordering_flips_at_crossover(self):
         ts = CROSSOVER
         for t in (0.0, 1.0, ts - 0.01):
-            assert exp_tail_bound(t) < gaussian_tail_bound(t, 64).value
+            assert exp_tail_bound(t).value < gaussian_tail_bound(t, 64).value
         for t in (ts + 0.01, 4.0, 8.0):
-            assert exp_tail_bound(t) > gaussian_tail_bound(t, 64).value
+            assert exp_tail_bound(t).value > gaussian_tail_bound(t, 64).value
 
     def test_chebyshev_values(self):
         assert chebyshev_tail_1d(0.0) == 4.0
@@ -268,74 +276,94 @@ class TestVarianceCaps:
 
     def test_dimensional_variance_cap(self):
         for n in (4, 16, 64, 1024):
-            assert abs(variance_cap_nd(n) - 48.0 * n / math.e) < 1e-9 * n
+            assert abs(variance_cap_nd(n).value - 48.0 * n / math.e) < 1e-9 * n
         # below n = 4 the optimizing alpha is sqrt(n)/4, not 1/2
-        assert abs(variance_cap_nd(1) - 33.364597142485465) < 1e-12
-        assert variance_cap_nd(1) > 48.0 / math.e
+        assert abs(variance_cap_nd(1).value - 33.364597142485465) < 1e-12
+        assert variance_cap_nd(1).value > 48.0 / math.e
         with pytest.raises(DomainError):
             variance_cap_nd(0)
 
 
 class TestCompare:
     def test_upper_holds(self):
-        v = compare(interval(0.01, 0.02), 0.05, direction="upper", trivial=1.0)
+        v = compare(interval(0.01, 0.02), Bound(0.05, trivial=1.0))
         assert v.verdict == HOLDS
         assert not v.vacuous
         assert abs(v.margin - 0.03) < 1e-15
 
     def test_upper_violated(self):
-        v = compare(interval(0.08, 0.09), 0.05, direction="upper")
+        v = compare(interval(0.08, 0.09), Bound(0.05))
         assert v.verdict == VIOLATED
         assert v.margin < 0.0
 
     def test_upper_inconclusive(self):
-        v = compare(interval(0.04, 0.06), 0.05, direction="upper")
+        v = compare(interval(0.04, 0.06), Bound(0.05))
         assert v.verdict == INCONCLUSIVE
 
     def test_upper_boundary_holds(self):
-        v = compare(interval(0.04, 0.05), 0.05, direction="upper")
+        v = compare(interval(0.04, 0.05), Bound(0.05))
         assert v.verdict == HOLDS
         assert v.margin == 0.0
 
     def test_upper_vacuous_keeps_mechanical_verdict(self):
         # a probability bound above 1 is tagged but still compared
-        v = compare(interval(0.97, 0.999), 2.0, direction="upper", trivial=1.0)
+        v = compare(interval(0.97, 0.999), Bound(2.0, trivial=1.0))
         assert v.verdict == HOLDS
         assert v.vacuous
 
     @pytest.mark.parametrize("hi", [2.0, math.inf])
     def test_upper_infinite_bound_certifies_nothing(self, hi):
-        v = compare(interval(1.5, hi), math.inf, direction="upper")
+        v = compare(interval(1.5, hi), Bound(math.inf))
         assert v.vacuous
         assert v.verdict == INCONCLUSIVE
 
     def test_upper_bound_exactly_trivial_not_tagged(self):
-        v = compare(interval(0.5, 0.6), 1.0, direction="upper", trivial=1.0)
+        v = compare(interval(0.5, 0.6), Bound(1.0, trivial=1.0))
         assert not v.vacuous
 
     def test_lower_holds(self):
-        v = compare(interval(0.95, 0.97), 0.9, direction="lower", trivial=0.0)
+        v = compare(interval(0.95, 0.97), Bound(0.9, True, "lower", 0.0))
         assert v.verdict == HOLDS
         assert abs(v.margin - 0.05) < 1e-15
         assert not v.vacuous
 
     def test_lower_violated(self):
-        v = compare(interval(0.80, 0.85), 0.9, direction="lower")
+        v = compare(interval(0.80, 0.85), Bound(0.9, direction="lower"))
         assert v.verdict == VIOLATED
 
     def test_lower_inconclusive(self):
-        v = compare(interval(0.89, 0.91), 0.9, direction="lower")
+        v = compare(interval(0.89, 0.91), Bound(0.9, direction="lower"))
         assert v.verdict == INCONCLUSIVE
 
     def test_lower_vacuous_forces_inconclusive(self):
         # a negative lower bound on a probability certifies nothing
-        v = compare(interval(0.99, 1.0), -1.99, direction="lower", trivial=0.0)
+        v = compare(interval(0.99, 1.0), Bound(-1.99, True, "lower", 0.0))
         assert v.vacuous
         assert v.verdict == INCONCLUSIVE
 
     def test_unknown_direction(self):
         with pytest.raises(DomainError):
-            compare(interval(0.0, 1.0), 0.5, direction="middle")
+            Bound(0.5, direction="middle")
+
+    @pytest.mark.parametrize("in_window", [True, False])
+    def test_window_is_carried_not_judged(self, in_window):
+        v = compare(interval(0.01, 0.02), Bound(0.05, in_window, trivial=1.0))
+        assert v.in_window is in_window
+        assert v.verdict == HOLDS
+
+    @pytest.mark.parametrize("bound, direction, trivial", [
+        (exp_tail_bound(1.0), "upper", 1.0),
+        (gaussian_tail_bound(1.0, 4), "upper", 1.0),
+        (per_coordinate_tail_bound(1.0, 4), "upper", 1.0),
+        (entropy_power_floor(1.0, 4), "lower", 0.0),
+        (mgf_bound_nd(0.5, 4), "upper", None),
+        (variance_cap_nd(4), "upper", None),
+        (order_p_mgf_bound(0.5, 2.0), "upper", None),
+    ], ids=["exp_tail", "gaussian_tail", "per_coordinate_tail",
+            "entropy_power_floor", "mgf_nd", "variance_nd", "order_p_mgf"])
+    def test_each_bound_states_its_direction_and_trivial_value(
+            self, bound, direction, trivial):
+        assert (bound.direction, bound.trivial) == (direction, trivial)
 
 
 class TestExactVerdict:

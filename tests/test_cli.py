@@ -322,7 +322,8 @@ class TestTailCommand:
     def test_violation_exits_two(self, tmp_path, monkeypatch):
         # squeeze the exponential-form bound to an impossible level so the
         # comparison machinery reports VIOLATED
-        monkeypatch.setattr(cli.bounds, "exp_tail_bound", lambda t: 1e-12)
+        monkeypatch.setattr(cli.bounds, "exp_tail_bound",
+                            lambda t: cli.bounds.Bound(1e-12))
         rc = main(["tail", "--model", "gaussian", "--dim", "2",
                    "--samples", "5000", "--seed", "5", "--t-grid", "0:1:0.5"])
         assert rc == 2
@@ -670,6 +671,10 @@ def test_import_leaves_quadpack_and_brent_unloaded():
     for argv in (["aep", "--model", "laplace", "--samples", "2000",
                   "--workers", "2"],
                  ["tail", "--model", "exponential", "--samples", "2000"],
+                 # a mean alone is an identity map: nothing to factor
+                 ["tail", "--model", json.dumps(
+                     {"family": "gaussian", "params": {"mean": [0.5, 0.5]}}),
+                  "--samples", "2000"],
                  ["list-bounds"]):
         code = f"import infoconc.cli\nassert infoconc.cli.main({argv!r}) == 0"
         assert _scipy_loaded_after(code) == [], argv

@@ -456,23 +456,24 @@ def test_grouped_product_log_density_equals_stacked_sum(spec):
     assert m.log_density(x[7]) == stacked_log_density(m, x[7])
 
 
-def column_by_column_sample(m: Product, gen, size: int) -> np.ndarray:
-    """Reference: one sample call per column, in column order."""
-    return np.stack([c.sample(gen, size) for c in m.components], axis=-1)
-
-
 @pytest.mark.parametrize("budget", [2**19, 2000], ids=["whole_runs", "split_runs"])
 def test_product_runs_sample_the_column_stream(monkeypatch, budget):
     # runs of one inverse-CDF, gamma or custom (rejection) component,
-    # broken by other objects, and a custom run keeping its own calls;
-    # the small budget splits the runs into pieces of two columns
+    # broken by other objects; the small budget splits the runs into pieces
+    # of two columns.  The inverse-CDF and gamma runs draw the stream of
+    # one call per column; the custom run of two columns is one rejection
+    # draw of size * 2, reshaped
     monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
     e, g = exponential(), gamma(2.0)
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
     m = Product([e, e, e, g, g, bump, bump, e, laplace(), e])
     for size in (0, 1, 777):
         got = m.sample(RngStream(seed=22).generator(), size)
-        want = column_by_column_sample(m, RngStream(seed=22).generator(), size)
+        gen = RngStream(seed=22).generator()
+        want = np.column_stack(
+            [c.sample(gen, size) for c in m.components[:5]]
+            + list(bump.sample(gen, 2 * size).reshape(2, size))
+            + [c.sample(gen, size) for c in m.components[7:]])
         assert np.array_equal(got, want)
 
 

@@ -107,6 +107,17 @@ CASES = {
                                "--workers", "2", "--n-grid", "4,8"], None),
     "aep_process_file": (["aep", "--model-file", "@model", "--samples", "400",
                           "--seed", "16", "--n-grid", "2,8,32"], AR1),
+    # rows past a validity window: t = 3 > 2 sqrt(1), s = 3 > 2, s = 2.5 > 2
+    "tail_gaussian_past_window": (["tail", "--model", "gaussian",
+                                   "--samples", "2000", "--seed", "17",
+                                   "--t-grid", "0:3:1"], None),
+    "entropy_power_past_window": (["entropy_power", "--model", "exponential",
+                                   "--dim", "2", "--samples", "2000",
+                                   "--seed", "18", "--s-grid", "1,3"], None),
+    # gamma(2) has no information law, so this is the step route
+    "aep_iid_gamma2": (["aep", "--model", "gamma", "--p", "2",
+                        "--samples", "300", "--seed", "19", "--n-grid", "2,8",
+                        "--s-grid", "0.5,2.5"], None),
 }
 
 # SHA-256 of each case, taken with DIGEST_VERSIONS
@@ -115,6 +126,8 @@ DIGESTS = {
         "c69d61152301eca0c083ce5e30f9f5184900824a87b623c654449206491a05cb",
     "aep_iid_exponential":
         "47e86e2a30001597db3e0d80ea0490f76b8c79fe2d132d0e1f519b156efbd5c3",
+    "aep_iid_gamma2":
+        "1503a026e7f4155851749b6974babec70c400f42100b85cc69229326fa663c6a",
     "aep_iid_json_workers2":
         "5dd4e2aad058a50ed95e01b1a75e4549274c3f07edfc508c8201f9288f149390",
     "aep_process_file":
@@ -123,6 +136,8 @@ DIGESTS = {
         "ee46424b9dc6d9facb8fe7215cac1bf58dca0e62081ee913d2a6d353b4592bef",
     "entropy_power_gaussian":
         "2a49e2b709410d5b974ff7e071dc3da0735803eec90776f1df89ffb1cd007d11",
+    "entropy_power_past_window":
+        "e19bea29feb8615c89917d468812a4398c1bcbd429920093e1b709e23b45fa26",
     "list_bounds":
         "8aa847e9d35867f73df5c519d7e7cd2418f0602fcbbcdc7a89066db32f6741a0",
     "lyapunov_exp_normalized":
@@ -151,6 +166,8 @@ DIGESTS = {
         "00edc824c2d6a9536aa7a68f8b8b97dbcedd3ab5b58c44d7ea749a5560878394",
     "tail_gaussian":
         "1c2cc4e7296639b7b9ff7a04492691f9838b42fbe17eca20d607741b184e6fcd",
+    "tail_gaussian_past_window":
+        "745ec4bf5e0543e57ee76f34160b219845a00e76781c66a1ff9d7a42f69e8faf",
     "tail_workers2":
         "bfcdd7cf39860179fdea3d10fb57ed5ed50e19090c0a9221e173575c42778d04",
     "variance_cov_factor":

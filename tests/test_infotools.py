@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy.special import chdtr, chdtrc, ndtri
 
-from infoconc.bounds import (HOLDS, INCONCLUSIVE, compare, mgf_bound_nd,
-                             per_coordinate_tail_bound)
+from infoconc.bounds import (HOLDS, INCONCLUSIVE, Bound, compare,
+                             entropy_power_floor, mgf_bound_nd)
 from infoconc.distributions import (
     AffineMap,
     GaussianModel,
@@ -317,9 +317,8 @@ class TestEmpiricalMgf:
     def test_dimensional_bound_holds(self):
         batch = sample_information(GaussianModel(16), 100000, RngStream(88))
         row = empirical_mgf(batch, [1.0])[0]
-        bound = mgf_bound_nd(1.0, 16)
-        assert bound.in_window
-        verdict = compare(row.estimate, bound.value, "upper")
+        verdict = compare(row.estimate, mgf_bound_nd(1.0, 16))
+        assert verdict.in_window
         assert verdict.verdict == HOLDS
 
     def test_one_sided_allows_negative_alpha(self, expo):
@@ -332,7 +331,7 @@ class TestEmpiricalMgf:
         batch = make_batch([0.0, 800.0, 1600.0])
         row = empirical_mgf(batch, [1.0])[0]
         assert math.isinf(row.estimate.value)
-        verdict = compare(row.estimate, 4.0, "upper")
+        verdict = compare(row.estimate, Bound(4.0))
         assert verdict.verdict == INCONCLUSIVE
 
     def test_validation(self, expo):
@@ -347,19 +346,12 @@ class TestEmpiricalMgf:
             empirical_mgf(make_batch([0.5]), [0.0, 0.5])
 
 
-def band_verdict(estimate, s, n):
-    """The band floor 1 - 3 e^(-s^2 n/16) against a coverage estimate,
-    judged as the entropy_power command judges it."""
-    floor = 1.0 - per_coordinate_tail_bound(s, n).value
-    return compare(estimate, floor, "lower", trivial=0.0)
-
-
 class TestBands:
     def test_entropy_power_band_gaussian(self):
         batch = sample_information(GaussianModel(64), 100000, RngStream(4096))
         est = entropy_power_band(batch, s=1.0)
-        verdict = band_verdict(est, 1.0, 64)
-        assert per_coordinate_tail_bound(1.0, 64).in_window
+        verdict = compare(est, entropy_power_floor(1.0, 64))
+        assert verdict.in_window
         assert abs(verdict.bound - (1.0 - 3.0 * math.exp(-4.0))) < 1e-15
         assert verdict.verdict == HOLDS
         # the exact coverage is 1 - 8e-15; every sample should land inside
@@ -370,8 +362,8 @@ class TestBands:
         # belongs to the bound
         batch = make_batch(np.zeros(100), dim=4)
         assert entropy_power_band(batch, s=2.5).value == 1.0
-        assert not per_coordinate_tail_bound(2.5, 4).in_window
-        assert per_coordinate_tail_bound(2.0, 4).in_window
+        assert not entropy_power_floor(2.5, 4).in_window
+        assert entropy_power_floor(2.0, 4).in_window
 
     # the band is the entropy-typical set {|dev| < s n}
     def test_typical_set_vacuous_regime(self):
@@ -379,7 +371,7 @@ class TestBands:
         # certifies nothing and must say so
         batch = sample_information(GaussianModel(4), 50000, RngStream(7))
         est = entropy_power_band(batch, 0.1)
-        verdict = band_verdict(est, 0.1, 4)
+        verdict = compare(est, entropy_power_floor(0.1, 4))
         assert abs(verdict.bound - TYPICAL_BOUND_01_4) < 1e-15
         assert verdict.vacuous
         assert verdict.verdict == INCONCLUSIVE
@@ -389,7 +381,8 @@ class TestBands:
 
     def test_typical_set_informative_regime(self):
         batch = sample_information(GaussianModel(256), 50000, RngStream(8))
-        verdict = band_verdict(entropy_power_band(batch, 0.5), 0.5, 256)
+        verdict = compare(entropy_power_band(batch, 0.5),
+                          entropy_power_floor(0.5, 256))
         assert not verdict.vacuous
         assert verdict.verdict == HOLDS
 

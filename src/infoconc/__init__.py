@@ -45,15 +45,11 @@ from .bounds import (
     Bound,
     BoundVerdict,
     catalog,
-    chebyshev_tail_1d,
     compare,
     entropy_power_floor,
     exp_tail_bound,
-    fixed_scale_mgf_bound,
     gaussian_tail_bound,
-    mgf_bound_1d,
     mgf_bound_nd,
-    order_p_mgf_bound,
     order_p_variance_caps,
     per_coordinate_tail_bound,
     variance_cap_nd,
@@ -72,7 +68,6 @@ from .infotools import (
 from .lyapunov import (
     MomentCurve,
     check_convexity_direction,
-    khinchine_check,
     moment_curve,
     order_p_variance_check,
     quantile_density_concavity,

@@ -1,13 +1,13 @@
 """Closed-form concentration and moment bounds, and every verdict.
 
-Every bound certified by the experiment layer is evaluated here, in one
-place, as a ``Bound``: its value, whether the arguments lie in its validity
-window, its direction ("upper" caps the quantity from above, "lower" floors
-it from below) and the quantity's trivial extreme (1 for a probability
-capped from above, 0 for one floored from below, None where there is none).
-Evaluation outside the window is permitted (the curves are still defined)
-but flagged so reports can exclude those points from certification.  A
-bound past the largest double is ``inf``.
+Every bound an experiment certifies is evaluated here, in one place, as a
+``Bound``: its value, whether the arguments lie in its validity window, its
+direction ("upper" caps the quantity from above, "lower" floors it from
+below) and the quantity's trivial extreme (1 for a probability capped from
+above, 0 for one floored from below, None where there is none).  Evaluation
+outside the window is permitted (the curves are still defined) but flagged
+so reports can exclude those points from certification.  A bound past the
+largest double is ``inf``.  ``catalog()`` states these bounds and no other.
 
 The estimators return estimates and the exact checks margins; only this
 module judges them.  ``compare(estimate, bound)`` turns a confidence
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .numerics import DomainError, trigamma
 
@@ -35,7 +35,6 @@ __all__ = [
     "Bound",
     "BoundVerdict",
     "VarianceCaps",
-    "FixedScaleMgf",
     "HOLDS",
     "VIOLATED",
     "INCONCLUSIVE",
@@ -43,12 +42,8 @@ __all__ = [
     "gaussian_tail_bound",
     "per_coordinate_tail_bound",
     "entropy_power_floor",
-    "mgf_bound_1d",
-    "chebyshev_tail_1d",
-    "order_p_mgf_bound",
     "order_p_variance_caps",
     "mgf_bound_nd",
-    "fixed_scale_mgf_bound",
     "variance_cap_nd",
     "log_cp",
     "compare",
@@ -100,11 +95,6 @@ class VarianceCaps:
     log_cap: Optional[float]
 
 
-class FixedScaleMgf(NamedTuple):
-    scale: float
-    bound: float
-
-
 def exp_tail_bound(t: float) -> Bound:
     """Two-sided tail bound 2 e^(-t/16) for |h~ - h| >= t sqrt(n), any n."""
     if t < 0.0:
@@ -144,40 +134,6 @@ def entropy_power_floor(s: float, n: int) -> Bound:
     return Bound(1.0 - tail.value, tail.in_window, "lower", 0.0)
 
 
-def mgf_bound_1d(alpha: float) -> float:
-    """One-dimensional bound 2^(1+alpha) / ((1-alpha)(2-alpha)) on
-    E exp(alpha |log f(X) - E log f(X)|), for 0 <= alpha < 1."""
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha!r}")
-    return 2.0 ** (1.0 + alpha) / ((1.0 - alpha) * (2.0 - alpha))
-
-
-def chebyshev_tail_1d(t: float) -> float:
-    """Tail bound 4 e^(-t/2) implied by the alpha = 1/2 moment bound."""
-    if t < 0.0:
-        raise DomainError(f"tail threshold must be nonnegative, got {t!r}")
-    return 4.0 * math.exp(-t / 2.0)
-
-
-def order_p_mgf_bound(alpha: float, p: float, form: str = "two_sided") -> Bound:
-    """Moment-generating bounds for log xi of an order-p variable.
-
-    two_sided: E exp(alpha |log xi - E log xi|) <= 2 e^(2 alpha^2/(p-1)),
-    valid for 0 <= alpha <= p-1.  one_sided drops the factor 2 and allows
-    |alpha| <= p-1.
-    """
-    if p <= 1.0:
-        raise DomainError(f"order must satisfy p > 1, got {p!r}")
-    w = 2.0 * alpha * alpha / (p - 1.0)
-    if form == "two_sided":
-        if alpha < 0.0:
-            raise DomainError(f"two-sided form needs alpha >= 0, got {alpha!r}")
-        return Bound(2.0 * math.exp(w), alpha <= p - 1.0 + 1e-12)
-    if form == "one_sided":
-        return Bound(math.exp(w), abs(alpha) <= p - 1.0 + 1e-12)
-    raise DomainError(f"unknown form {form!r}")
-
-
 def log_cp(p: float) -> float:
     """log C_p with C_p = (p+1)^(p+1) (p-1)^(p-1) / p^(2p), for p > 1."""
     if p <= 1.0:
@@ -210,11 +166,6 @@ def mgf_bound_nd(alpha: float, n: int) -> Bound:
     except OverflowError:
         value = math.inf
     return Bound(value, alpha <= 0.25 * math.sqrt(n) + 1e-12)
-
-
-def fixed_scale_mgf_bound() -> FixedScaleMgf:
-    """Fixed-scale form: E exp(|h~ - h| / (16 sqrt(n))) <= 2 for every n."""
-    return FixedScaleMgf(scale=1.0 / 16.0, bound=2.0)
 
 
 def variance_cap_nd(n: int) -> Bound:
@@ -307,42 +258,6 @@ _CATALOG = [
         "tail of the per-coordinate information deviation: P{|h~ - h| >= s*n}; drives the equipartition checks",
     ),
     BoundInfo(
-        "information_mgf_1d",
-        "2^(1+alpha)/((1-alpha)*(2-alpha))",
-        "0 <= alpha < 1, dimension 1",
-        "moment bound on E exp(alpha*|log f(X) - E log f(X)|) for one-dimensional log-concave X",
-    ),
-    BoundInfo(
-        "information_mgf_1d_half",
-        "(8/3)*sqrt(2) < 4",
-        "alpha = 1/2, dimension 1",
-        "fixed-scale instance of the one-dimensional moment bound",
-    ),
-    BoundInfo(
-        "information_tail_cheb_1d",
-        "4*exp(-t/2)",
-        "t >= 0, dimension 1",
-        "Chebyshev-style tail implied by the alpha = 1/2 moment bound",
-    ),
-    BoundInfo(
-        "order_p_mgf_two_sided",
-        "2*exp(2*alpha^2/(p-1))",
-        "0 <= alpha <= p-1, order p > 1",
-        "two-sided exponential moment of log xi - E log xi for an order-p variable",
-    ),
-    BoundInfo(
-        "order_p_mgf_one_sided",
-        "exp(2*alpha^2/(p-1))",
-        "|alpha| <= p-1, order p > 1",
-        "one-sided exponential moment of log xi - E log xi for an order-p variable",
-    ),
-    BoundInfo(
-        "order_p_mgf_fixed",
-        "E exp((sqrt(p)/6)*|log xi - E log xi|) < 3",
-        "order p >= 1",
-        "fixed-constant exponential moment; via 2*exp(1/9) < 3 for p >= 2 and the one-dimensional route below p = 2",
-    ),
-    BoundInfo(
         "order_p_var_ratio",
         "Var(xi) <= (1/p)*E[xi]^2",
         "order p >= 1",
@@ -373,18 +288,6 @@ _CATALOG = [
         "dimensional moment bound on E exp((alpha/sqrt(n))*|h~ - h|) for log-concave X in R^n",
     ),
     BoundInfo(
-        "information_mgf_nd_fixed",
-        "E exp(|h~ - h|/(16*sqrt(n))) <= 2",
-        "any dimension n",
-        "fixed-scale dimensional moment bound (scale 1/16, constant 2); source of the exponential tail",
-    ),
-    BoundInfo(
-        "khinchine_moment",
-        "E xi^p <= Gamma(p+1)*(E xi)^p",
-        "p >= 1, xi log-concave on (0, inf)",
-        "Khinchine-type moment comparison; extremal for the standard exponential",
-    ),
-    BoundInfo(
         "entropy_power_band",
         "P{f(X)^(-2/n) within e^(+-2s) of N(X)} >= 1 - 3*exp(-s^2*n/16)",
         "0 <= s <= 2",
@@ -401,9 +304,7 @@ _CATALOG = [
 
 
 def catalog() -> list:
-    """Metadata (name, formula, validity, statement) of every stated bound.
-
-    An experiment certifies the entries named in its ``bounds`` set in
-    ``cli._EXPERIMENTS``; the other entries are stated but not certified.
-    """
+    """Metadata (name, formula, validity, statement) of every bound an
+    experiment certifies: the union of the ``bounds`` sets in
+    ``cli._EXPERIMENTS``."""
     return list(_CATALOG)

@@ -752,7 +752,7 @@ class BallUniform(ModelND):
 
     def __init__(self, dim: int, radius: float = 1.0):
         dim = _whole(dim, "ball dimension")
-        radius = float(radius)
+        radius = _finite(radius, "ball radius")
         if dim < 1:
             raise ParameterError(f"ball dimension must be >= 1, got {dim!r}")
         if not radius > 0.0:

@@ -285,8 +285,10 @@ def deviation_variance(batch: InfoSampleBatch,
     The standard error uses Var(s^2) ~ (mu4 - sigma^4)/m, adequate at the
     batch sizes used here.
     """
-    d = batch.deviations - batch.deviations.mean()
     m = batch.m
+    if m < 2:
+        raise DomainError("need at least two draws for a variance estimate")
+    d = batch.deviations - batch.deviations.mean()
     s2 = float(np.dot(d, d)) / (m - 1)
     mu4 = float(np.mean(d**4))
     se = math.sqrt(max(0.0, mu4 - s2 * s2) / m)

@@ -37,11 +37,9 @@ __all__ = [
     "P_MAX",
     "MomentCurve",
     "ConvexityReport",
-    "KhinchineReport",
     "OrderPVarianceReport",
     "moment_curve",
     "check_convexity_direction",
-    "khinchine_check",
     "order_p_variance_check",
     "quantile_density_concavity",
 ]
@@ -52,8 +50,8 @@ P_MAX = 40.0
 
 _KINDS = ("raw", "normalized", "hat")
 
-# How far below zero a margin may fall and pass: moment-curve chords,
-# moment comparisons and variance caps; quantile-density chords.
+# How far below zero a margin may fall and pass: moment-curve chords and
+# variance caps; quantile-density chords.
 _TOL = 1e-7
 _QUANTILE_DENSITY_TOL = 1e-9
 
@@ -165,39 +163,6 @@ def _convexity_report(name: str, direction: str, xs: np.ndarray,
         grid=xs,
         values=ys,
         defects=signed,
-    )
-
-
-@dataclass(frozen=True)
-class KhinchineReport:
-    density_name: str
-    grid: np.ndarray
-    margins: np.ndarray
-    ok: bool
-    tol: float
-
-
-def khinchine_check(density: Density1D,
-                    grid: Sequence[float]) -> KhinchineReport:
-    """Moment comparison E eta^p <= Gamma(p+1) (E eta)^p on a grid.
-
-    In terms of the normalized curve L this is L(p) <= p L(1); margins are
-    p L(1) - L(p), with equality for the standard exponential.  The
-    comparison needs p >= 1: (lambda_p)^(1/p) is decreasing in p, so below
-    the first moment the inequality runs the other way.
-    """
-    arr = _check_orders(grid)
-    if arr[0] < 1.0:
-        raise DomainError("moment comparison requires orders p >= 1")
-    curve = moment_curve(density, "normalized", arr)
-    l1 = moment_curve(density, "normalized", [1.0]).log_values[0]
-    margins = arr * l1 - curve.log_values
-    return KhinchineReport(
-        density_name=density.name,
-        grid=arr,
-        margins=margins,
-        ok=bool(np.min(margins) >= -_TOL),
-        tol=_TOL,
     )
 
 

@@ -132,7 +132,7 @@ def test_04_reverse_lyapunov_suite():
 def test_05_universal_mgf_below_four():
     fails = []
     slowest = 0.0
-    half_bound = bounds.mgf_bound_1d(0.5)
+    half_bound = (8.0 / 3.0) * math.sqrt(2.0)  # 2^(3/2) / ((1/2)(3/2))
     for i, d in enumerate(dist.standard_zoo()):
         t0 = time.perf_counter()
         batch = sample_information(Product([d]), M_LARGE,

@@ -16,17 +16,13 @@ from infoconc.bounds import (
     VIOLATED,
     Bound,
     catalog,
-    chebyshev_tail_1d,
     compare,
     entropy_power_floor,
     exact_verdict,
     exp_tail_bound,
-    fixed_scale_mgf_bound,
     gaussian_tail_bound,
     log_cp,
-    mgf_bound_1d,
     mgf_bound_nd,
-    order_p_mgf_bound,
     order_p_variance_caps,
     per_coordinate_tail_bound,
     variance_cap_nd,
@@ -35,12 +31,9 @@ from infoconc.cli import _EXPERIMENTS
 from infoconc.numerics import DomainError, find_root_increasing, trigamma
 
 # Frozen constants.
-MGF_1D_HALF = 3.7712361663282534     # (8/3) * sqrt(2)
-MGF_1D_QUARTER = 1.812125127623194   # 2^(5/4) / ((3/4)(7/4))
 CROSSOVER = 3.095658245942757        # root of t^2 - t = 16 log(3/2)
 CP_AT_2 = 1.6875                     # 27/16
 FIXED_SCALE_CHAIN = 1.4009534943137194   # (3 e^{1/4})^{1/4}
-ORDER_P_FIXED_CHAIN = 2.2350381374837274  # 2 e^{1/9}
 
 
 def interval(lo, hi):
@@ -116,33 +109,7 @@ class TestTailBounds:
         for t in (ts + 0.01, 4.0, 8.0):
             assert exp_tail_bound(t).value > gaussian_tail_bound(t, 64).value
 
-    def test_chebyshev_values(self):
-        assert chebyshev_tail_1d(0.0) == 4.0
-        assert abs(chebyshev_tail_1d(2.0) - 4.0 / math.e) < 1e-15
-        with pytest.raises(DomainError):
-            chebyshev_tail_1d(-1.0)
-
-
 class TestMgfBounds:
-    def test_one_dimensional_values(self):
-        assert mgf_bound_1d(0.0) == 1.0
-        assert abs(mgf_bound_1d(0.5) - MGF_1D_HALF) < 5e-15
-        assert abs(mgf_bound_1d(0.25) - MGF_1D_QUARTER) < 5e-15
-
-    def test_one_dimensional_below_four_at_half(self):
-        assert mgf_bound_1d(0.5) < 4.0
-
-    def test_one_dimensional_increasing_and_divergent(self):
-        grid = np.arange(0.0, 0.95, 0.05)
-        vals = [mgf_bound_1d(a) for a in grid]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-        assert mgf_bound_1d(0.999) > 1000.0
-
-    @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5])
-    def test_one_dimensional_domain(self, alpha):
-        with pytest.raises(DomainError):
-            mgf_bound_1d(alpha)
-
     def test_dimensional_values(self):
         b = mgf_bound_nd(0.0, 4)
         assert b.value == 3.0 and b.in_window
@@ -172,61 +139,13 @@ class TestMgfBounds:
     def test_fixed_scale_from_jensen_chain(self):
         # At alpha = 1/4 the dimensional bound is 3 e^{1/4} for every n,
         # and Jensen at a quarter of that scale gives (3 e^{1/4})^{1/4} < 2.
-        fs = fixed_scale_mgf_bound()
-        assert fs.scale == 1.0 / 16.0
-        assert fs.bound == 2.0
         for n in (1, 4, 64):
             b = mgf_bound_nd(0.25, n)
             assert abs(b.value - 3.0 * math.exp(0.25)) < 1e-14
             assert b.in_window
         chained = mgf_bound_nd(0.25, 1).value ** 0.25
         assert abs(chained - FIXED_SCALE_CHAIN) < 1e-14
-        assert chained < fs.bound
-
-
-class TestOrderPBounds:
-    def test_two_sided_values(self):
-        b = order_p_mgf_bound(0.0, 2.0)
-        assert b.value == 2.0 and b.in_window
-        b = order_p_mgf_bound(1.0, 2.0, form="two_sided")
-        assert abs(b.value - 2.0 * math.exp(2.0)) < 1e-12
-        assert b.in_window
-
-    def test_one_sided_values(self):
-        b = order_p_mgf_bound(1.0, 2.0, form="one_sided")
-        assert abs(b.value - math.exp(2.0)) < 1e-12
-        b = order_p_mgf_bound(-1.0, 2.0, form="one_sided")
-        assert abs(b.value - math.exp(2.0)) < 1e-12
-        assert b.in_window
-
-    @pytest.mark.parametrize("p", [1.5, 2.0, 5.0, 10.0])
-    def test_window_edges(self, p):
-        assert order_p_mgf_bound(p - 1.0, p).in_window
-        assert not order_p_mgf_bound(p - 0.9, p).in_window or p > 1.9
-        assert not order_p_mgf_bound(p - 1.0 + 0.01, p).in_window
-        assert order_p_mgf_bound(-(p - 1.0), p, form="one_sided").in_window
-        assert not order_p_mgf_bound(-(p - 0.98), p, form="one_sided").in_window
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            order_p_mgf_bound(0.5, 1.0)
-        with pytest.raises(DomainError):
-            order_p_mgf_bound(-0.5, 2.0, form="two_sided")
-        with pytest.raises(DomainError):
-            order_p_mgf_bound(0.5, 2.0, form="sideways")
-
-    def test_fixed_constant_chain(self):
-        # alpha = sqrt(p)/6 stays inside the window for p >= 2 and the
-        # two-sided bound there is at most 2 e^{1/9} < 3; below p = 2 the
-        # one-dimensional bound at alpha = 1/4 already gives < 2.
-        for p in np.arange(2.0, 40.5, 0.5):
-            alpha = math.sqrt(p) / 6.0
-            b = order_p_mgf_bound(alpha, p)
-            assert b.in_window
-            assert b.value <= ORDER_P_FIXED_CHAIN + 1e-12
-            assert b.value < 3.0
-        assert abs(2.0 * math.exp(1.0 / 9.0) - ORDER_P_FIXED_CHAIN) < 1e-14
-        assert mgf_bound_1d(0.25) < 2.0
+        assert chained < 2.0
 
 
 class TestVarianceCaps:
@@ -358,9 +277,8 @@ class TestCompare:
         (entropy_power_floor(1.0, 4), "lower", 0.0),
         (mgf_bound_nd(0.5, 4), "upper", None),
         (variance_cap_nd(4), "upper", None),
-        (order_p_mgf_bound(0.5, 2.0), "upper", None),
     ], ids=["exp_tail", "gaussian_tail", "per_coordinate_tail",
-            "entropy_power_floor", "mgf_nd", "variance_nd", "order_p_mgf"])
+            "entropy_power_floor", "mgf_nd", "variance_nd"])
     def test_each_bound_states_its_direction_and_trivial_value(
             self, bound, direction, trivial):
         assert (bound.direction, bound.trivial) == (direction, trivial)
@@ -382,7 +300,7 @@ class TestExactVerdict:
 class TestCatalog:
     def test_size_and_uniqueness(self):
         entries = catalog()
-        assert len(entries) >= 12
+        assert len(entries) == 10
         names = [e.name for e in entries]
         assert len(set(names)) == len(names)
 
@@ -394,40 +312,24 @@ class TestCatalog:
                 assert isinstance(v, str) and v
 
     def test_expected_members(self):
-        names = {e.name for e in catalog()}
-        for required in (
+        assert {e.name for e in catalog()} == {
             "information_tail_exp",
             "information_tail_gaussian",
             "per_coordinate_tail",
-            "information_mgf_1d",
-            "information_tail_cheb_1d",
-            "order_p_mgf_two_sided",
             "order_p_var_ratio",
+            "order_p_var_cp",
             "order_p_var_log_trigamma",
+            "order_p_var_log_simple",
             "information_mgf_nd",
-            "information_mgf_nd_fixed",
-            "khinchine_moment",
             "entropy_power_band",
-        ):
-            assert required in names
+            "information_variance_nd",
+        }
 
     def test_experiments_certify_catalog_entries(self):
-        # every bound an experiment reports is a catalog entry; the rest
-        # are the entries no experiment certifies yet (ROADMAP item 4), so
-        # certifying or deleting one must update this list
+        # the catalog states exactly the bounds the experiments certify
         names = {e.name for e in catalog()}
         certified = set().union(*(e.bounds for e in _EXPERIMENTS.values()))
-        assert certified <= names
-        assert names - certified == {
-            "information_mgf_1d",
-            "information_mgf_1d_half",
-            "information_tail_cheb_1d",
-            "order_p_mgf_two_sided",
-            "order_p_mgf_one_sided",
-            "order_p_mgf_fixed",
-            "information_mgf_nd_fixed",
-            "khinchine_moment",
-        }
+        assert names == certified
 
     def test_json_serializable_and_stable(self):
         payload = [e.as_dict() for e in catalog()]

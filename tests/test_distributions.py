@@ -677,7 +677,10 @@ def test_bad_specs_raise_parameter_error(spec):
     (lambda: gamma(math.inf), "gamma shape p"),
     (lambda: density_from_spec({"family": "gaussian1d",
                                 "params": {"mu": math.nan}}), "gaussian1d mu"),
-], ids=["mu", "sigma", "a", "b", "p", "spec_mu"])
+    (lambda: model_from_spec({"family": "ball_uniform",
+                              "params": {"dim": 3, "radius": math.inf}}),
+     "ball radius"),
+], ids=["mu", "sigma", "a", "b", "p", "spec_mu", "ball_radius"])
 def test_non_finite_parameters_are_named(build, name):
     with pytest.raises(ParameterError, match=f"{name} must be finite"):
         build()

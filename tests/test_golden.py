@@ -139,7 +139,7 @@ DIGESTS = {
     "entropy_power_past_window":
         "e19bea29feb8615c89917d468812a4398c1bcbd429920093e1b709e23b45fa26",
     "list_bounds":
-        "8aa847e9d35867f73df5c519d7e7cd2418f0602fcbbcdc7a89066db32f6741a0",
+        "89dce6cb65bbb93671f23fa6eb381e218fa9d8c539a721c5799e355cce2be0e8",
     "lyapunov_exp_normalized":
         "365933dc7424fb1c0c41063eaa452c3a5272538fe8791a49b6415327e9bcd58f",
     "lyapunov_gamma_raw":

@@ -341,9 +341,13 @@ class TestEmpiricalMgf:
             empirical_mgf(expo, [-0.5], form="two_sided_abs")
         with pytest.raises(DomainError):
             empirical_mgf(expo, [0.5], form="diagonal")
-        # one draw has no standard error
+        # one draw has no standard error, and no sample variance either
         with pytest.raises(DomainError):
             empirical_mgf(make_batch([0.5]), [0.0, 0.5])
+        with pytest.raises(DomainError):
+            deviation_mean(make_batch([0.3]))
+        with pytest.raises(DomainError):
+            deviation_variance(make_batch([0.3]))
 
 
 class TestBands:

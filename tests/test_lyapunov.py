@@ -28,7 +28,6 @@ from infoconc.lyapunov import (
     MomentCurve,
     P_MAX,
     check_convexity_direction,
-    khinchine_check,
     moment_curve,
     order_p_variance_check,
     quantile_density_concavity,
@@ -209,28 +208,29 @@ class TestTriples:
         assert abs(triple_margin(curve, 3.0, 2.0, 1.0) - math.log(9.0 / 8.0)) < 1e-7
 
 
+def khinchine_margins(density, grid):
+    """p L(1) - L(p) on the normalized curve L of a grid that starts at 1."""
+    curve = moment_curve(density, "normalized", grid)
+    assert curve.grid[0] == 1.0
+    return curve.grid * curve.log_values[0] - curve.log_values
+
+
 class TestKhinchine:
+    # E eta^p <= Gamma(p+1) (E eta)^p for p >= 1 is L(p) <= p L(1): the
+    # concave normalized curve lies below its chord from L(0) = 0
     def test_exponential_is_extremal(self):
-        report = khinchine_check(exponential(), list(np.arange(1.0, 10.5, 0.5)))
-        assert report.ok
-        assert np.max(np.abs(report.margins)) < 1e-7
+        margins = khinchine_margins(exponential(), list(np.arange(1.0, 10.5, 0.5)))
+        assert np.max(np.abs(margins)) < 1e-7
 
     def test_uniform_margin_frozen_value(self):
-        report = khinchine_check(uniform(0.0, 1.0), [1.0, 2.0, 3.0])
-        assert report.ok
-        idx = list(report.grid).index(2.0)
-        assert abs(report.margins[idx] - LOG_3_2) < 1e-8
+        margins = khinchine_margins(uniform(0.0, 1.0), [1.0, 2.0, 3.0])
+        assert np.min(margins) >= -1e-7
+        assert abs(margins[1] - LOG_3_2) < 1e-8
 
     @pytest.mark.parametrize("density", positive_zoo(), ids=lambda d: d.name)
     def test_zoo_margins_nonnegative(self, density):
-        report = khinchine_check(density, list(np.arange(1.0, 10.5, 0.5)))
-        assert report.ok, (density.name, report.margins.min())
-
-    def test_rejects_orders_below_one(self):
-        # below the first moment the comparison reverses, so the checker
-        # refuses rather than report a meaningless violation
-        with pytest.raises(DomainError):
-            khinchine_check(gamma(5.0), [0.5, 1.0, 2.0])
+        margins = khinchine_margins(density, list(np.arange(1.0, 10.5, 0.5)))
+        assert np.min(margins) >= -1e-7, (density.name, margins.min())
 
 
 class TestOrderPVariance:

@@ -17,11 +17,12 @@ anchored at the mode).  Randomness comes from counter-based Philox streams
 keyed by (seed, stream_id), so any partition of the work across workers
 reproduces the same values.
 
-The n-dimensional log-densities work on whole blocks of points: a product
-evaluates each distinct component object once on all of its columns, and
-an affine matrix is factored once, at construction, so each call is one
-triangular solve per factor.  A builder imports the scipy functions its
-density or matrix needs, so importing this module loads no scipy module.
+The n-dimensional models work on row chunks of points: a product draws
+and evaluates each run of one component object once per chunk, its
+columns filled row by row, and an affine matrix is inverted once, at
+construction, so each solve is one matrix product.  A builder imports the
+scipy functions its density needs, so importing this module loads no scipy
+module.
 """
 from __future__ import annotations
 
@@ -81,6 +82,14 @@ def _finite(value, what: str) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ParameterError(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _finite_array(value, what: str) -> np.ndarray:
+    """value as a float array; a NaN or an infinity is a ParameterError."""
+    value = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(value).all():
+        raise ParameterError(f"{what} must be finite")
     return value
 
 
@@ -565,10 +574,11 @@ def positive_zoo() -> list:
 # n-dimensional models
 # ---------------------------------------------------------------------------
 
-# Array elements per piece of work (a row chunk of ModelND.log_density, a
-# draw of Product.sample, a step piece of aep.run_trajectories): bounds the
-# temporaries of a call to a few MB whatever the block length and dimension.
-_CHUNK_ELEMENTS = 2**19
+# Array elements per piece of work (a row chunk of a sample_information
+# block, of ModelND.log_density or of Product.sample, a step piece of
+# aep.run_trajectories; an eighth of it caps a rejection round): 512 KB
+# arrays, which stay in cache, whatever the block length and dimension.
+_CHUNK_ELEMENTS = 2**16
 
 
 class ModelND:
@@ -636,54 +646,31 @@ class Product(ModelND):
         return np.sum(parts, axis=-1)
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        # fixed column order keeps streams reproducible; k columns of a run
-        # take one draw of size * k values, reshaped, at most about
-        # _CHUNK_ELEMENTS at a time (for an inverse-CDF or gamma component,
-        # the stream of k column draws in turn)
+        # rows in pieces of about _CHUNK_ELEMENTS values, and in each piece
+        # the k columns of a run take one draw of rows * k values, filled row
+        # by row: a one-run product draws the same stream in any pieces
         out = np.empty((size, self.dim))
-        step = max(1, _CHUNK_ELEMENTS // max(size, 1))
-        for c, lo, hi in self._runs:
-            for a in range(lo, hi, step):
-                k = min(step, hi - a)
-                out[:, a:a + k] = c.sample(gen, size * k).reshape(k, size).T
+        step = max(1, _CHUNK_ELEMENTS // self.dim)
+        for r in range(0, size, step):
+            piece = out[r:r + step]
+            for c, lo, hi in self._runs:
+                k = hi - lo
+                piece[:, lo:hi] = c.sample(gen, len(piece) * k).reshape(-1, k)
         return out
 
 
 class _Solver:
-    """x -> T^-1 x on each row of a (rows, n) array, for an invertible T.
-
-    T is factored once: the identity has no factor and loads no scipy
-    module, a lower-triangular T is its own factor, any other is split as
-    P L U by ``scipy.linalg.lu``.  A call is one ``solve_triangular`` per
-    factor on the whole (n, rows) block.
-    The factors are only read, so one solver can serve concurrent worker
-    threads; ``lu_solve`` on a shared ``lu_factor`` pair is not safe that
-    way and gave wrong solutions under two threads.
-    """
+    """x -> T^-1 x on each row of a (rows, n) array, for an invertible T:
+    one product with the transposed inverse, computed once.  The identity
+    is skipped.  The inverse is only read, so one solver can serve
+    concurrent worker threads."""
 
     def __init__(self, matrix: np.ndarray):
         self.identity = np.array_equal(matrix, np.eye(len(matrix)))
-        self._perm, self._factors = None, []
-        if self.identity:
-            return
-        from scipy.linalg import lu, solve_triangular
-        self._solve_triangular = solve_triangular
-        if np.array_equal(np.tril(matrix), matrix):
-            self._factors = [(np.asfortranarray(matrix), True, False)]
-        else:
-            p, l, u = lu(matrix)
-            self._perm = np.argmax(p, axis=0)  # P^T b == b[perm]
-            self._factors = [(np.asfortranarray(l), True, True),
-                             (np.asfortranarray(u), False, False)]
+        self._inverse_t = None if self.identity else np.linalg.inv(matrix).T
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
-        if self._perm is not None:
-            rows = np.take(rows, self._perm, axis=1)
-        b = rows.T
-        for factor, lower, unit in self._factors:
-            b = self._solve_triangular(factor, b, lower=lower,
-                                       unit_diagonal=unit, check_finite=False)
-        return b.T
+        return rows if self.identity else rows @ self._inverse_t
 
 
 class GaussianModel(ModelND):
@@ -710,14 +697,14 @@ class AffineMap(ModelND):
 
     def __init__(self, base: ModelND, matrix, shift=None):
         self.base = base
-        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self.matrix = _finite_array(matrix, "affine map matrix")
         n = base.dim
         if self.matrix.shape != (n, n):
             raise ParameterError(f"matrix must be {n}x{n} to match the base model")
         sign, logdet = np.linalg.slogdet(self.matrix)
         if sign == 0 or not math.isfinite(logdet):
             raise ParameterError("affine map matrix must be invertible")
-        self.shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=np.float64)
+        self.shift = np.zeros(n) if shift is None else _finite_array(shift, "affine map shift")
         if self.shift.shape != (n,):
             raise ParameterError("shift shape does not match the base model dimension")
         self.dim = n
@@ -843,6 +830,9 @@ def model_from_spec(spec: dict) -> ModelND:
     if family == "gaussian":
         # N(mean, T T') is the affine image T X + mean of X ~ N(0, I)
         mean, factor = params.get("mean"), params.get("cov_factor")
+        for value, what in ((mean, "gaussian mean"), (factor, "gaussian cov_factor")):
+            if value is not None:
+                _finite_array(value, what)
         dim = params.get("dim")
         if dim is None:
             if factor is None and mean is None:

@@ -10,7 +10,8 @@ tail probabilities at scaled thresholds, exponential moments, coverage of
 the entropy-typical set, and the variance.  Sampling runs on
 ``RngStream.run_blocks``, the one block schedule of the package, in fixed
 blocks of ``BLOCK_SIZE`` draws, each sourced from its own counter offset of
-the Philox stream, so the result is byte-identical for any worker count.
+the Philox stream and walked in row chunks, so the result is byte-identical
+for any worker count and no whole block of points is ever held.
 
 Proportions get Wilson score intervals, which behave sensibly at zero
 observed exceedances; means get the usual normal approximation.  Exponential
@@ -26,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import distributions
 from .distributions import ModelND, RngStream
 from .numerics import DomainError, NumericsError, check_grid
 
@@ -134,20 +136,25 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
 
     Work is partitioned by ``rng.run_blocks`` into fixed blocks of
     BLOCK_SIZE draws, so the deviations array is identical for any
-    ``workers`` value.  A deviation that is NaN or infinite, as from a NaN
-    or infinite model parameter, raises NumericsError: no tail count or
-    moment of it means anything.
+    ``workers`` value.  A block is sampled and evaluated in row chunks of
+    about ``distributions._CHUNK_ELEMENTS`` coordinates, in order from the
+    block's own generator, so a worker holds no whole block of points.  A
+    deviation that is NaN or infinite, as from draws that overflow, raises
+    NumericsError: no tail count or moment of it means anything.
     """
     if m <= 0:
         raise DomainError(f"sample count must be positive, got {m!r}")
     h = model.entropy
     out = np.empty(m, dtype=float)
+    rows = max(1, distributions._CHUNK_ELEMENTS // model.dim)
 
     def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
         # a NaN or infinity is reported once, below, not warned of per block
         with np.errstate(all="ignore"):
-            x = model.sample(gen, hi - lo)
-            out[lo:hi] = -model.log_density(x) - h
+            for a in range(lo, hi, rows):
+                b = min(a + rows, hi)
+                x = model.sample(gen, b - a)
+                out[a:b] = -model.log_density(x) - h
 
     rng.run_blocks(m, BLOCK_SIZE, run_block, workers)
     if not np.isfinite(out).all():

@@ -8,10 +8,11 @@ formulas.
 """
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve, solve_triangular
 from scipy.special import gammainc
 
 import infoconc.distributions
@@ -368,6 +369,23 @@ def test_affine_identity_matrix_applies_only_the_shift():
     assert np.array_equal(m.log_density(xm), base.log_density(pre) - 0.0)
 
 
+def test_affine_solve_matches_a_direct_solve():
+    # condition number 1e6: the precomputed inverse loses about as many
+    # digits as a backward-stable solve, cond * eps ~ 2e-10 relative
+    gen = np.random.default_rng(80)
+    q1, _ = np.linalg.qr(gen.normal(size=(16, 16)))
+    q2, _ = np.linalg.qr(gen.normal(size=(16, 16)))
+    t = q1 @ np.diag(np.geomspace(1.0, 1e-6, 16)) @ q2
+    assert np.linalg.cond(t) == pytest.approx(1e6, rel=1e-6)
+    shift = gen.normal(size=16)
+    m = AffineMap(GaussianModel(16), t, shift)
+    x = gen.normal(size=(1000, 16))
+    want = solve(t, (x - shift).T).T
+    got = m._solve(x - shift)
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert err.max() < 1e-9
+
+
 def test_affine_map_requires_invertible_matrix():
     with pytest.raises(ParameterError):
         AffineMap(GaussianModel(dim=2), np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -456,25 +474,39 @@ def test_grouped_product_log_density_equals_stacked_sum(spec):
     assert m.log_density(x[7]) == stacked_log_density(m, x[7])
 
 
-@pytest.mark.parametrize("budget", [2**19, 2000], ids=["whole_runs", "split_runs"])
-def test_product_runs_sample_the_column_stream(monkeypatch, budget):
-    # runs of one inverse-CDF, gamma or custom (rejection) component,
-    # broken by other objects; the small budget splits the runs into pieces
-    # of two columns.  The inverse-CDF and gamma runs draw the stream of
-    # one call per column; the custom run of two columns is one rejection
-    # draw of size * 2, reshaped
+@pytest.mark.parametrize("budget", [2**16, 40], ids=["one_piece", "row_pieces"])
+def test_product_runs_fill_rows_in_order(monkeypatch, budget):
+    # runs of one inverse-CDF, gamma or custom (rejection) component, broken
+    # by other objects.  Rows come in pieces of budget // dim (4 rows at the
+    # small budget); in each piece the k columns of a run are one draw of
+    # rows * k values, filled row by row
     monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
-    e, g = exponential(), gamma(2.0)
+    e, g, lap = exponential(), gamma(2.0), laplace()
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
-    m = Product([e, e, e, g, g, bump, bump, e, laplace(), e])
+    m = Product([e, e, e, g, g, bump, bump, e, lap, e])
+    runs = [(e, 3), (g, 2), (bump, 2), (e, 1), (lap, 1), (e, 1)]
+    rows = budget // m.dim
     for size in (0, 1, 777):
         got = m.sample(RngStream(seed=22).generator(), size)
         gen = RngStream(seed=22).generator()
-        want = np.column_stack(
-            [c.sample(gen, size) for c in m.components[:5]]
-            + list(bump.sample(gen, 2 * size).reshape(2, size))
-            + [c.sample(gen, size) for c in m.components[7:]])
+        want = np.empty((size, m.dim))
+        for r in range(0, size, rows):
+            n = min(rows, size - r)
+            want[r:r + n] = np.hstack([c.sample(gen, n * k).reshape(n, k)
+                                       for c, k in runs])
         assert np.array_equal(got, want)
+
+
+def test_one_run_product_reads_its_stream_row_major(monkeypatch):
+    # however the rows are pieced, a run of one component reads that
+    # component's stream row by row, so row chunks of a Monte Carlo block
+    # leave its bytes as they are
+    m = model_from_spec(EXP64)
+    want = exponential().sample(RngStream(seed=24).generator(), 777 * 64)
+    for budget in (2**16, 5 * 64, 1):
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
+        got = m.sample(RngStream(seed=24).generator(), 777)
+        assert np.array_equal(got, want.reshape(777, 64))
 
 
 def test_product_sample_temporaries_stay_bounded():
@@ -680,10 +712,26 @@ def test_bad_specs_raise_parameter_error(spec):
     (lambda: model_from_spec({"family": "ball_uniform",
                               "params": {"dim": 3, "radius": math.inf}}),
      "ball radius"),
-], ids=["mu", "sigma", "a", "b", "p", "spec_mu", "ball_radius"])
+    (lambda: model_from_spec({"family": "gaussian",
+                              "params": {"mean": [1e400, 0.0]}}),
+     "gaussian mean"),
+    (lambda: model_from_spec({"family": "gaussian", "params": {
+        "cov_factor": [[1.0, 0.0], [math.nan, 1.0]]}}), "gaussian cov_factor"),
+    (lambda: AffineMap(GaussianModel(2), [[math.inf, 0.0], [0.0, 1.0]]),
+     "affine map matrix"),
+    (lambda: model_from_spec({"family": "affine", "params": {
+        "base": {"family": "exponential"}, "matrix": [[2.0]],
+        "shift": [-math.inf]}}), "affine map shift"),
+], ids=["mu", "sigma", "a", "b", "p", "spec_mu", "ball_radius",
+        "gaussian_mean", "gaussian_cov_factor", "affine_matrix",
+        "affine_shift"])
 def test_non_finite_parameters_are_named(build, name):
-    with pytest.raises(ParameterError, match=f"{name} must be finite"):
-        build()
+    # refused before any arithmetic on them: slogdet of a NaN matrix warns
+    # and calls it singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            build()
 
 
 def test_information_law_mean_is_the_entropy():

@@ -133,11 +133,11 @@ DIGESTS = {
     "aep_process_file":
         "bb8be3abf4e8d0d2d634076c4ea20b287e961b8f2bc252ee3c1c70a55def53cd",
     "entropy_power_affine":
-        "ee46424b9dc6d9facb8fe7215cac1bf58dca0e62081ee913d2a6d353b4592bef",
+        "0db9995c29efa8bb8579545423063d7147580f3b7b52ac43dbf52544c181bd2c",
     "entropy_power_gaussian":
         "2a49e2b709410d5b974ff7e071dc3da0735803eec90776f1df89ffb1cd007d11",
     "entropy_power_past_window":
-        "e19bea29feb8615c89917d468812a4398c1bcbd429920093e1b709e23b45fa26",
+        "e495ddb9737bbfd3da6906594abab142a437b1241fa11fe5c376e5022ce404cc",
     "list_bounds":
         "89dce6cb65bbb93671f23fa6eb381e218fa9d8c539a721c5799e355cce2be0e8",
     "lyapunov_exp_normalized":
@@ -151,7 +151,7 @@ DIGESTS = {
     "mgf_mixed_components":
         "be582d7fb0e116853785840689899e4a45f2f800a1a632f8644226e0305ea233",
     "mgf_one_sided":
-        "bd79838252c220dbb4b0151b07a1977fe17d4037bc23b407054adafe9364cad6",
+        "3bbe6754d43b34ea765092143e8d383939ace630ae6735e7ca757a42fde67661",
     "order_p_gamma":
         "fba58440dc991294045744537ed618f6034e1e2d4e3e7f4dc39af24bd02d85b2",
     "quantile_density_exp":
@@ -161,19 +161,19 @@ DIGESTS = {
     "tail_ball":
         "af0954841fa9a4673338079cc92e6a21bf6642540dec77ce1ffa6fe9d0c66aa5",
     "tail_exp_per_coordinate":
-        "5188bdab3a0161166e9c3d239247ccfbc682b8e7e58f7b29807f68276e4fd30d",
+        "3c5b1082a2d11e74f745525219b7d88d11787396d48769c48efb3b784fc00b17",
     "tail_gamma_file":
-        "00edc824c2d6a9536aa7a68f8b8b97dbcedd3ab5b58c44d7ea749a5560878394",
+        "51430446af1b5a8aa793413555fdf3c09f3d7495708e0bcf5a76efad06f0f6b5",
     "tail_gaussian":
         "1c2cc4e7296639b7b9ff7a04492691f9838b42fbe17eca20d607741b184e6fcd",
     "tail_gaussian_past_window":
         "745ec4bf5e0543e57ee76f34160b219845a00e76781c66a1ff9d7a42f69e8faf",
     "tail_workers2":
-        "bfcdd7cf39860179fdea3d10fb57ed5ed50e19090c0a9221e173575c42778d04",
+        "6c597f797ba18ced17da1a3703b2e08d41f77fc04d493789ca8c707437ed1ad2",
     "variance_cov_factor":
         "5ad2d7a17c42c09989fc0332f60da27f9e1a955faf1a30c6e52c6d4126534e66",
     "variance_exp":
-        "7978cfc59303892eccd80f928de05046177a1a58fcc2b82d259c1740e7995cc6",
+        "622aedf72c5cbcb8662d233a63b7c52a38980ec1a24008cfb1a34e209d2352ca",
 }
 
 

@@ -10,6 +10,7 @@ all frozen below before the module was written.
 """
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,12 +162,49 @@ class TestSampleInformation:
         assert np.array_equal(a.deviations, b.deviations)
         assert np.array_equal(a.deviations, c.deviations)
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "product",
+         "params": {"component": {"family": "exponential"}, "copies": 64}},
+        {"family": "affine", "params": {
+            "base": {"family": "product", "params": {
+                "component": {"family": "exponential"}, "copies": 16}},
+            "matrix": (np.eye(16) + 0.25 * np.tri(16, k=-1)
+                       - 0.125 * np.tri(16, k=-1).T).tolist(),
+            "shift": np.linspace(-1.0, 1.0, 16).tolist()}},
+        {"family": "ball_uniform", "params": {"dim": 16}},
+        {"family": "product", "params": {"components": [
+            {"family": "exponential"}, {"family": "gamma", "params": {"p": 3.0}},
+            {"family": "gaussian1d"}, {"family": "laplace"},
+            {"family": "uniform"}, {"family": "half_normal"}]}},
+    ], ids=["exp64", "affine_exp16", "ball16", "mixed6"])
+    def test_row_chunks_keep_worker_count_invariance(self, spec):
+        # blocks are walked in row chunks; a block still draws all of its
+        # chunks, in order, from its own counter offset
+        model = model_from_spec(spec)
+        m = 2 * BLOCK_SIZE + 777
+        ref = sample_information(model, m, RngStream(6), workers=1).deviations
+        for workers in (2, 5):
+            got = sample_information(model, m, RngStream(6), workers=workers)
+            assert got.deviations.tobytes() == ref.tobytes()
+
+    def test_block_memory_is_a_few_chunks(self):
+        # a whole 65536 x 64 block of points would be 32 MB, and its
+        # log-density temporaries as much again; the 2^17 deviations are 1 MB
+        model = model_from_spec({"family": "product", "params": {
+            "component": {"family": "exponential"}, "copies": 64}})
+        tracemalloc.start()
+        try:
+            sample_information(model, 2 * BLOCK_SIZE, RngStream(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
     @pytest.mark.parametrize("make", ["affine", "cov_factor"])
     def test_shared_linear_factors_are_thread_safe(self, make):
-        # Both models share one factored matrix between the pool threads;
-        # with a full (non-triangular) matrix the solve goes through its
-        # LU factors.  A factorization whose solve writes shared state
-        # (lu_solve on one lu_factor pair) made these runs differ.
+        # Both models share one inverted matrix between the pool threads.
+        # A factorization whose solve wrote shared state (lu_solve on one
+        # lu_factor pair) once made these runs differ.
         gen = np.random.default_rng(5)
         full = np.eye(16) + 0.5 * gen.standard_normal((16, 16))
         model = (AffineMap(Product([exponential()] * 16), full)
@@ -211,15 +249,20 @@ class TestSampleInformation:
         b = sample_information(model_from_spec(affine), 5000, RngStream(4))
         assert np.array_equal(a.deviations, b.deviations)
 
-    # a non-finite 1-D family parameter is refused where the model is
-    # built; a NaN mean reaches the one isfinite pass of the sampler
+    # a non-finite 1-D or gaussian parameter is refused where the model is
+    # built; finite parameters whose draws overflow reach the one isfinite
+    # pass of the sampler
     @pytest.mark.parametrize("spec,error", [
         ({"family": "gaussian", "params": {"dim": 2, "mean": [0.0, math.nan]}},
-         NumericsError),
+         ParameterError),
         ({"family": "uniform", "params": {"a": -math.inf, "b": 0.0}},
          ParameterError),
         ({"family": "gaussian1d", "params": {"mu": math.nan}}, ParameterError),
-    ], ids=["gaussian_nan_mean", "uniform_infinite_end", "gaussian1d_nan_mu"])
+        ({"family": "gaussian", "params": {
+            "mean": [1.5e308, 0.0], "cov_factor": [[1e308, 0.0], [0.0, 1.0]]}},
+         NumericsError),
+    ], ids=["gaussian_nan_mean", "uniform_infinite_end", "gaussian1d_nan_mu",
+            "gaussian_overflowing_draws"])
     def test_non_finite_deviations_raise(self, spec, error):
         with pytest.raises(error):
             sample_information(model_from_spec(spec), 1000, RngStream(1))

@@ -34,7 +34,6 @@ from .distributions import (
     gaussian1d,
     half_normal,
     laplace,
-    make_standard,
     model_from_spec,
     positive_zoo,
     quantile_density,

@@ -96,19 +96,6 @@ def parse_grid(text: str) -> list:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
 
 
-def parse_int_grid(text: str) -> list:
-    vals = parse_grid(text)
-    out = []
-    for v in vals:
-        if abs(v - round(v)) > 1e-9:
-            raise UsageError(f"grid {text!r} must contain integers")
-        out.append(int(round(v)))
-    return out
-
-
-_SIMPLE_FAMILIES = ("exponential", "gaussian1d", "laplace", "half_normal")
-
-
 def _read_spec(args, kind: str) -> dict:
     """The spec of --model-file, of inline --model JSON, or of a bare name.
 
@@ -156,10 +143,8 @@ def _read_spec(args, kind: str) -> dict:
         spec = {"family": "gamma", "params": {"p": args.p}}
     elif name == "uniform":
         spec = {"family": "uniform", "params": {"a": 0.0, "b": 1.0}}
-    elif name in _SIMPLE_FAMILIES:
+    else:  # the spec builders reject a name that is no family
         spec = {"family": name, "params": {}}
-    else:
-        raise UsageError(f"unknown model name {name!r}")
     if kind == "batch" and dim != 1:
         return {"family": "product",
                 "params": {"component": spec, "copies": dim}}
@@ -328,11 +313,10 @@ def _batch(args) -> tuple:
 def _trajectories(args) -> tuple:
     process = process_from_spec(_read_spec(args, "process"))
     rng, config = _stream(args)
-    n_grid = parse_int_grid(args.n_grid)
-    report = run_trajectories(process, n_grid, args.samples, rng,
-                              workers=args.workers)
+    report = run_trajectories(process, parse_grid(args.n_grid), args.samples,
+                              rng, workers=args.workers)
     return report, {**config, "process": process.spec,
-                    "trials": args.samples, "n_grid": n_grid}
+                    "trials": args.samples, "n_grid": report.n_grid.tolist()}
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ __all__ = [
     "uniform",
     "half_normal",
     "from_log_density",
-    "make_standard",
     "standard_zoo",
     "positive_zoo",
     "quantile_density",
@@ -188,7 +187,6 @@ class Density1D:
     _log_pdf: Callable = field(repr=False, default=None)
     _sampler: Callable = field(repr=False, default=None)
     _quantile: Callable = field(repr=False, default=None)
-    _cdf: Callable = field(repr=False, default=None)
 
     def log_pdf(self, x) -> np.ndarray:
         return self._log_pdf(np.asarray(x, dtype=np.float64))
@@ -201,9 +199,6 @@ class Density1D:
         if np.any((t <= 0.0) | (t >= 1.0)):
             raise DomainError("quantile level must lie strictly inside (0, 1)")
         return self._quantile(t)
-
-    def cdf(self, x) -> np.ndarray:
-        return self._cdf(np.asarray(x, dtype=np.float64))
 
 
 def _support_mask(x: np.ndarray, support: Tuple[float, float]) -> np.ndarray:
@@ -300,7 +295,6 @@ def exponential() -> Density1D:
         _log_pdf=lambda x: _masked_log(x, (0.0, math.inf), lambda y: -y),
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
-        _cdf=lambda x: np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0)), 0.0),
     )
 
 
@@ -312,7 +306,7 @@ def gamma(p: float) -> Density1D:
     if p == 1.0:
         return replace(exponential(), name="gamma(1)",
                        spec={"family": "gamma", "params": {"p": 1.0}})
-    from scipy.special import digamma, gammainc, gammaincinv
+    from scipy.special import digamma, gammaincinv
     lgp = log_gamma(p)
     ent = p + lgp + (1.0 - p) * float(digamma(p))
     log_pdf = lambda x: _masked_log(
@@ -328,7 +322,6 @@ def gamma(p: float) -> Density1D:
         _log_pdf=log_pdf,
         _sampler=lambda gen, size: gen.standard_gamma(p, size),
         _quantile=lambda t: gammaincinv(p, t),
-        _cdf=lambda x: gammainc(p, np.maximum(x, 0.0)),
     )
 
 
@@ -337,7 +330,7 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
     mu, sigma = _finite(mu, "gaussian1d mu"), _finite(sigma, "gaussian1d sigma")
     if not sigma > 0.0:
         raise ParameterError(f"gaussian sigma must be positive, got {sigma!r}")
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtri
     c = -0.5 * LOG_2PI - math.log(sigma)
     quantile = lambda t: mu + sigma * ndtri(t)
     return Density1D(
@@ -350,7 +343,6 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
         _log_pdf=lambda x: c - 0.5 * ((np.asarray(x, dtype=np.float64) - mu) / sigma) ** 2,
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
-        _cdf=lambda x: ndtr((x - mu) / sigma),
     )
 
 
@@ -370,7 +362,6 @@ def laplace() -> Density1D:
         _log_pdf=lambda x: -np.abs(np.asarray(x, dtype=np.float64)) - math.log(2.0),
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
-        _cdf=lambda x: np.where(x < 0.0, 0.5 * np.exp(np.minimum(x, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(x, 0.0))),
     )
 
 
@@ -392,13 +383,12 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
         _log_pdf=lambda x: _masked_log(x, (a, b), lambda y: np.full(y.shape, -logw)),
         _sampler=lambda gen, size: a + width * gen.random(size),
         _quantile=lambda t: a + width * np.asarray(t, dtype=np.float64),
-        _cdf=lambda x: np.clip((x - a) / width, 0.0, 1.0),
     )
 
 
 def half_normal() -> Density1D:
     """Half-normal: f(x) = sqrt(2/pi) e^(-x^2/2) on (0, inf)."""
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtri
     c = 0.5 * math.log(2.0 / math.pi)
     log_pdf = lambda x: _masked_log(x, (0.0, math.inf), lambda y: c - 0.5 * y * y)
     quantile = lambda t: ndtri(0.5 * (1.0 + np.asarray(t, dtype=np.float64)))
@@ -413,7 +403,6 @@ def half_normal() -> Density1D:
         _log_pdf=log_pdf,
         _sampler=_inverse_cdf_sampler(quantile),
         _quantile=quantile,
-        _cdf=lambda x: 2.0 * ndtr(np.maximum(x, 0.0)) - 1.0,
     )
 
 
@@ -427,12 +416,12 @@ def from_log_density(
 
     The mode comes from ``unimodal_argmax``; normalization and entropy from
     one ``de_rule`` node set split at the mode and scaled by the peak width.
-    ``cdf`` integrates the tail beyond each point on the far side from the
-    mode.  ``quantile`` starts from the cumulative node masses and takes
-    Newton steps on log F below the mode's level and on log(1 - F) above,
-    both concave for a log-concave density; a rule or Newton loop that does
-    not converge raises NumericsError.  Sampling uses the log-concave
-    rejection envelope, which detects material violations of log-concavity.
+    ``quantile`` starts from the cumulative node masses and takes Newton
+    steps on log F below the mode's level and on log(1 - F) above, both
+    concave for a log-concave density and each a rule over the tail away
+    from the mode; a rule or Newton loop that does not converge raises
+    NumericsError.  Sampling uses the log-concave rejection envelope, which
+    detects material violations of log-concavity.
     """
     a, b = support
     if not a < b:
@@ -480,16 +469,7 @@ def from_log_density(
                 part = index[i:i + 2048]
                 ends = (y[part], b) if side else (a, y[part])
                 out[part] = converged(de_rule(log_mass, ends, scale=scale),
-                                      "a tail rule of cdf or quantile")
-        return out
-
-    def cdf(x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.where(x >= b, 1.0, 0.0)
-        inside = (x > a) & (x < b)
-        upper = x[inside] > mode
-        tail = np.exp(log_tail(x[inside], upper))
-        out[inside] = np.where(upper, 1.0 - tail, tail)
+                                      "a tail rule of quantile")
         return out
 
     def quantile(t) -> np.ndarray:
@@ -521,19 +501,10 @@ def from_log_density(
         _log_pdf=log_pdf,
         _sampler=_rejection_sampler(log_pdf, mode),
         _quantile=quantile,
-        _cdf=cdf,
     )
 
 
-def make_standard(family: str, **params) -> Density1D:
-    """Construct a zoo member by family name (see the JSON model schema)."""
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise ParameterError(f"unknown 1-D family {family!r}") from None
-    return builder(**params)
-
-
+# the one table of 1-D families, by spec name
 _FAMILIES = {
     "exponential": exponential,
     "gamma": gamma,
@@ -803,7 +774,9 @@ def spec_reader(read: Callable) -> Callable:
 def density_from_spec(spec: dict) -> Density1D:
     """Build a 1-D density from {"family": ..., "params": {...}}."""
     family, params = _split_spec(spec)
-    return make_standard(family, **params)
+    if family not in _FAMILIES:
+        raise ParameterError(f"unknown 1-D family {family!r}")
+    return _FAMILIES[family](**params)
 
 
 @spec_reader

@@ -96,18 +96,6 @@ class McEstimate:
         )
 
     @staticmethod
-    def from_values(values: np.ndarray,
-                    confidence: float = DEFAULT_CONFIDENCE) -> "McEstimate":
-        """Normal-approximation interval for a sample mean."""
-        values = np.asarray(values, dtype=float)
-        m = values.size
-        if m <= 1:
-            raise DomainError("need at least two values for a mean estimate")
-        mean = float(values.mean())
-        se = float(values.std(ddof=1)) / math.sqrt(m)
-        return McEstimate.from_mean_se(mean, se, m, confidence)
-
-    @staticmethod
     def from_mean_se(mean: float, std_error: float, m: int,
                      confidence: float = DEFAULT_CONFIDENCE) -> "McEstimate":
         z = _z_value(confidence)
@@ -304,5 +292,10 @@ def deviation_variance(batch: InfoSampleBatch,
 
 def deviation_mean(batch: InfoSampleBatch,
                    confidence: float = DEFAULT_CONFIDENCE) -> McEstimate:
-    """Sample mean of the deviations (zero in expectation by definition)."""
-    return McEstimate.from_values(batch.deviations, confidence)
+    """Sample mean of the deviations (zero in expectation by definition),
+    with a normal-approximation interval."""
+    d, m = batch.deviations, batch.m
+    if m < 2:
+        raise DomainError("need at least two draws for a mean estimate")
+    se = float(d.std(ddof=1)) / math.sqrt(m)
+    return McEstimate.from_mean_se(float(d.mean()), se, m, confidence)

@@ -11,7 +11,7 @@ import pytest
 
 import infoconc.cli as cli
 import infoconc.numerics
-from infoconc.cli import UsageError, main, parse_grid, parse_int_grid
+from infoconc.cli import UsageError, main, parse_grid
 
 
 def read_json_no_meta(path):
@@ -46,11 +46,19 @@ class TestGridParsing:
     def test_single_value(self):
         assert parse_grid("2.5") == [2.5]
 
-    def test_int_grid(self):
-        assert parse_int_grid("16,64") == [16, 64]
-        assert parse_int_grid("2:6:2") == [2, 4, 6]
-        with pytest.raises(UsageError):
-            parse_int_grid("1.5,2")
+    def test_aep_length_grid(self, tmp_path, capsys):
+        # run_trajectories holds the one integer-length rule; the config
+        # echoes the lengths it ran, as ints
+        js = tmp_path / "aep.json"
+        argv = ["aep", "--model", "laplace", "--samples", "100",
+                "--out-json", str(js)]
+        assert main([*argv, "--n-grid", "1.5,2"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: trajectory lengths must be integers >= 1")
+        assert not js.exists()
+        assert main([*argv, "--n-grid", "2:6:2"]) == 0
+        n_grid = read_json_no_meta(js)["config"]["n_grid"]
+        assert n_grid == [2, 4, 6] and all(type(n) is int for n in n_grid)
 
     @pytest.mark.parametrize("bad", ["1:2", "1:2:0", "2:1:0.5", "a:b:c",
                                      "1:2:3:4", ",", "abc", "nan", "1,nan",
@@ -77,6 +85,21 @@ class TestUsageErrors:
 
     def test_unknown_family(self, capsys):
         assert main(["tail", "--model", "cauchy", "--samples", "100"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--samples", "100"],
+        ["tail", "--samples", "100", "--dim", "3"],
+        ["lyapunov", "--p-grid", "1:3:1"],
+        ["aep", "--samples", "100", "--n-grid", "2,4"],
+    ], ids=["tail", "tail_dim3", "lyapunov", "aep"])
+    def test_unknown_bare_name(self, argv, tmp_path, capsys):
+        # the spec builders, not the CLI, reject a name that is no family
+        csv, js = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main([*argv, "--model", "weibull", "--out-csv", str(csv),
+                     "--out-json", str(js)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'weibull'" in err
+        assert not csv.exists() and not js.exists()
 
     def test_bad_model_json(self, capsys):
         assert main(["tail", "--model", '{"family": nope}']) == 1

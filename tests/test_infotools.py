@@ -112,7 +112,7 @@ class TestMcEstimate:
             assert abs(_z_value(c) - want) <= 3 * math.ulp(want)
 
     def test_mean_interval(self):
-        est = McEstimate.from_values(np.array([1.0, 2.0, 3.0, 4.0]), 0.999)
+        est = deviation_mean(make_batch([1.0, 2.0, 3.0, 4.0]), 0.999)
         assert abs(est.value - 2.5) < 1e-15
         se = np.std([1.0, 2.0, 3.0, 4.0], ddof=1) / 2.0
         assert abs(est.std_error - se) < 1e-15
@@ -127,7 +127,7 @@ class TestMcEstimate:
         with pytest.raises(DomainError):
             McEstimate.from_proportion(1, 10, confidence=1.0)
         with pytest.raises(DomainError):
-            McEstimate.from_values(np.array([1.0]))
+            deviation_mean(make_batch([1.0]))
 
 
 class TestSampleInformation:

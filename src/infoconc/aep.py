@@ -70,13 +70,6 @@ class IIDProcess:
     def joint_entropy(self, n: int) -> float:
         return n * self.entropy_rate
 
-    def _neg_log_steps(self, gen: np.random.Generator, trials: int,
-                       length: int) -> np.ndarray:
-        """-log f of ``length`` steps of ``trials`` trajectories, drawn
-        trial by trial from ``gen``."""
-        x = self.base.sample(gen, trials * length).reshape(trials, length)
-        return -self.base.log_pdf(x)
-
 
 class GaussAR1:
     """Stationary Gaussian autoregression of order one.  The information
@@ -206,7 +199,8 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
         def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
             g = gen.standard_gamma(shapes, (hi - lo, grid.size))
             info[lo:hi] = (np.cumsum(g, axis=1, out=g) + offsets) / grid
-    else:
+    else:  # only an i.i.d. process can lack an information law
+        base = process.base
         length = int(grid[-1])
         cols = grid - 1
         budget = distributions._CHUNK_ELEMENTS
@@ -226,7 +220,7 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
                     k = min(rows, hi - r)
                     carry = None
                     for w, sel, local in pieces:
-                        steps = process._neg_log_steps(gen, k, w)
+                        steps = -base.log_pdf(base.sample(gen, k * w).reshape(k, w))
                         if carry is not None:  # adding 0.0 would turn -0.0 into 0.0
                             steps[:, 0] += carry
                         cum = np.cumsum(steps, axis=1, out=steps)

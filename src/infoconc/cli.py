@@ -25,7 +25,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -149,18 +148,6 @@ def _read_spec(args, kind: str) -> dict:
         return {"family": "product",
                 "params": {"component": spec, "copies": dim}}
     return spec
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("INFOCONC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"INFOCONC_SEED must be an integer, got {env!r}")
-    return 0
 
 
 def _cells(e) -> tuple:
@@ -289,9 +276,8 @@ def _aep_rows(report, args):
 
 def _stream(args) -> tuple:
     """The random stream (seed, --stream) and the config entries naming it."""
-    seed = _resolve_seed(args)
-    return RngStream(seed, stream_id=args.stream), {
-        "seed": seed, "stream_id": args.stream, "confidence": args.confidence}
+    return RngStream(args.seed, stream_id=args.stream), {
+        "seed": args.seed, "stream_id": args.stream, "confidence": args.confidence}
 
 
 # Subject builders: each reads the model flags and returns the subject of
@@ -441,8 +427,7 @@ def build_parser() -> _Parser:
 
     mc_flags = _Parser(add_help=False)
     mc_flags.add_argument("--samples", type=int, default=100000)
-    mc_flags.add_argument("--seed", type=int, default=None,
-                          help="defaults to INFOCONC_SEED, then 0")
+    mc_flags.add_argument("--seed", type=int, default=0)
     mc_flags.add_argument("--stream", type=int, default=0)
     mc_flags.add_argument("--workers", type=int, default=1)
     mc_flags.add_argument("--confidence", type=float, default=0.999)

@@ -8,9 +8,10 @@ n-dimensional models from those pieces (independent products, the
 standard normal, affine pushforwards, uniform balls); a Gaussian with a mean
 or covariance factor is the ``AffineMap`` image of the standard normal.
 
-Sampling is exact everywhere: inverse-CDF where the quantile has a closed
-form, Marsaglia and Tsang's squeeze method (numpy's ``standard_gamma``)
-for gamma(p) with p > 1, and for custom densities from
+Sampling is exact everywhere.  ``Density1D`` applies a family's support
+(log_pdf is -inf outside) and draws by its quantile unless the family
+brings its own sampler: Marsaglia and Tsang's squeeze method (numpy's
+``standard_gamma``) for gamma(p) with p > 1, and for custom densities from
 ``from_log_density`` acceptance-rejection under the universal envelope for
 log-concave densities (flat cap of height f(mode) with exponential tails,
 anchored at the mode).  Randomness comes from counter-based Philox streams
@@ -175,6 +176,9 @@ class Density1D:
         support with g log-concave.
     info_law : (k, c) or None
         When set, -log f(X) is c + Gamma(k, 1) in law (k = 0: the constant c).
+
+    ``_log_pdf`` is the formula inside the support; ``_sampler``, if set,
+    replaces the draw by ``_quantile``.
     """
 
     name: str
@@ -189,10 +193,14 @@ class Density1D:
     _quantile: Callable = field(repr=False, default=None)
 
     def log_pdf(self, x) -> np.ndarray:
-        return self._log_pdf(np.asarray(x, dtype=np.float64))
+        return _masked_log(x, self.support, self._log_pdf)
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return self._sampler(gen, int(size))
+        if self._sampler is not None:
+            return self._sampler(gen, int(size))
+        # generator uniforms live in [0, 1); keep 0 out of quantiles with
+        # infinite left tails (shifts 2^-53 of mass by a subnormal amount)
+        return self._quantile(np.maximum(gen.random(int(size)), _TINY))
 
     def quantile(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
@@ -201,14 +209,11 @@ class Density1D:
         return self._quantile(t)
 
 
-def _support_mask(x: np.ndarray, support: Tuple[float, float]) -> np.ndarray:
-    a, b = support
-    return (x > a) & (x < b)
-
-
-def _masked_log(x, support, inside: Callable) -> np.ndarray:
+def _masked_log(x, support: Tuple[float, float], inside: Callable) -> np.ndarray:
+    """``inside`` at the points of x in the open support, -inf elsewhere."""
     x = np.asarray(x, dtype=np.float64)
-    m = _support_mask(x, support)
+    a, b = support
+    m = (x > a) & (x < b)
     if m.all():  # as sampled points are: no gather and scatter needed
         out = np.empty(x.shape)
         out[...] = inside(x)
@@ -224,15 +229,6 @@ _TINY = np.finfo(np.float64).tiny
 # Newton steps of a custom density's quantile; from the start points of the
 # node table three to five suffice.
 _NEWTON_STEPS = 50
-
-
-def _inverse_cdf_sampler(quantile: Callable) -> Callable:
-    def draw(gen: np.random.Generator, size: int) -> np.ndarray:
-        # generator uniforms live in [0, 1); keep 0 out of quantiles with
-        # infinite left tails (shifts 2^-53 of mass by a subnormal amount)
-        return quantile(np.maximum(gen.random(size), _TINY))
-
-    return draw
 
 
 def _rejection_sampler(log_pdf: Callable, mode: float) -> Callable:
@@ -283,7 +279,6 @@ def _rejection_sampler(log_pdf: Callable, mode: float) -> Callable:
 
 def exponential() -> Density1D:
     """Standard exponential: f(x) = e^-x on (0, inf)."""
-    quantile = lambda t: -np.log1p(-t)
     return Density1D(
         name="exponential",
         support=(0.0, math.inf),
@@ -292,9 +287,8 @@ def exponential() -> Density1D:
         spec={"family": "exponential"},
         order_p=1.0,
         info_law=(1.0, 0.0),
-        _log_pdf=lambda x: _masked_log(x, (0.0, math.inf), lambda y: -y),
-        _sampler=_inverse_cdf_sampler(quantile),
-        _quantile=quantile,
+        _log_pdf=lambda y: -y,
+        _quantile=lambda t: -np.log1p(-t),
     )
 
 
@@ -309,9 +303,6 @@ def gamma(p: float) -> Density1D:
     from scipy.special import digamma, gammaincinv
     lgp = log_gamma(p)
     ent = p + lgp + (1.0 - p) * float(digamma(p))
-    log_pdf = lambda x: _masked_log(
-        x, (0.0, math.inf), lambda y: (p - 1.0) * np.log(y) - y - lgp
-    )
     return Density1D(
         name=f"gamma({p:g})",
         support=(0.0, math.inf),
@@ -319,7 +310,7 @@ def gamma(p: float) -> Density1D:
         mode=p - 1.0,
         spec={"family": "gamma", "params": {"p": p}},
         order_p=p,
-        _log_pdf=log_pdf,
+        _log_pdf=lambda y: (p - 1.0) * np.log(y) - y - lgp,
         _sampler=lambda gen, size: gen.standard_gamma(p, size),
         _quantile=lambda t: gammaincinv(p, t),
     )
@@ -332,7 +323,6 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
         raise ParameterError(f"gaussian sigma must be positive, got {sigma!r}")
     from scipy.special import ndtri
     c = -0.5 * LOG_2PI - math.log(sigma)
-    quantile = lambda t: mu + sigma * ndtri(t)
     return Density1D(
         name=f"gaussian1d({mu:g},{sigma:g})",
         support=(-math.inf, math.inf),
@@ -340,18 +330,13 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
         mode=mu,
         spec={"family": "gaussian1d", "params": {"mu": mu, "sigma": sigma}},
         info_law=(0.5, -c),
-        _log_pdf=lambda x: c - 0.5 * ((np.asarray(x, dtype=np.float64) - mu) / sigma) ** 2,
-        _sampler=_inverse_cdf_sampler(quantile),
-        _quantile=quantile,
+        _log_pdf=lambda y: c - 0.5 * ((y - mu) / sigma) ** 2,
+        _quantile=lambda t: mu + sigma * ndtri(t),
     )
 
 
 def laplace() -> Density1D:
     """Standard Laplace: f(x) = e^-|x| / 2."""
-    def quantile(t):
-        t = np.asarray(t, dtype=np.float64)
-        return np.where(t < 0.5, np.log(2.0 * t), -np.log(2.0 * (1.0 - t)))
-
     return Density1D(
         name="laplace",
         support=(-math.inf, math.inf),
@@ -359,9 +344,8 @@ def laplace() -> Density1D:
         mode=0.0,
         spec={"family": "laplace"},
         info_law=(1.0, math.log(2.0)),
-        _log_pdf=lambda x: -np.abs(np.asarray(x, dtype=np.float64)) - math.log(2.0),
-        _sampler=_inverse_cdf_sampler(quantile),
-        _quantile=quantile,
+        _log_pdf=lambda y: -np.abs(y) - math.log(2.0),
+        _quantile=lambda t: np.where(t < 0.5, np.log(2.0 * t), -np.log(2.0 * (1.0 - t))),
     )
 
 
@@ -380,9 +364,8 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
         spec={"family": "uniform", "params": {"a": a, "b": b}},
         order_p=1.0 if a >= 0.0 else None,
         info_law=(0.0, logw),
-        _log_pdf=lambda x: _masked_log(x, (a, b), lambda y: np.full(y.shape, -logw)),
-        _sampler=lambda gen, size: a + width * gen.random(size),
-        _quantile=lambda t: a + width * np.asarray(t, dtype=np.float64),
+        _log_pdf=lambda y: np.full(y.shape, -logw),
+        _quantile=lambda t: a + width * t,
     )
 
 
@@ -390,8 +373,6 @@ def half_normal() -> Density1D:
     """Half-normal: f(x) = sqrt(2/pi) e^(-x^2/2) on (0, inf)."""
     from scipy.special import ndtri
     c = 0.5 * math.log(2.0 / math.pi)
-    log_pdf = lambda x: _masked_log(x, (0.0, math.inf), lambda y: c - 0.5 * y * y)
-    quantile = lambda t: ndtri(0.5 * (1.0 + np.asarray(t, dtype=np.float64)))
     return Density1D(
         name="half_normal",
         support=(0.0, math.inf),
@@ -400,9 +381,8 @@ def half_normal() -> Density1D:
         spec={"family": "half_normal"},
         order_p=1.0,
         info_law=(0.5, -c),
-        _log_pdf=log_pdf,
-        _sampler=_inverse_cdf_sampler(quantile),
-        _quantile=quantile,
+        _log_pdf=lambda y: c - 0.5 * y * y,
+        _quantile=lambda t: ndtri(0.5 * (1.0 + t)),
     )
 
 
@@ -450,13 +430,12 @@ def from_log_density(
 
     rule = de_rule(log_mass_and_mean, support, center=mode, scale=scale)
     log_z, mean_log_g = converged(rule, "the normalization and entropy rule")
-    log_pdf = lambda x: _masked_log(x, (a, b), lambda y: raw(y) - log_z)
     # F at the nodes of the normalizing set: the quantiles' start points
     order = np.argsort(last["x"])
     knots, masses = last["x"][order], last["masses"][order]
     knot_levels = np.cumsum(masses) - 0.5 * masses
     below_mode = masses[knots < mode].sum()
-    log_mass = lambda x, log_w: logsumexp(log_w + log_pdf(x), axis=-1)
+    log_mass = lambda x, log_w: logsumexp(log_w + density.log_pdf(x), axis=-1)
 
     def log_tail(y: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """log F(y), or log(1 - F(y)) where ``upper``: one rule on (a, y) or
@@ -480,7 +459,7 @@ def from_log_density(
         y = np.interp(level, knot_levels, knots)
         for _ in range(_NEWTON_STEPS):
             log_t = log_tail(y, upper)
-            step = (log_t - target) * np.exp(log_t - log_pdf(y))
+            step = (log_t - target) * np.exp(log_t - density.log_pdf(y))
             new = np.where(upper, y + step, y - step)
             # a step past a finite end goes halfway to it instead
             new = np.where(new <= a, 0.5 * (a + y), np.where(new >= b, 0.5 * (b + y), new))
@@ -491,17 +470,17 @@ def from_log_density(
         raise NumericsError(f"custom density {name!r}: the quantile's Newton "
                             f"steps did not settle in {_NEWTON_STEPS}")
 
-    return Density1D(
+    density = Density1D(
         name=name,
         support=support,
         entropy=float(log_z - mean_log_g),
         mode=mode,
         spec={"family": "custom", "params": {"name": name}},
         order_p=order_p,
-        _log_pdf=log_pdf,
-        _sampler=_rejection_sampler(log_pdf, mode),
+        _log_pdf=lambda y: raw(y) - log_z,
         _quantile=quantile,
     )
+    return replace(density, _sampler=_rejection_sampler(density.log_pdf, mode))
 
 
 # the one table of 1-D families, by spec name
@@ -566,7 +545,9 @@ class ModelND:
     spec: dict
 
     def log_density(self, x) -> np.ndarray:
-        x = self._check(x)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 0 or x.shape[-1] != self.dim:
+            raise ValueError(f"dimension mismatch: model has dim {self.dim}, point has shape {x.shape}")
         flat = x.reshape(-1, self.dim)
         out = np.empty(flat.shape[0])
         step = max(1, _CHUNK_ELEMENTS // self.dim)
@@ -579,12 +560,6 @@ class ModelND:
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
-
-    def _check(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 0 or x.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: model has dim {self.dim}, point has shape {x.shape}")
-        return x
 
 
 class Product(ModelND):
@@ -630,20 +605,6 @@ class Product(ModelND):
         return out
 
 
-class _Solver:
-    """x -> T^-1 x on each row of a (rows, n) array, for an invertible T:
-    one product with the transposed inverse, computed once.  The identity
-    is skipped.  The inverse is only read, so one solver can serve
-    concurrent worker threads."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.identity = np.array_equal(matrix, np.eye(len(matrix)))
-        self._inverse_t = None if self.identity else np.linalg.inv(matrix).T
-
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        return rows if self.identity else rows @ self._inverse_t
-
-
 class GaussianModel(ModelND):
     """Standard normal N(0, I) in ``dim`` dimensions.  A mean and covariance
     factor T (cov = T T') make the AffineMap image T X + mean of it."""
@@ -664,7 +625,9 @@ class GaussianModel(ModelND):
 
 
 class AffineMap(ModelND):
-    """Pushforward T X + shift of a base model under an invertible matrix."""
+    """Pushforward T X + shift of a base model under an invertible matrix.
+    T^-1 is one product with ``_inverse_t``, the transposed inverse computed
+    once (None for the identity) and only read, so threads may share it."""
 
     def __init__(self, base: ModelND, matrix, shift=None):
         self.base = base
@@ -680,7 +643,8 @@ class AffineMap(ModelND):
             raise ParameterError("shift shape does not match the base model dimension")
         self.dim = n
         self._logabsdet = float(logdet)
-        self._solve = _Solver(self.matrix)
+        self._inverse_t = (None if np.array_equal(self.matrix, np.eye(n))
+                           else np.linalg.inv(self.matrix).T)
         self.entropy = base.entropy + self._logabsdet
         self.spec = {
             "family": "affine",
@@ -692,14 +656,16 @@ class AffineMap(ModelND):
         }
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
-        pre = self._solve(rows - self.shift)
+        pre = rows - self.shift
+        if self._inverse_t is not None:
+            pre = pre @ self._inverse_t
         return self.base.log_density(pre) - self._logabsdet
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         # same draws as the base model, pushed through the map (coupling used
         # by the affine-invariance checks); x @ I' is x, bit for bit
         y = self.base.sample(gen, size)
-        if not self._solve.identity:
+        if self._inverse_t is not None:
             y = y @ self.matrix.T
         y += self.shift
         return y

@@ -215,9 +215,7 @@ class NanLaw:
 class NanSteps(NanLaw):
     """A process drawn step by step whose steps are NaN."""
     info_law = None
-
-    def _neg_log_steps(self, gen, trials, length):
-        return np.full((trials, length), math.nan)
+    base = replace(uniform(), _log_pdf=lambda y: np.full(y.shape, math.nan))
 
 
 class TestRunTrajectories:
@@ -337,8 +335,7 @@ def _logistic():
     # sampled here by its closed-form inverse CDF: the rejection sampler
     # sizes its batches from the request, so its pieces could not match
     # whole blocks
-    return replace(logistic(),
-                   _sampler=infoconc.distributions._inverse_cdf_sampler(logit))
+    return replace(logistic(), _quantile=logit, _sampler=None)
 
 
 # the first two take the law route, the last two draw every step

@@ -169,11 +169,6 @@ class TestUsageErrors:
                      "--samples", "100"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("INFOCONC_SEED", "not-a-number")
-        assert main(["tail", "--model", "gaussian", "--samples", "100"]) == 1
-
-
     @pytest.mark.parametrize("argv", [
         ["aep", "--model", '{"process": "gauss_ar1", "params": {"rho": "x"}}'],
         ["aep", "--model", '{"process": "gauss_ar1", "params": [1]}'],
@@ -317,18 +312,6 @@ class TestTailCommand:
             assert rc == 0
             outs.append(csv.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        a = tmp_path / "env.csv"
-        b = tmp_path / "explicit.csv"
-        monkeypatch.setenv("INFOCONC_SEED", "99")
-        assert main(["tail", "--model", "exponential", "--samples", "5000",
-                     "--t-grid", "0:1:0.5", "--out-csv", str(a)]) == 0
-        monkeypatch.delenv("INFOCONC_SEED")
-        assert main(["tail", "--model", "exponential", "--samples", "5000",
-                     "--seed", "99", "--t-grid", "0:1:0.5",
-                     "--out-csv", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_model_file(self, tmp_path):
         spec = {"family": "product",

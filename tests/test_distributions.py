@@ -185,6 +185,36 @@ def test_sampler_matches_cdf_ks(d):
     assert ks_statistic(x, SCIPY_ZOO[d.name].cdf) < KS_COEFF_1E3 / 1000.0
 
 
+# the support and the draw by the quantile belong to Density1D, not to
+# each family: log_pdf is -inf at and past every finite end, finite at the
+# family's own draws, and a family without a sampler of its own draws the
+# quantile of the generator's uniforms
+SUPPORT_ZOO = standard_zoo() + [gamma(1.0)]
+
+
+@pytest.mark.parametrize("d", SUPPORT_ZOO, ids=[d.name for d in SUPPORT_ZOO])
+def test_log_pdf_is_minus_inf_outside_the_support(d):
+    for end, outward in zip(d.support, (-math.inf, math.inf)):
+        if math.isfinite(end):
+            x = np.array([end, np.nextafter(end, outward), outward])
+            assert np.array_equal(d.log_pdf(x), np.full(3, -np.inf))
+    x = d.sample(RngStream(seed=90).generator(), 1000)
+    assert np.isfinite(d.log_pdf(x)).all()
+
+
+QUANTILE_DRAWN = [exponential(), gamma(1.0), gaussian1d(1.0, 2.0), laplace(),
+                  uniform(-1.0, 2.0), half_normal()]
+
+
+@pytest.mark.parametrize("d", QUANTILE_DRAWN,
+                         ids=[d.name for d in QUANTILE_DRAWN])
+def test_default_draw_is_the_quantile_of_uniforms(d):
+    rng = RngStream(seed=91, stream_id=3)
+    x = d.sample(rng.generator(), 1000)
+    u = np.maximum(rng.generator().random(1000), np.finfo(float).tiny)
+    assert x.tobytes() == d.quantile(u).tobytes()
+
+
 def test_gamma_sample_moments():
     x = gamma(4.0).sample(RngStream(seed=5, stream_id=0).generator(), 1_000_000)
     # mean p, variance p; 5 sigma tolerances at m = 1e6
@@ -374,8 +404,8 @@ def test_affine_identity_matrix_applies_only_the_shift():
     base = Product([exponential(), gaussian1d(), laplace()])
     shift = np.array([0.5, -1.0, 2.0])
     m = AffineMap(base, np.eye(3), shift)
-    assert m._solve.identity
-    assert not AffineMap(base, 2.0 * np.eye(3))._solve.identity
+    assert m._inverse_t is None
+    assert AffineMap(base, 2.0 * np.eye(3))._inverse_t is not None
     xb = base.sample(RngStream(seed=79).generator(), 500)
     xm = m.sample(RngStream(seed=79).generator(), 500)
     assert np.array_equal(xm, xb @ np.eye(3).T + shift)
@@ -395,7 +425,7 @@ def test_affine_solve_matches_a_direct_solve():
     m = AffineMap(GaussianModel(16), t, shift)
     x = gen.normal(size=(1000, 16))
     want = solve(t, (x - shift).T).T
-    got = m._solve(x - shift)
+    got = (x - shift) @ m._inverse_t
     err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
     assert err.max() < 1e-9
 

@@ -96,6 +96,8 @@ CASES = {
                                   "--kind", "hat", "--p-grid", "0.5:3:0.5"],
                                  None),
     "order_p_gamma": (["order_p", "--model", "gamma", "--p", "5"], None),
+    # p = 1: only the ratio and trigamma caps have a window holding p
+    "order_p_exponential": (["order_p", "--model", "exponential"], None),
     "aep_gauss_ar1": (["aep", "--model", "gauss_ar1", "--rho", "0.5",
                        "--samples", "500", "--seed", "13",
                        "--n-grid", "4,16", "--s-grid", "0.5"], None),
@@ -152,6 +154,8 @@ DIGESTS = {
         "be582d7fb0e116853785840689899e4a45f2f800a1a632f8644226e0305ea233",
     "mgf_one_sided":
         "3bbe6754d43b34ea765092143e8d383939ace630ae6735e7ca757a42fde67661",
+    "order_p_exponential":
+        "498ababb75a0aeda419724ec73d462822534ab6c639d0ead22409ff3423da127",
     "order_p_gamma":
         "fba58440dc991294045744537ed618f6034e1e2d4e3e7f4dc39af24bd02d85b2",
     "quantile_density_exp":

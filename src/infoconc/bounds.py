@@ -9,10 +9,12 @@ outside the window is permitted (the curves are still defined) but flagged
 so reports can exclude those points from certification.  A bound past the
 largest double is ``inf``.  ``catalog()`` states these bounds and no other.
 
-The estimators return estimates and the exact checks margins; only this
-module judges them.  ``compare(estimate, bound)`` turns a confidence
-interval and a ``Bound`` into one of three verdicts, ``exact_verdict`` a
-margin and its tolerance:
+The estimators and the exact checks return values only; this module alone
+decides which bounds apply and judges them.  ``order_p_variance_caps(p)`` is
+the table of the order-p variance caps whose window holds p, each with the
+statistic it bounds.  ``compare(estimate, bound)`` turns a confidence
+interval and a ``Bound`` into one of three verdicts, ``exact_verdict`` an
+exact margin and its tolerance:
 
 HOLDS         the whole interval sits on the right side of the bound
 VIOLATED      the whole interval sits on the wrong side
@@ -34,7 +36,6 @@ from .numerics import DomainError, trigamma
 __all__ = [
     "Bound",
     "BoundVerdict",
-    "VarianceCaps",
     "HOLDS",
     "VIOLATED",
     "INCONCLUSIVE",
@@ -78,21 +79,6 @@ class BoundVerdict:
     margin: float
     vacuous: bool
     in_window: bool
-
-
-@dataclass(frozen=True)
-class VarianceCaps:
-    """Variance caps for an order-p random variable xi (all in one place).
-
-    ratio_cap and cp_cap bound Var(xi)/E[xi]^2; trigamma and log_cap bound
-    Var(log xi).  Caps whose validity window excludes p are None.
-    """
-
-    p: float
-    trigamma: float
-    ratio_cap: float
-    cp_cap: Optional[float]
-    log_cap: Optional[float]
 
 
 def exp_tail_bound(t: float) -> Bound:
@@ -141,17 +127,21 @@ def log_cp(p: float) -> float:
     return (p + 1.0) * math.log(p + 1.0) + (p - 1.0) * math.log(p - 1.0) - 2.0 * p * math.log(p)
 
 
-def order_p_variance_caps(p: float) -> VarianceCaps:
-    """All variance caps available for an order-p variable, p >= 1."""
+def order_p_variance_caps(p: float) -> dict:
+    """The variance caps of an order-p variable xi whose window holds p,
+    p >= 1, as ``{name: (statistic, cap)}`` in the order ratio, cp, trigamma,
+    log_simple.  The statistic is ``"ratio"`` (Var(xi)/E[xi]^2) or
+    ``"var_log"`` (Var(log xi)); cp and log_simple need p > 1 and are absent
+    at p = 1."""
     if p < 1.0:
         raise DomainError(f"variance caps require p >= 1, got {p!r}")
-    return VarianceCaps(
-        p=p,
-        trigamma=trigamma(p),
-        ratio_cap=1.0 / p,
-        cp_cap=(math.expm1(log_cp(p)) if p > 1.0 else None),
-        log_cap=(1.0 / (p - 1.0) if p > 1.0 else None),
-    )
+    caps = {"ratio": ("ratio", 1.0 / p)}
+    if p > 1.0:
+        caps["cp"] = ("ratio", math.expm1(log_cp(p)))
+    caps["trigamma"] = ("var_log", trigamma(p))
+    if p > 1.0:
+        caps["log_simple"] = ("var_log", 1.0 / (p - 1.0))
+    return caps
 
 
 def mgf_bound_nd(alpha: float, n: int) -> Bound:

@@ -245,18 +245,18 @@ def _lyapunov_rows(density, args):
 
 def _order_p_rows(density, args):
     report = order_p_variance_check(density)
-    caps = report.caps
-    cap_and_observed = {"ratio": (caps.ratio_cap, report.ratio),
-                        "cp": (caps.cp_cap, report.ratio),
-                        "trigamma": (caps.trigamma, report.var_log),
-                        "log_simple": (caps.log_cap, report.var_log)}
+    caps = bounds.order_p_variance_caps(report.p)
     converged = bool(report.converged.all())
-    rows = [(name, *cap_and_observed[name], margin,
-             bounds.exact_verdict(margin, report.tol, converged))
-            for name, margin in report.margins.items() if margin is not None]
+    rows = []
+    for name, (statistic, cap) in caps.items():
+        observed = getattr(report, statistic)
+        margin = cap - observed
+        rows.append((name, cap, observed, margin,
+                     bounds.exact_verdict(margin, report.tol, converged)))
+    cap = caps["trigamma"][1]
     return (rows, {"p": report.p, "tol": report.tol},
-            f"var_log={report.var_log:.12g} trigamma_cap={caps.trigamma:.12g} "
-            f"margin={report.margins['trigamma']:.3e}")
+            f"var_log={report.var_log:.12g} trigamma_cap={cap:.12g} "
+            f"margin={cap - report.var_log:.3e}")
 
 
 def _aep_rows(report, args):

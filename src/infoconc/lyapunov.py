@@ -12,8 +12,9 @@ which is the extremal density for both reversed inequalities.  Concavity
 of the normalized and hat curves at the triple (p+1, p, p-1), applied to
 the tilted measure of an order-p density, is exactly what produces the
 variance caps Var(xi) <= (1/p) E[xi]^2 and Var(xi) <= (C_p - 1) E[xi]^2;
-``order_p_variance_check`` verifies those caps directly by quadrature so
-the two routes stay independent.
+``order_p_variance_check`` computes the statistics those caps bound directly
+by quadrature, so the two routes stay independent.  The checks here return
+values and chord defects; ``bounds`` holds the caps and the verdicts.
 
 All moments of a density are reductions over one node set of
 ``numerics.de_rule``: order p is a log-sum-exp of its nodes' log masses plus
@@ -28,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import VarianceCaps, order_p_variance_caps
 from .distributions import Density1D, quantile_density
 from .numerics import (DomainError, QuadratureResult, check_grid, de_rule,
                        log_gamma, peak_width)
@@ -168,7 +168,8 @@ def _convexity_report(name: str, direction: str, xs: np.ndarray,
 
 @dataclass(frozen=True)
 class OrderPVarianceReport:
-    """``converged`` holds the rule's flags of E xi, E xi^2, E log xi and
+    """``tol`` is how far above a cap the statistic may sit and pass;
+    ``converged`` holds the rule's flags of E xi, E xi^2, E log xi and
     E log^2 xi, in that order."""
 
     density_name: str
@@ -178,21 +179,15 @@ class OrderPVarianceReport:
     ratio: float
     mean_log: float
     var_log: float
-    caps: VarianceCaps
-    margins: dict
-    ok: bool
     tol: float
     converged: np.ndarray
 
 
 def order_p_variance_check(density: Density1D) -> OrderPVarianceReport:
-    """Quadrature moments of an order-p density against every variance cap.
-
-    Caps come from the closed forms; the moments are computed here by
-    direct integration, all four over one node set, so equality cases (the
-    gamma family for both the ratio cap and the trigamma cap) land on the
-    boundary within quadrature error.
-    """
+    """The statistics an order-p density's variance caps bound, Var(xi)/E[xi]^2
+    (``ratio``) and Var(log xi) (``var_log``), from four quadrature moments
+    over one node set, so equality cases (gamma(p) for the ratio and trigamma
+    caps) land on the boundary within quadrature error."""
     p = density.order_p
     if p is None:
         raise DomainError(f"density {density.name!r} has no declared order")
@@ -207,21 +202,11 @@ def order_p_variance_check(density: Density1D) -> OrderPVarianceReport:
     log_mean, log_second, mean_log, second_log = map(float, res.value)
     mean, second = math.exp(log_mean), math.exp(log_second)
     variance = second - mean * mean
-    ratio = variance / (mean * mean)
-    var_log = second_log - mean_log * mean_log
-    caps = order_p_variance_caps(p)
-    margins = {
-        "ratio": caps.ratio_cap - ratio,
-        "cp": (caps.cp_cap - ratio) if caps.cp_cap is not None else None,
-        "trigamma": caps.trigamma - var_log,
-        "log_simple": (caps.log_cap - var_log) if caps.log_cap is not None else None,
-    }
-    ok = all(v >= -_TOL for v in margins.values() if v is not None)
     return OrderPVarianceReport(
         density_name=density.name, p=p, mean=mean, variance=variance,
-        ratio=ratio, mean_log=mean_log, var_log=var_log, caps=caps,
-        margins=margins, ok=bool(ok), tol=_TOL, converged=res.converged,
-    )
+        ratio=variance / (mean * mean), mean_log=mean_log,
+        var_log=second_log - mean_log * mean_log, tol=_TOL,
+        converged=res.converged)
 
 
 def quantile_density_concavity(density: Density1D,

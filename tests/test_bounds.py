@@ -168,26 +168,32 @@ class TestVarianceCaps:
             log_cp(0.5)
 
     def test_caps_at_one(self):
+        # cp and log_simple need p > 1: absent, not None
         caps = order_p_variance_caps(1.0)
-        assert caps.ratio_cap == 1.0
-        assert abs(caps.trigamma - math.pi**2 / 6.0) < 1e-12
-        assert caps.cp_cap is None
-        assert caps.log_cap is None
+        assert list(caps) == ["ratio", "trigamma"]
+        assert caps["ratio"] == ("ratio", 1.0)
+        statistic, cap = caps["trigamma"]
+        assert statistic == "var_log"
+        assert abs(cap - math.pi**2 / 6.0) < 1e-12
 
     def test_caps_at_two(self):
         caps = order_p_variance_caps(2.0)
-        assert caps.ratio_cap == 0.5
-        assert abs(caps.cp_cap - 0.6875) < 1e-14
-        assert caps.log_cap == 1.0
-        assert abs(caps.trigamma - trigamma(2.0)) == 0.0
+        assert list(caps) == ["ratio", "cp", "trigamma", "log_simple"]
+        assert caps["ratio"] == ("ratio", 0.5)
+        assert caps["cp"][0] == "ratio"
+        assert abs(caps["cp"][1] - 0.6875) < 1e-14
+        assert caps["log_simple"] == ("var_log", 1.0)
+        assert caps["trigamma"][0] == "var_log"
+        assert abs(caps["trigamma"][1] - trigamma(2.0)) == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0])
     def test_cap_orderings(self, p):
-        caps = order_p_variance_caps(p)
+        cap = {name: value for name, (_, value)
+               in order_p_variance_caps(p).items()}
         # trigamma is the sharper log-variance cap
-        assert caps.trigamma < caps.log_cap
+        assert cap["trigamma"] < cap["log_simple"]
         # the triple-based mean cap is coarser than 1/p
-        assert caps.cp_cap > caps.ratio_cap
+        assert cap["cp"] > cap["ratio"]
 
     def test_caps_domain(self):
         with pytest.raises(DomainError):

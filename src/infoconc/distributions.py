@@ -214,10 +214,11 @@ def _masked_log(x, support: Tuple[float, float], inside: Callable) -> np.ndarray
     x = np.asarray(x, dtype=np.float64)
     a, b = support
     m = (x > a) & (x < b)
-    if m.all():  # as sampled points are: no gather and scatter needed
-        out = np.empty(x.shape)
-        out[...] = inside(x)
-        return out
+    if m.all():  # as sampled points are: no gather, scatter or copy
+        out = np.asarray(inside(x), dtype=np.float64)
+        if out.shape == x.shape:
+            return out
+        return np.broadcast_to(out, x.shape).copy()
     out = np.full(x.shape, -np.inf)
     if np.any(m):
         out[m] = inside(x[m])

@@ -117,7 +117,10 @@ def log_gamma(x: float) -> float:
     """
     if math.isnan(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"log_gamma overflows at x = {x!r}") from None
 
 
 def trigamma(p: float) -> float:

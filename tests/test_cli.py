@@ -206,6 +206,19 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not csv.exists()
 
+    # log Gamma of the order p, or of dim/2 + 1, is past the largest double
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--model", "gamma", "--p", "1e308"],
+        ["tail", "--model",
+         '{"family": "ball_uniform", "params": {"dim": 1e308}}'],
+    ], ids=["gamma_huge_p", "ball_huge_dim"])
+    def test_log_gamma_overflow(self, argv, tmp_path, capsys):
+        csv = tmp_path / "out.csv"
+        assert main([*argv, "--samples", "10", "--out-csv", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "log_gamma overflows" in err
+        assert not csv.exists()
+
     # a non-finite 1-D, gaussian or process parameter is refused, by name,
     # where the model is built
     @pytest.mark.parametrize("argv,message", [

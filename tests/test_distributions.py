@@ -202,6 +202,29 @@ def test_log_pdf_is_minus_inf_outside_the_support(d):
     assert np.isfinite(d.log_pdf(x)).all()
 
 
+@pytest.mark.parametrize("d", [exponential(), laplace()],
+                         ids=["exponential", "laplace"])
+def test_log_pdf_inside_the_support_makes_no_copy(d):
+    # 2^20 points all inside the support, as sampled points are: the 8 MB
+    # formula result plus the 1 MB mask, and no second 8 MB array to copy
+    # it into
+    x = d.sample(RngStream(seed=92).generator(), 2**20)
+    tracemalloc.start()
+    try:
+        y = d.log_pdf(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.dtype == np.float64 and y.shape == x.shape
+    assert peak < 12 * 2**20
+
+
+def test_log_pdf_broadcasts_a_constant_formula():
+    flat = from_log_density("flat", lambda x: 0.0, (0.0, 1.0))
+    y = flat.log_pdf(np.array([0.25, 0.5]))
+    assert y.dtype == np.float64 and np.array_equal(y, np.zeros(2))
+
+
 QUANTILE_DRAWN = [exponential(), gamma(1.0), gaussian1d(1.0, 2.0), laplace(),
                   uniform(-1.0, 2.0), half_normal()]
 

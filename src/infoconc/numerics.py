@@ -113,7 +113,7 @@ def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0.
 
     Relative accuracy is a few ulp across [1e-3, 1e6] (Lanczos/Stirling
-    style implementation underneath).
+    style implementation underneath); DomainError past 2.5e305 (overflow).
     """
     if math.isnan(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")

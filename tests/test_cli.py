@@ -206,17 +206,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not csv.exists()
 
-    # log Gamma of the order p, or of dim/2 + 1, is past the largest double
+    # log Gamma of dim/2 + 1 is past the largest double: a numeric error of
+    # a well-formed spec, not a malformed one
     @pytest.mark.parametrize("argv", [
-        ["tail", "--model", "gamma", "--p", "1e308"],
         ["tail", "--model",
          '{"family": "ball_uniform", "params": {"dim": 1e308}}'],
-    ], ids=["gamma_huge_p", "ball_huge_dim"])
+    ], ids=["ball_huge_dim"])
     def test_log_gamma_overflow(self, argv, tmp_path, capsys):
         csv = tmp_path / "out.csv"
         assert main([*argv, "--samples", "10", "--out-csv", str(csv)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "log_gamma overflows" in err
+        assert "malformed" not in err
+        assert not csv.exists()
+
+    # a gamma order past 1e10 is refused before log Gamma of it is taken
+    @pytest.mark.parametrize("p", ["1e308", "2e10"],
+                             ids=["gamma_huge_p", "gamma_past_limit"])
+    def test_gamma_shape_limit(self, p, tmp_path, capsys):
+        csv = tmp_path / "out.csv"
+        assert main(["tail", "--model", "gamma", "--p", p, "--samples", "10",
+                     "--out-csv", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma shape p must be at most 1e+10")
         assert not csv.exists()
 
     # a non-finite 1-D, gaussian or process parameter is refused, by name,

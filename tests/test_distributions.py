@@ -257,6 +257,15 @@ def test_gamma_one_is_the_exponential_renamed():
                           e.sample(RngStream(3).generator(), 5))
 
 
+def test_gamma_shape_limit():
+    # past 1e10 the log-density's rounding error is a visible share of the
+    # deviations' spread of 0.69
+    assert gamma(1e10).order_p == 1e10
+    for p in (math.nextafter(1e10, math.inf), 1e14):
+        with pytest.raises(ParameterError, match="must be at most 1e\\+10"):
+            gamma(p)
+
+
 def test_half_normal_sample_mean():
     x = half_normal().sample(RngStream(seed=6).generator(), 1_000_000)
     assert abs(x.mean() - math.sqrt(2.0 / math.pi)) <= 5.0 * math.sqrt(1.0 - 2.0 / math.pi) / 1000.0
@@ -811,6 +820,19 @@ def test_information_law_mean_is_the_entropy():
     assert gamma(2.0).info_law is None
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
     assert bump.info_law is None
+
+
+def test_info_shape_is_none_without_a_law():
+    # gamma(p > 1) and custom densities have no information law, so neither
+    # has a product holding one nor an affine image of such a product
+    bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
+    for model in [
+        model_from_spec({"family": "gamma", "params": {"p": 2.0}}),
+        model_from_spec(MIXED8),
+        Product([bump, exponential()]),
+        AffineMap(Product([gamma(2.0), exponential()]), [[2.0, 0.0], [1.0, 1.0]]),
+    ]:
+        assert model.info_shape is None, model.spec
 
 
 def test_density_from_spec_dispatch():

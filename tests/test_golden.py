@@ -135,11 +135,11 @@ DIGESTS = {
     "aep_process_file":
         "bb8be3abf4e8d0d2d634076c4ea20b287e961b8f2bc252ee3c1c70a55def53cd",
     "entropy_power_affine":
-        "0db9995c29efa8bb8579545423063d7147580f3b7b52ac43dbf52544c181bd2c",
+        "9eef1b15a02cc8405b8292038a538d376b96e30523b6c806988699acf904715b",
     "entropy_power_gaussian":
         "2a49e2b709410d5b974ff7e071dc3da0735803eec90776f1df89ffb1cd007d11",
     "entropy_power_past_window":
-        "e495ddb9737bbfd3da6906594abab142a437b1241fa11fe5c376e5022ce404cc",
+        "3954931fc6ee3045760ecf04a51e3d3066283f61ad56be52da378de5a2c0439e",
     "list_bounds":
         "89dce6cb65bbb93671f23fa6eb381e218fa9d8c539a721c5799e355cce2be0e8",
     "lyapunov_exp_normalized":
@@ -149,11 +149,11 @@ DIGESTS = {
     "lyapunov_half_normal_hat":
         "b7e2f2b244763579acbdcf8cb58e05846725e0f8a42082e24d2ad6621d2881ce",
     "mgf_gaussian":
-        "a5bc404a850f2da50cbf4442c2a3be48acd9244d5bcaf035d16be7032f3cdf14",
+        "6d3455fec52b54f5c1a255edd8e5e4db4ebd34a2c8d3b2fd6c1c9b75a194521e",
     "mgf_mixed_components":
-        "be582d7fb0e116853785840689899e4a45f2f800a1a632f8644226e0305ea233",
+        "943c9adc9e78c689617eecacf924f370860b2fff7028712218c1f3a256b128f2",
     "mgf_one_sided":
-        "3bbe6754d43b34ea765092143e8d383939ace630ae6735e7ca757a42fde67661",
+        "21c1799c8d4b29b436007bd1ea46fef2bcd1b41991b924d2e7229fdfdc1e3d0c",
     "order_p_exponential":
         "498ababb75a0aeda419724ec73d462822534ab6c639d0ead22409ff3423da127",
     "order_p_gamma":
@@ -165,19 +165,19 @@ DIGESTS = {
     "tail_ball":
         "af0954841fa9a4673338079cc92e6a21bf6642540dec77ce1ffa6fe9d0c66aa5",
     "tail_exp_per_coordinate":
-        "3c5b1082a2d11e74f745525219b7d88d11787396d48769c48efb3b784fc00b17",
+        "21987e6711683432165750f90879f048cd32dfc9c84f2459c2c8b199e1578255",
     "tail_gamma_file":
         "51430446af1b5a8aa793413555fdf3c09f3d7495708e0bcf5a76efad06f0f6b5",
     "tail_gaussian":
-        "1c2cc4e7296639b7b9ff7a04492691f9838b42fbe17eca20d607741b184e6fcd",
+        "8da2917a459c81cd3f31d7b75e53ef43e23f1f4d0b7f3513933f710fa663f3b1",
     "tail_gaussian_past_window":
-        "745ec4bf5e0543e57ee76f34160b219845a00e76781c66a1ff9d7a42f69e8faf",
+        "2431c41daeb2f3af8f258c7ceadf6e6127d01dc7e7902add9b8550ffa00c15cf",
     "tail_workers2":
-        "6c597f797ba18ced17da1a3703b2e08d41f77fc04d493789ca8c707437ed1ad2",
+        "7aaa3511bcaad6c4a7eff4f29b4f2e3a143a880e596542d0e1d5c6ab009ef21f",
     "variance_cov_factor":
-        "5ad2d7a17c42c09989fc0332f60da27f9e1a955faf1a30c6e52c6d4126534e66",
+        "2eb3b180c70086d36934d870dc0089e081b11a355117e3daef8e04be6108075b",
     "variance_exp":
-        "622aedf72c5cbcb8662d233a63b7c52a38980ec1a24008cfb1a34e209d2352ca",
+        "bfae365a0002addbbedbdde6047388bdf1a557bf426621323bfaa9c4912cac33",
 }
 
 

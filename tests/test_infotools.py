@@ -15,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import chdtr, chdtrc, ndtri
+from scipy.stats import ks_2samp
 
 from infoconc.bounds import (HOLDS, INCONCLUSIVE, Bound, compare,
                              entropy_power_floor, mgf_bound_nd)
@@ -130,6 +131,33 @@ class TestMcEstimate:
             deviation_mean(make_batch([1.0]))
 
 
+AFFINE_EXP16 = {"family": "affine", "params": {
+    "base": {"family": "product", "params": {
+        "component": {"family": "exponential"}, "copies": 16}},
+    "matrix": (np.eye(16) + 0.25 * np.tri(16, k=-1)
+               - 0.125 * np.tri(16, k=-1).T).tolist(),
+    "shift": np.linspace(-1.0, 1.0, 16).tolist()}}
+
+# models with an information law, and their shapes K
+LAW_MODELS = {
+    "gauss64": ({"family": "gaussian", "params": {"dim": 64}}, 32.0),
+    "gausscov16": ({"family": "gaussian", "params": {
+        "cov_factor": (np.eye(16) + 0.5 * np.tri(16, k=-1)).tolist()}}, 8.0),
+    "affine_exp16": (AFFINE_EXP16, 16.0),
+    "exp64": ({"family": "product", "params": {
+        "component": {"family": "exponential"}, "copies": 64}}, 64.0),
+    "mixed_law": ({"family": "product", "params": {"components": [
+        {"family": "exponential"},
+        {"family": "gaussian1d", "params": {"mu": 1.0, "sigma": 2.0}},
+        {"family": "laplace"}, {"family": "uniform", "params": {"a": -1.0, "b": 2.0}},
+        {"family": "half_normal"}]}}, 3.0),
+    "ball16": ({"family": "ball_uniform", "params": {"dim": 16}}, 0.0),
+}
+LAW_M = 4000
+GAMMA2_X64 = {"family": "product", "params": {
+    "component": {"family": "gamma", "params": {"p": 2.0}}, "copies": 64}}
+
+
 class TestSampleInformation:
     def test_exponential_support_bound(self):
         # dev = X - 1 for the standard exponential, so dev >= -1 always
@@ -163,23 +191,19 @@ class TestSampleInformation:
         assert np.array_equal(a.deviations, c.deviations)
 
     @pytest.mark.parametrize("spec", [
-        {"family": "product",
-         "params": {"component": {"family": "exponential"}, "copies": 64}},
-        {"family": "affine", "params": {
-            "base": {"family": "product", "params": {
-                "component": {"family": "exponential"}, "copies": 16}},
-            "matrix": (np.eye(16) + 0.25 * np.tri(16, k=-1)
-                       - 0.125 * np.tri(16, k=-1).T).tolist(),
-            "shift": np.linspace(-1.0, 1.0, 16).tolist()}},
-        {"family": "ball_uniform", "params": {"dim": 16}},
+        LAW_MODELS["exp64"][0],
+        AFFINE_EXP16,
+        LAW_MODELS["ball16"][0],
         {"family": "product", "params": {"components": [
             {"family": "exponential"}, {"family": "gamma", "params": {"p": 3.0}},
             {"family": "gaussian1d"}, {"family": "laplace"},
             {"family": "uniform"}, {"family": "half_normal"}]}},
-    ], ids=["exp64", "affine_exp16", "ball16", "mixed6"])
+        GAMMA2_X64,
+    ], ids=["exp64", "affine_exp16", "ball16", "mixed6", "gamma2x64"])
     def test_row_chunks_keep_worker_count_invariance(self, spec):
-        # blocks are walked in row chunks; a block still draws all of its
-        # chunks, in order, from its own counter offset
+        # a model-route block is walked in row chunks and still draws all of
+        # them, in order, from its own counter offset; a law-route block is
+        # one Gamma draw from it
         model = model_from_spec(spec)
         m = 2 * BLOCK_SIZE + 777
         ref = sample_information(model, m, RngStream(6), workers=1).deviations
@@ -190,8 +214,7 @@ class TestSampleInformation:
     def test_block_memory_is_a_few_chunks(self):
         # a whole 65536 x 64 block of points would be 32 MB, and its
         # log-density temporaries as much again; the 2^17 deviations are 1 MB
-        model = model_from_spec({"family": "product", "params": {
-            "component": {"family": "exponential"}, "copies": 64}})
+        model = model_from_spec(GAMMA2_X64)
         tracemalloc.start()
         try:
             sample_information(model, 2 * BLOCK_SIZE, RngStream(8))
@@ -201,7 +224,7 @@ class TestSampleInformation:
         assert peak < 6 * 2**20
 
     @pytest.mark.parametrize("make", ["affine", "cov_factor"])
-    def test_shared_linear_factors_are_thread_safe(self, make):
+    def test_shared_linear_factors_are_thread_safe(self, make, model_route):
         # Both models share one inverted matrix between the pool threads.
         # A factorization whose solve wrote shared state (lu_solve on one
         # lu_factor pair) once made these runs differ.
@@ -210,6 +233,7 @@ class TestSampleInformation:
         model = (AffineMap(Product([exponential()] * 16), full)
                  if make == "affine" else model_from_spec(
                      {"family": "gaussian", "params": {"cov_factor": full.tolist()}}))
+        model = model_route(model)
         m = 2 * BLOCK_SIZE + 513
         ref = sample_information(model, m, RngStream(3), workers=1).deviations
         switch = sys.getswitchinterval()
@@ -222,9 +246,11 @@ class TestSampleInformation:
             sys.setswitchinterval(switch)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_gaussian_mean_and_factor_is_the_affine_image(self, workers):
+    def test_gaussian_mean_and_factor_is_the_affine_image(self, workers,
+                                                          model_route):
         # one linear-map path: the gaussian spelling and the explicit affine
-        # image of the standard normal give the same deviation bytes
+        # image of the standard normal give the same deviation bytes, on
+        # the model route too
         gen = np.random.default_rng(7)
         t = (np.eye(5) + 0.5 * gen.standard_normal((5, 5))).tolist()
         mu = gen.standard_normal(5).tolist()
@@ -233,11 +259,12 @@ class TestSampleInformation:
             "base": {"family": "gaussian", "params": {"dim": 5}},
             "matrix": t, "shift": mu}}
         m = BLOCK_SIZE + 999
-        a = sample_information(model_from_spec(gaussian), m, RngStream(4),
-                               workers=workers)
-        b = sample_information(model_from_spec(affine), m, RngStream(4),
-                               workers=workers)
-        assert a.deviations.tobytes() == b.deviations.tobytes()
+        for route in (lambda model: model, model_route):
+            a = sample_information(route(model_from_spec(gaussian)), m,
+                                   RngStream(4), workers=workers)
+            b = sample_information(route(model_from_spec(affine)), m,
+                                   RngStream(4), workers=workers)
+            assert a.deviations.tobytes() == b.deviations.tobytes()
 
     def test_mean_only_gaussian_is_the_identity_affine_image(self):
         mu = [0.5, -1.0, 2.0]
@@ -250,22 +277,72 @@ class TestSampleInformation:
         assert np.array_equal(a.deviations, b.deviations)
 
     # a non-finite 1-D or gaussian parameter is refused where the model is
-    # built; finite parameters whose draws overflow reach the one isfinite
-    # pass of the sampler
+    # built; finite parameters of a model without an information law whose
+    # draws overflow reach the one isfinite pass of the sampler
     @pytest.mark.parametrize("spec,error", [
         ({"family": "gaussian", "params": {"dim": 2, "mean": [0.0, math.nan]}},
          ParameterError),
         ({"family": "uniform", "params": {"a": -math.inf, "b": 0.0}},
          ParameterError),
         ({"family": "gaussian1d", "params": {"mu": math.nan}}, ParameterError),
-        ({"family": "gaussian", "params": {
-            "mean": [1.5e308, 0.0], "cov_factor": [[1e308, 0.0], [0.0, 1.0]]}},
+        ({"family": "affine", "params": {
+            "base": {"family": "product", "params": {
+                "component": {"family": "gamma", "params": {"p": 2.0}},
+                "copies": 2}},
+            "matrix": [[1e308, 0.0], [0.0, 1.0]], "shift": [1.5e308, 0.0]}},
          NumericsError),
     ], ids=["gaussian_nan_mean", "uniform_infinite_end", "gaussian1d_nan_mu",
-            "gaussian_overflowing_draws"])
+            "affine_overflow"])
     def test_non_finite_deviations_raise(self, spec, error):
         with pytest.raises(error):
             sample_information(model_from_spec(spec), 1000, RngStream(1))
+
+    def test_overflowing_gaussian_deviations_are_its_law(self):
+        # its points overflow, but its deviations are Gamma(1, 1) - 1 in law
+        # and never formed from the points
+        model = model_from_spec({"family": "gaussian", "params": {
+            "mean": [1.5e308, 0.0], "cov_factor": [[1e308, 0.0], [0.0, 1.0]]}})
+        dev = sample_information(model, 1000, RngStream(1)).deviations
+        assert np.isfinite(dev).all() and dev.min() >= -1.0
+
+    @pytest.mark.parametrize("name", sorted(LAW_MODELS))
+    def test_law_route_matches_model_route(self, name, model_route):
+        # the law route against the model's own draws (KS), and both against
+        # the exact mean 0 and variance K of Gamma(K, 1) - K
+        spec, k = LAW_MODELS[name]
+        model = model_from_spec(spec)
+        assert model.info_shape == k
+        law = sample_information(model, LAW_M, RngStream(61)).deviations
+        points = sample_information(model_route(model), LAW_M,
+                                    RngStream(61, stream_id=1)).deviations
+        if k == 0.0:  # the density is constant on the support
+            assert not law.any() and not points.any()
+            return
+        assert ks_2samp(law, points).pvalue > 1e-3
+        # the sample variance of Gamma(K) has excess kurtosis 6 / K
+        slack = 5.0 * k * math.sqrt((2.0 + 6.0 / k) / LAW_M)
+        for dev in (law, points):
+            assert abs(dev.mean()) < 5.0 * math.sqrt(k / LAW_M)
+            assert abs(dev.var() - k) < slack
+
+    def test_law_route_pool_size(self, monkeypatch):
+        # a law route starts one worker per started _CHUNK_ELEMENTS draws
+        # (one block); the model route keeps every worker asked for
+        used = []
+        run_blocks = RngStream.run_blocks
+
+        def spy(self, total, block, work, workers=1):
+            used.append(workers)
+            run_blocks(self, total, block, work, workers)
+
+        monkeypatch.setattr(RngStream, "run_blocks", spy)
+        model = GaussianModel(4)
+        runs = [sample_information(model, m, RngStream(71), workers=5)
+                for m in (BLOCK_SIZE, 2 * BLOCK_SIZE + 5, 4 * BLOCK_SIZE)]
+        sample_information(Product([gamma(2.0)]), 10, RngStream(71), workers=5)
+        assert used == [1, 3, 4, 5]
+        single = sample_information(model, 4 * BLOCK_SIZE, RngStream(71))
+        assert single.deviations.tobytes() == runs[2].deviations.tobytes()
 
     def test_full_blocks_are_stable_across_total_size(self):
         # block b depends only on its index, so a longer run extends a

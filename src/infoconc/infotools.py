@@ -17,14 +17,18 @@ evaluated in row chunks, so no whole block of points is ever held.
 
 Proportions get Wilson score intervals, which behave sensibly at zero
 observed exceedances; means get the usual normal approximation.  Exponential
-moments are accumulated in log space so large deviations cannot overflow.
-These are estimates only; ``bounds`` decides windows, vacuity and verdicts.
+moments are accumulated in log space so large deviations cannot overflow:
+both moments of one alpha come from a single exp, taken in place in one
+reused buffer.  Each reduction holds at most one float64 scratch array of
+the batch's length, and a count one boolean mask, and runs its ufuncs with
+``out=`` into them.  These are estimates only; ``bounds`` decides windows,
+vacuity and verdicts.
 """
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -192,10 +196,12 @@ def empirical_tail(batch: InfoSampleBatch, thresholds: Sequence[float],
     else:
         raise DomainError(f"unknown scaling {scaling!r}")
     absdev = np.abs(batch.deviations)
+    exceeds = np.empty(batch.m, dtype=bool)
     rows = []
     for t in ts:
         thr = t * unit
-        count = int(np.count_nonzero(absdev >= thr))
+        np.greater_equal(absdev, thr, out=exceeds)
+        count = int(np.count_nonzero(exceeds))
         rows.append(TailRow(
             t=float(t),
             threshold_nats=float(thr),
@@ -211,11 +217,6 @@ class MgfRow:
     estimate: McEstimate
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    peak = float(np.max(a))
-    return peak + math.log(float(np.sum(np.exp(a - peak))))
-
-
 def _safe_exp(x: float) -> float:
     # math.exp raises OverflowError past ~709.78; an infinite estimate is
     # the honest answer there
@@ -225,37 +226,60 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
+def _floored(est: McEstimate, floor: float) -> McEstimate:
+    """The interval raised to the estimand's floor: no end below it."""
+    return replace(est, ci_low=max(est.ci_low, floor),
+                   ci_high=max(est.ci_high, floor))
+
+
 def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
                   form: str = "two_sided_abs",
                   confidence: float = DEFAULT_CONFIDENCE) -> list:
     """Estimates of E exp(alpha |dev|/sqrt(n)) (or the one-sided version).
 
-    Accumulation happens in log space: both the first and second empirical
-    moments of exp(alpha y) are formed with a log-sum-exp, so no overflow
-    occurs even when alpha y is large; a mean past the largest double is
-    ``inf``, with the interval [0, inf].  A batch of fewer than two draws
-    has no standard error and raises DomainError.
+    Accumulation happens in log space.  For each alpha one reused buffer
+    becomes e = exp(alpha y - peak) in place, with peak the largest
+    exponent, so a single exp gives both empirical moments of exp(alpha y):
+    log(sum e) and, once e is squared in place, log(sum e^2), shifted by
+    peak and 2 peak.  No overflow occurs even when alpha y is large; a mean
+    past the largest double is ``inf``, with the interval [0, inf].  A
+    finite interval is raised to at least 1: e^(alpha |y|) >= 1 pointwise,
+    and E e^(alpha y) >= 1 by Jensen since E dev = 0.  A batch of fewer
+    than two draws has no standard error and raises DomainError.
     """
     if batch.m < 2:
         raise DomainError("need at least two draws for an MGF estimate")
     arr = check_grid(alphas, "alpha grid")
+    d = batch.deviations
+    hi, lo = float(d.max()), float(d.min())
     if form == "two_sided_abs":
-        y = np.abs(batch.deviations) / math.sqrt(batch.dim)
         if arr[0] < 0.0:
             raise DomainError("two-sided form needs nonnegative alpha")
-    elif form == "one_sided":
-        y = batch.deviations / math.sqrt(batch.dim)
-    else:
+        hi = max(hi, -lo)
+    elif form != "one_sided":
         raise DomainError(f"unknown form {form!r}")
+    scale = 1.0 / math.sqrt(batch.dim)
     log_m = math.log(batch.m)
+    e = np.empty(batch.m)
     rows = []
     for alpha in arr:
         if alpha == 0.0:
             est = McEstimate.from_mean_se(1.0, 0.0, batch.m, confidence)
         else:
-            z = alpha * y
-            l1 = _logsumexp(z) - log_m
-            l2 = _logsumexp(2.0 * z) - log_m
+            # y = |dev|/sqrt(n) or dev/sqrt(n) with alpha folded into the
+            # scale; rounding is monotone, so peak is the largest exponent
+            # exactly and e peaks at 1
+            c = alpha * scale
+            peak = c * (hi if c > 0.0 else lo)
+            np.multiply(d, c, out=e)
+            if form == "two_sided_abs":
+                np.abs(e, out=e)
+            np.subtract(e, peak, out=e)
+            np.exp(e, out=e)
+            # sums, not a BLAS dot, whose rounding follows its thread count
+            l1 = peak + math.log(float(e.sum())) - log_m
+            np.square(e, out=e)
+            l2 = 2.0 * peak + math.log(float(e.sum())) - log_m
             mean = _safe_exp(l1)
             if math.isfinite(mean):
                 # sample variance correction m/(m-1) is negligible at these
@@ -265,7 +289,8 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
                 var = excess * _safe_exp(2.0 * l1)
                 se = (math.sqrt(var / batch.m) if math.isfinite(var)
                       else mean * math.sqrt(excess / batch.m))
-                est = McEstimate.from_mean_se(mean, se, batch.m, confidence)
+                est = _floored(McEstimate.from_mean_se(mean, se, batch.m,
+                                                       confidence), 1.0)
             else:
                 # overflowed estimate: no statistical claim either way
                 est = McEstimate(math.inf, math.inf, 0.0, math.inf,
@@ -284,7 +309,12 @@ def entropy_power_band(batch: InfoSampleBatch, s: float = 1.0,
     """
     if s <= 0.0:
         raise DomainError(f"band half-width must be positive, got {s!r}")
-    inside = int(np.count_nonzero(np.abs(batch.deviations) < s * batch.dim))
+    # |dev| < x is dev < x and not dev <= -x, with x > 0: two comparisons
+    # into one mask, and no |dev| copy
+    d, x = batch.deviations, s * batch.dim
+    mask = np.empty(batch.m, dtype=bool)
+    inside = (np.count_nonzero(np.less(d, x, out=mask))
+              - np.count_nonzero(np.less_equal(d, -x, out=mask)))
     return McEstimate.from_proportion(inside, batch.m, confidence)
 
 
@@ -292,25 +322,36 @@ def deviation_variance(batch: InfoSampleBatch,
                        confidence: float = DEFAULT_CONFIDENCE) -> McEstimate:
     """Sample variance of the deviations with a moment-based interval.
 
-    The standard error uses Var(s^2) ~ (mu4 - sigma^4)/m, adequate at the
-    batch sizes used here.
+    The deviations are centered once into one buffer and squared there in
+    place twice: s^2 and mu4 come from the sums of the squares and of the
+    fourth powers.  The standard error uses Var(s^2) ~ (mu4 - sigma^4)/m,
+    adequate at the batch sizes used here; the interval is raised to at
+    least 0.
     """
     m = batch.m
     if m < 2:
         raise DomainError("need at least two draws for a variance estimate")
-    d = batch.deviations - batch.deviations.mean()
-    s2 = float(np.dot(d, d)) / (m - 1)
-    mu4 = float(np.mean(d**4))
+    sq = np.subtract(batch.deviations, batch.deviations.mean())
+    s2 = float(np.square(sq, out=sq).sum()) / (m - 1)
+    mu4 = float(np.square(sq, out=sq).sum()) / m
     se = math.sqrt(max(0.0, mu4 - s2 * s2) / m)
-    return McEstimate.from_mean_se(s2, se, m, confidence)
+    return _floored(McEstimate.from_mean_se(s2, se, m, confidence), 0.0)
 
 
 def deviation_mean(batch: InfoSampleBatch,
                    confidence: float = DEFAULT_CONFIDENCE) -> McEstimate:
     """Sample mean of the deviations (zero in expectation by definition),
-    with a normal-approximation interval."""
+    with a normal-approximation interval.
+
+    The sample variance is (d . d - m mean^2)/(m - 1), with no centered
+    copy: the mean is within a few standard errors of 0, so the difference
+    loses no significant digits.
+    """
     d, m = batch.deviations, batch.m
     if m < 2:
         raise DomainError("need at least two draws for a mean estimate")
-    se = float(d.std(ddof=1)) / math.sqrt(m)
-    return McEstimate.from_mean_se(float(d.mean()), se, m, confidence)
+    mean = float(d.mean())
+    # einsum, not a BLAS dot, whose rounding follows its thread count
+    sum_sq = float(np.einsum("i,i->", d, d))
+    s2 = max(0.0, sum_sq - m * mean * mean) / (m - 1)
+    return McEstimate.from_mean_se(mean, math.sqrt(s2 / m), m, confidence)

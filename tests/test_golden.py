@@ -175,9 +175,9 @@ DIGESTS = {
     "tail_workers2":
         "7aaa3511bcaad6c4a7eff4f29b4f2e3a143a880e596542d0e1d5c6ab009ef21f",
     "variance_cov_factor":
-        "2eb3b180c70086d36934d870dc0089e081b11a355117e3daef8e04be6108075b",
+        "02ff13df8eda6792a11c4e25f60818cea2fd8c240c1633999a83b8fc81d83f45",
     "variance_exp":
-        "bfae365a0002addbbedbdde6047388bdf1a557bf426621323bfaa9c4912cac33",
+        "05eaf2b06f20675716a75fe73cf6a98f54652164d6317b6d9dfe7f57762a347b",
 }
 
 

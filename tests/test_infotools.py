@@ -6,9 +6,13 @@ and the exponential's two-sided moment function
 
     E exp(a |X - 1|) = e^a (1 - e^-(1+a))/(1+a) + e^-1/(1-a),  0 <= a < 1,
 
-all frozen below before the module was written.
+all frozen below before the module was written.  The reductions as first
+written, with two exps per MGF point and the fourth moment through pow, are
+kept below as the reference for the one-buffer versions.
 """
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -548,3 +552,172 @@ class TestMoments:
         large = deviation_variance(sample_information(model, 160000, RngStream(34)))
         ratio = (small.ci_high - small.ci_low) / (large.ci_high - large.ci_low)
         assert 1.6 < ratio < 2.6
+
+    def test_variance_interval_is_raised_to_zero(self):
+        # one large deviation among zeros: s^2 = 10 but its normal interval
+        # reaches below 0, where no variance lies
+        est = deviation_variance(make_batch([0.0] * 999 + [100.0]))
+        assert est.value - Z_999 * est.std_error < 0.0
+        assert est.ci_low == 0.0
+        assert est.ci_high == est.value + Z_999 * est.std_error
+
+
+class TestMgfFloor:
+    def test_interval_is_raised_to_one(self):
+        # E e^(a |X - 1|) is infinite for a >= 1 on the exponential; at
+        # a = 1.75 and 2 the normal interval reaches below 0
+        batch = sample_information(Product([exponential()]), 100000,
+                                   RngStream(1))
+        rows = empirical_mgf(batch, list(np.arange(0.0, 2.01, 0.25)))
+        raised = [r.alpha for r in rows
+                  if r.estimate.value - Z_999 * r.estimate.std_error < 1.0]
+        assert raised == [1.75, 2.0]
+        for row in rows:
+            assert row.estimate.ci_low >= 1.0
+            assert row.estimate.ci_high >= row.estimate.value
+
+    def test_one_sided_interval_below_one_is_the_floor(self):
+        # the sample mean of two negative deviations puts the whole normal
+        # interval of e^(a dev) just below 1
+        row = empirical_mgf(make_batch([-1.0, -0.9]), [0.001],
+                            form="one_sided")[0]
+        assert row.estimate.value < 1.0
+        assert row.estimate.ci_low == row.estimate.ci_high == 1.0
+
+
+# The reductions as written before they shared one buffer: two exps per
+# alpha, each through a log-sum-exp, and the fourth moment through pow, with
+# the MGF and variance interval floors applied.
+
+def _logsumexp(a):
+    peak = float(np.max(a))
+    return peak + math.log(float(np.sum(np.exp(a - peak))))
+
+
+def reference_mgf(batch, alpha, form):
+    """(value, std_error, ci_low, ci_high) of the two-exp estimate."""
+    d = batch.deviations
+    y = (np.abs(d) if form == "two_sided_abs" else d) / math.sqrt(batch.dim)
+    m = batch.m
+    z = alpha * y
+    l1 = _logsumexp(z) - math.log(m)
+    l2 = _logsumexp(2.0 * z) - math.log(m)
+    if l1 > math.log(sys.float_info.max):
+        return math.inf, math.inf, 0.0, math.inf
+    mean = math.exp(l1)
+    excess = max(0.0, math.expm1(l2 - 2.0 * l1))
+    se = mean * math.sqrt(excess / m)
+    return (mean, se, max(1.0, mean - Z_999 * se),
+            max(1.0, mean + Z_999 * se))
+
+
+def reference_variance(batch):
+    m = batch.m
+    d = batch.deviations - batch.deviations.mean()
+    s2 = float(np.dot(d, d)) / (m - 1)
+    mu4 = float(np.mean(d**4))
+    se = math.sqrt(max(0.0, mu4 - s2 * s2) / m)
+    return s2, se, max(0.0, s2 - Z_999 * se), s2 + Z_999 * se
+
+
+def reference_mean(batch):
+    d, m = batch.deviations, batch.m
+    mean, se = float(d.mean()), float(d.std(ddof=1)) / math.sqrt(m)
+    return mean, se, mean - Z_999 * se, mean + Z_999 * se
+
+
+def assert_matches(est, ref):
+    got = (est.value, est.std_error, est.ci_low, est.ci_high)
+    for a, b in zip(got, ref):
+        assert a == b or math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), (
+            got, ref)
+
+
+def gamma_batch(k, dim, seed, m=50000):
+    gen = np.random.default_rng(seed)
+    return make_batch(gen.standard_gamma(k, m) - k, dim=dim)
+
+
+class TestReductionsAgainstReference:
+    @pytest.mark.parametrize("k,dim", [(0.5, 1), (8.0, 16), (32.0, 64)])
+    def test_two_sided_gamma(self, k, dim):
+        batch = gamma_batch(k, dim, seed=int(k * 10) + dim)
+        alphas = [0.25, 0.5, 1.0, 1.5]
+        for row in empirical_mgf(batch, alphas):
+            assert_matches(row.estimate,
+                           reference_mgf(batch, row.alpha, "two_sided_abs"))
+
+    @pytest.mark.parametrize("k,dim", [(1.0, 2), (8.0, 16)])
+    def test_one_sided_gamma(self, k, dim):
+        batch = gamma_batch(k, dim, seed=int(k) + 100)
+        for row in empirical_mgf(batch, [-1.0, -0.5, 0.25, 0.5],
+                                 form="one_sided"):
+            assert_matches(row.estimate,
+                           reference_mgf(batch, row.alpha, "one_sided"))
+
+    @pytest.mark.parametrize("k,dim", [(0.5, 1), (8.0, 16), (32.0, 64)])
+    def test_moments_gamma(self, k, dim):
+        batch = gamma_batch(k, dim, seed=int(k * 10) + dim + 7)
+        assert_matches(deviation_variance(batch), reference_variance(batch))
+        assert_matches(deviation_mean(batch), reference_mean(batch))
+
+    def test_all_zero_ball(self):
+        batch = sample_information(model_from_spec(LAW_MODELS["ball16"][0]),
+                                   1000, RngStream(3))
+        assert not batch.deviations.any()
+        for form in ("two_sided_abs", "one_sided"):
+            for row in empirical_mgf(batch, [0.5, 1.0], form=form):
+                assert row.estimate.value == 1.0
+                assert row.estimate.std_error == 0.0
+                assert_matches(row.estimate,
+                               reference_mgf(batch, row.alpha, form))
+        assert_matches(deviation_variance(batch), (0.0, 0.0, 0.0, 0.0))
+        assert_matches(deviation_mean(batch), (0.0, 0.0, 0.0, 0.0))
+
+    def test_overflow(self):
+        # the infinite estimate [0, inf] (INCONCLUSIVE, see TestEmpiricalMgf)
+        batch = make_batch([0.0, 800.0, 1600.0])
+        row = empirical_mgf(batch, [1.0])[0]
+        assert reference_mgf(batch, 1.0, "two_sided_abs") == (
+            math.inf, math.inf, 0.0, math.inf)
+        assert_matches(row.estimate, reference_mgf(batch, 1.0, "two_sided_abs"))
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda b: empirical_mgf(b, [0.25, 0.5, 0.75, 1.0]),
+    lambda b: empirical_mgf(b, [-0.5, -0.25, 0.25, 0.5], form="one_sided"),
+    deviation_variance,
+    deviation_mean,
+], ids=["mgf_two_sided", "mgf_one_sided", "variance", "mean"])
+def test_reduction_holds_at_most_one_scratch_array(reduce):
+    # 2^20 deviations are 8.4 MB: one scratch array of that size fits under
+    # 12 MB, a second (a |dev| copy beside the buffer, or d**4) does not
+    batch = gamma_batch(8.0, 16, seed=93, m=2**20)
+    tracemalloc.start()
+    try:
+        reduce(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_reductions_do_not_depend_on_blas_threads():
+    # a BLAS dot splits a long sum between its threads, so its rounding
+    # follows OPENBLAS_NUM_THREADS; the estimates must not
+    code = ("import numpy as np\n"
+            "from infoconc.infotools import (InfoSampleBatch, deviation_mean,\n"
+            "    deviation_variance, empirical_mgf)\n"
+            "d = np.random.default_rng(94).standard_gamma(8.0, 2**18) - 8.0\n"
+            "b = InfoSampleBatch(dim=16, m=d.size, deviations=d)\n"
+            "print(empirical_mgf(b, [0.5, 1.0]),\n"
+            "      empirical_mgf(b, [-0.5], form='one_sided'),\n"
+            "      deviation_variance(b), deviation_mean(b))")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]

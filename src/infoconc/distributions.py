@@ -553,15 +553,18 @@ class ModelND:
     any leading shape, about ``_CHUNK_ELEMENTS`` array elements at a time.
     A row's value does not depend on the chunk it falls in.
 
-    ``info_shape`` is K when the information deviation -log f(X) - entropy
-    is Gamma(K, 1) - K in law (K = 0: identically 0), else None; a model
-    sets it once, at construction.
+    The information deviation -log f(X) - entropy splits into a law part,
+    Gamma(K, 1) - K in law (K = 0: identically 0), plus the deviation of
+    ``info_rest`` at independent points, or nothing when ``info_rest`` is
+    None.  ``info_shape`` is K, or None when no part has a law: then the
+    model itself is the rest.  A model sets both once, at construction.
     """
 
     dim: int
     entropy: float
     spec: dict
     info_shape: Optional[float] = None
+    info_rest: Optional["ModelND"] = None
 
     def log_density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -592,10 +595,14 @@ class Product(ModelND):
         self.dim = len(components)
         self.entropy = float(sum(c.entropy for c in components))
         self.spec = {"family": "product", "params": {"components": [c.spec for c in components]}}
-        # a sum of independent Gamma(k_i, 1) is Gamma(sum k_i, 1)
-        laws = [c.info_law for c in components]
-        if all(law is not None for law in laws):
-            self.info_shape = float(sum(law[0] for law in laws))
+        # a sum of independent Gamma(k_i, 1) is Gamma(sum k_i, 1); the other
+        # columns, in column order, are the rest
+        shapes = [c.info_law[0] for c in components if c.info_law is not None]
+        if shapes:
+            self.info_shape = float(sum(shapes))
+            rest = [c for c in components if c.info_law is None]
+            if rest:
+                self.info_rest = Product(rest)
         # the column runs, in column order: adjacent columns of one component
         # object (identity, not spec: two custom densities may share a name)
         # share a draw and a log_pdf call
@@ -670,8 +677,11 @@ class AffineMap(ModelND):
         self._inverse_t = (None if np.array_equal(self.matrix, np.eye(n))
                            else np.linalg.inv(self.matrix).T)
         self.entropy = base.entropy + self._logabsdet
-        # log|det T| enters -log f and the entropy alike
-        self.info_shape = base.info_shape
+        # log|det T| enters -log f and the entropy alike, so each point's
+        # deviation is its base point's
+        self.info_shape, self.info_rest = base.info_shape, base.info_rest
+        if self.info_shape is None:
+            self.info_shape, self.info_rest = 0.0, base
         self.spec = {
             "family": "affine",
             "params": {

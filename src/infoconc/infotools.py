@@ -11,9 +11,11 @@ the entropy-typical set, and the variance.  Sampling runs on
 ``RngStream.run_blocks``, the one block schedule of the package, in fixed
 blocks of ``BLOCK_SIZE`` draws, each sourced from its own counter offset of
 the Philox stream, so the result is byte-identical for any worker count.
-Where the deviations are Gamma(K, 1) - K in law (``ModelND.info_shape``) a
-block is drawn from that law directly; any other block is sampled and
-evaluated in row chunks, so no whole block of points is ever held.
+A model's deviations split into a part that is Gamma(K, 1) - K in law
+(``ModelND.info_shape``), drawn directly, and a rest (``ModelND.info_rest``:
+the columns with no law, an affine image's base, or a model with no law
+part itself) that is sampled and evaluated in row chunks, so no whole block
+of points is ever held.
 
 Proportions get Wilson score intervals, which behave sensibly at zero
 observed exceedances; means get the usual normal approximation.  Exponential
@@ -130,40 +132,40 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
 
     Work is partitioned by ``rng.run_blocks`` into fixed blocks of
     BLOCK_SIZE draws, so the deviations array is identical for any
-    ``workers`` value.  A model with an information law (``info_shape``
-    K) has deviations Gamma(K, 1) - K, so block b is one ``standard_gamma``
-    draw from its generator, without the model's sampler or log-density;
-    thread hand-offs cost more than such a draw, so a worker starts per
-    ``distributions._CHUNK_ELEMENTS`` of them.  Any other model's block is
-    sampled and evaluated in row chunks of about ``_CHUNK_ELEMENTS``
-    coordinates, in order from the block's own generator, so a worker holds
-    no whole block of points.  A deviation that is NaN or infinite, as from
-    draws that overflow, raises NumericsError: no tail count or moment of it
-    means anything.
+    ``workers`` value.  Block b is one ``standard_gamma(K)`` draw minus K
+    from its generator, K the model's ``info_shape``, plus the deviations
+    of its ``info_rest``, sampled and evaluated in row chunks of about
+    ``_CHUNK_ELEMENTS`` coordinates, in order from the same generator, so a
+    worker holds no whole block of points.  A model with no law part is its
+    own rest with K = 0, and ``standard_gamma(0)`` writes zeros without
+    drawing, so its points read the block's stream from its start.  No
+    more workers start than there are blocks.  A deviation that is NaN or
+    infinite, as from draws that overflow, raises NumericsError: no tail
+    count or moment of it means anything.
     """
     if m <= 0:
         raise DomainError(f"sample count must be positive, got {m!r}")
     out = np.empty(m, dtype=float)
-    shape = model.info_shape
-    if shape is not None:
-        workers = min(workers, -(-m // distributions._CHUNK_ELEMENTS))
+    shape, rest = model.info_shape, model.info_rest
+    if shape is None:
+        shape, rest = 0.0, model
+    if rest is not None:
+        h = rest.entropy
+        rows = max(1, distributions._CHUNK_ELEMENTS // rest.dim)
 
-        def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-            gen.standard_gamma(shape, out=out[lo:hi])
-            out[lo:hi] -= shape
-    else:
-        h = model.entropy
-        rows = max(1, distributions._CHUNK_ELEMENTS // model.dim)
+    def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
+        gen.standard_gamma(shape, out=out[lo:hi])
+        out[lo:hi] -= shape
+        if rest is None:
+            return
+        # a NaN or infinity is reported once, below, not warned of per block
+        with np.errstate(all="ignore"):
+            for a in range(lo, hi, rows):
+                b = min(a + rows, hi)
+                x = rest.sample(gen, b - a)
+                out[a:b] += -rest.log_density(x) - h
 
-        def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-            # a NaN or infinity is reported once, below, not warned of per block
-            with np.errstate(all="ignore"):
-                for a in range(lo, hi, rows):
-                    b = min(a + rows, hi)
-                    x = model.sample(gen, b - a)
-                    out[a:b] = -model.log_density(x) - h
-
-    rng.run_blocks(m, BLOCK_SIZE, run_block, workers)
+    rng.run_blocks(m, BLOCK_SIZE, run_block, min(workers, -(-m // BLOCK_SIZE)))
     if not np.isfinite(out).all():
         raise NumericsError("information deviations are not all finite; "
                             "check the model parameters")

@@ -822,17 +822,33 @@ def test_information_law_mean_is_the_entropy():
     assert bump.info_law is None
 
 
-def test_info_shape_is_none_without_a_law():
-    # gamma(p > 1) and custom densities have no information law, so neither
-    # has a product holding one nor an affine image of such a product
+def test_information_split():
+    # (info_shape, rest components): the law components' shapes add up to K
+    # and the rest keeps the other columns in order; with no law component
+    # info_shape is None and the model is drawn whole, and an affine image
+    # splits as its base, with a base that has no law as its rest
+    g2 = gamma(2.0)
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
-    for model in [
-        model_from_spec({"family": "gamma", "params": {"p": 2.0}}),
-        model_from_spec(MIXED8),
-        Product([bump, exponential()]),
-        AffineMap(Product([gamma(2.0), exponential()]), [[2.0, 0.0], [1.0, 1.0]]),
+    mixed = model_from_spec(MIXED8)
+    no_law = Product([g2, g2])
+    for model, shape, rest in [
+        (model_from_spec({"family": "gamma", "params": {"p": 2.0}}), None, None),
+        (no_law, None, None),
+        (mixed, 3.5, [mixed.components[1]]),
+        (Product([bump, exponential(), g2, laplace()]), 2.0, [bump, g2]),
+        (AffineMap(Product([g2, exponential()]), [[2.0, 0.0], [1.0, 1.0]]),
+         1.0, [g2]),
+        (AffineMap(no_law, [[2.0, 0.0], [1.0, 1.0]]), 0.0, [g2, g2]),
     ]:
-        assert model.info_shape is None, model.spec
+        assert model.info_shape == shape, model.spec
+        if rest is None:
+            assert model.info_rest is None, model.spec
+        else:
+            assert [id(c) for c in model.info_rest.components] == list(map(id, rest))
+            assert model.info_rest.info_shape is None
+    assert AffineMap(no_law, np.eye(2)).info_rest is no_law
+    assert (GaussianModel(6).info_shape, GaussianModel(6).info_rest) == (3.0, None)
+    assert (BallUniform(3).info_shape, BallUniform(3).info_rest) == (0.0, None)
 
 
 def test_density_from_spec_dispatch():

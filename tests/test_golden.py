@@ -40,6 +40,8 @@ AFFINE = {"family": "affine",
                               "params": {"component": {"family": "exponential"},
                                          "copies": 2}},
                      "matrix": [[2.0, 0.0], [1.0, 1.0]], "shift": [0.5, -1.0]}}
+MIXED_GAMMA = {"family": "product", "params": {"components": [
+    *MIXED["params"]["components"], {"family": "gamma", "params": {"p": 3.0}}]}}
 BALL = {"family": "ball_uniform", "params": {"dim": 3, "radius": 2.0}}
 IID_LAPLACE = {"process": "iid", "base": {"family": "laplace"}}
 AR1 = {"process": "gauss_ar1", "params": {"rho": 0.25, "sd": 2.0}}
@@ -116,6 +118,11 @@ CASES = {
     "entropy_power_past_window": (["entropy_power", "--model", "exponential",
                                    "--dim", "2", "--samples", "2000",
                                    "--seed", "18", "--s-grid", "1,3"], None),
+    # four law columns drawn as one Gamma(3, 1), the gamma(3) column
+    # sampled and evaluated, over two blocks
+    "tail_mixed_gamma": (["tail", "--model", json.dumps(MIXED_GAMMA),
+                          "--samples", "70000", "--seed", "20",
+                          "--workers", "2", "--t-grid", "0:2:0.5"], None),
     # gamma(2) has no information law, so this is the step route
     "aep_iid_gamma2": (["aep", "--model", "gamma", "--p", "2",
                         "--samples", "300", "--seed", "19", "--n-grid", "2,8",
@@ -172,6 +179,8 @@ DIGESTS = {
         "8da2917a459c81cd3f31d7b75e53ef43e23f1f4d0b7f3513933f710fa663f3b1",
     "tail_gaussian_past_window":
         "2431c41daeb2f3af8f258c7ceadf6e6127d01dc7e7902add9b8550ffa00c15cf",
+    "tail_mixed_gamma":
+        "76c7fb8f1f1d9c1214780d293cb5446b8d6ea168428e33891a0dea2bcddf551c",
     "tail_workers2":
         "7aaa3511bcaad6c4a7eff4f29b4f2e3a143a880e596542d0e1d5c6ab009ef21f",
     "variance_cov_factor":

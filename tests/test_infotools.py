@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import chdtr, chdtrc, ndtri
+from scipy.special import chdtr, chdtrc, ndtri, polygamma
 from scipy.stats import ks_2samp
 
 from infoconc.bounds import (HOLDS, INCONCLUSIVE, Bound, compare,
@@ -26,6 +26,7 @@ from infoconc.bounds import (HOLDS, INCONCLUSIVE, Bound, compare,
 from infoconc.distributions import (
     AffineMap,
     GaussianModel,
+    ModelND,
     ParameterError,
     Product,
     RngStream,
@@ -63,6 +64,18 @@ def gaussian_abs_tail(n, thr):
     upper = chdtrc(n, n + 2.0 * thr)
     lower = chdtr(n, n - 2.0 * thr) if n - 2.0 * thr > 0.0 else 0.0
     return float(upper + lower)
+
+
+class NonFiniteModel(ModelND):
+    """No law part, and a log-density of inf and NaN at its draws."""
+
+    dim, entropy, spec = 1, 0.0, {}
+
+    def sample(self, gen, size):
+        return gen.random((size, 1))
+
+    def log_density(self, x):
+        return np.where(np.arange(len(x)) % 2, np.inf, np.nan)
 
 
 def make_batch(deviations, dim=1):
@@ -160,6 +173,33 @@ LAW_MODELS = {
 LAW_M = 4000
 GAMMA2_X64 = {"family": "product", "params": {
     "component": {"family": "gamma", "params": {"p": 2.0}}, "copies": 64}}
+# every 1-D family in one product
+ZOO6 = {"family": "product", "params": {"components": [
+    {"family": "exponential"}, {"family": "gamma", "params": {"p": 3.0}},
+    {"family": "gaussian1d"}, {"family": "laplace"},
+    {"family": "uniform"}, {"family": "half_normal"}]}}
+MIXPROD8 = {"family": "product", "params": {"components": [
+    {"family": "exponential"},
+    {"family": "gamma", "params": {"p": 3.0}},
+    {"family": "gaussian1d", "params": {"mu": 0.0, "sigma": 1.0}},
+    {"family": "laplace"},
+    {"family": "uniform", "params": {"a": 0.0, "b": 1.0}},
+    {"family": "half_normal"},
+    {"family": "gaussian1d", "params": {"mu": 1.0, "sigma": 2.0}},
+    {"family": "uniform", "params": {"a": -1.0, "b": 2.0}}]}}
+AFFINE_GAMMA2X4 = {"family": "affine", "params": {
+    "base": {"family": "product", "params": {
+        "component": {"family": "gamma", "params": {"p": 2.0}}, "copies": 4}},
+    "matrix": (np.eye(4) + 0.5 * np.tri(4, k=-1)).tolist(),
+    "shift": [1.0, -2.0, 0.5, 0.0]}}
+
+# models whose deviations split into a Gamma(K, 1) - K law part and the
+# deviations of gamma(p) columns: spec, K and the columns' shapes p
+SPLIT_MODELS = {
+    "zoo6": (ZOO6, 3.0, [3.0]),
+    "mixprod8": (MIXPROD8, 3.5, [3.0]),
+    "affine_gamma2x4": (AFFINE_GAMMA2X4, 0.0, [2.0] * 4),
+}
 
 
 class TestSampleInformation:
@@ -198,16 +238,16 @@ class TestSampleInformation:
         LAW_MODELS["exp64"][0],
         AFFINE_EXP16,
         LAW_MODELS["ball16"][0],
-        {"family": "product", "params": {"components": [
-            {"family": "exponential"}, {"family": "gamma", "params": {"p": 3.0}},
-            {"family": "gaussian1d"}, {"family": "laplace"},
-            {"family": "uniform"}, {"family": "half_normal"}]}},
+        ZOO6,
         GAMMA2_X64,
-    ], ids=["exp64", "affine_exp16", "ball16", "mixed6", "gamma2x64"])
+        MIXPROD8,
+        AFFINE_GAMMA2X4,
+    ], ids=["exp64", "affine_exp16", "ball16", "mixed6", "gamma2x64",
+            "mixprod8", "affine_gamma2x4"])
     def test_row_chunks_keep_worker_count_invariance(self, spec):
-        # a model-route block is walked in row chunks and still draws all of
-        # them, in order, from its own counter offset; a law-route block is
-        # one Gamma draw from it
+        # a block is one Gamma draw from its own counter offset, then the
+        # rest's row chunks, all of them in order from the same generator:
+        # the law, split, pass-through and whole-model routes
         model = model_from_spec(spec)
         m = 2 * BLOCK_SIZE + 777
         ref = sample_information(model, m, RngStream(6), workers=1).deviations
@@ -281,25 +321,21 @@ class TestSampleInformation:
         assert np.array_equal(a.deviations, b.deviations)
 
     # a non-finite 1-D or gaussian parameter is refused where the model is
-    # built; finite parameters of a model without an information law whose
-    # draws overflow reach the one isfinite pass of the sampler
-    @pytest.mark.parametrize("spec,error", [
-        ({"family": "gaussian", "params": {"dim": 2, "mean": [0.0, math.nan]}},
-         ParameterError),
-        ({"family": "uniform", "params": {"a": -math.inf, "b": 0.0}},
-         ParameterError),
-        ({"family": "gaussian1d", "params": {"mu": math.nan}}, ParameterError),
-        ({"family": "affine", "params": {
-            "base": {"family": "product", "params": {
-                "component": {"family": "gamma", "params": {"p": 2.0}},
-                "copies": 2}},
-            "matrix": [[1e308, 0.0], [0.0, 1.0]], "shift": [1.5e308, 0.0]}},
-         NumericsError),
+    # built; a model whose own log-density is not finite at its draws
+    # reaches the one isfinite pass of the sampler
+    @pytest.mark.parametrize("build,error", [
+        (lambda: model_from_spec({"family": "gaussian", "params": {
+            "dim": 2, "mean": [0.0, math.nan]}}), ParameterError),
+        (lambda: model_from_spec({"family": "uniform", "params": {
+            "a": -math.inf, "b": 0.0}}), ParameterError),
+        (lambda: model_from_spec({"family": "gaussian1d", "params": {
+            "mu": math.nan}}), ParameterError),
+        (NonFiniteModel, NumericsError),
     ], ids=["gaussian_nan_mean", "uniform_infinite_end", "gaussian1d_nan_mu",
-            "affine_overflow"])
-    def test_non_finite_deviations_raise(self, spec, error):
+            "non_finite_log_density"])
+    def test_non_finite_deviations_raise(self, build, error):
         with pytest.raises(error):
-            sample_information(model_from_spec(spec), 1000, RngStream(1))
+            sample_information(build(), 1000, RngStream(1))
 
     def test_overflowing_gaussian_deviations_are_its_law(self):
         # its points overflow, but its deviations are Gamma(1, 1) - 1 in law
@@ -329,9 +365,50 @@ class TestSampleInformation:
             assert abs(dev.mean()) < 5.0 * math.sqrt(k / LAW_M)
             assert abs(dev.var() - k) < slack
 
+    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    def test_split_matches_model_route(self, name, model_route):
+        # the split route against the model's own draws (KS), and both
+        # against mean 0 and the exact variance: K for the law part, and
+        # Var(X - (p - 1) log X) = 2 - p + (p - 1)^2 psi'(p) for a gamma(p)
+        # column, since Cov(X, log X) = 1 for X ~ Gamma(p, 1)
+        spec, k, shapes = SPLIT_MODELS[name]
+        var = k + sum(2.0 - p + (p - 1.0) ** 2 * float(polygamma(1, p))
+                      for p in shapes)
+        model = model_from_spec(spec)
+        split = sample_information(model, LAW_M, RngStream(62)).deviations
+        points = sample_information(model_route(model), LAW_M,
+                                    RngStream(62, stream_id=1)).deviations
+        assert ks_2samp(split, points).pvalue > 1e-3
+        for dev in (split, points):
+            assert abs(dev.mean()) < 5.0 * math.sqrt(var / LAW_M)
+            centered = dev - dev.mean()
+            s2 = float(np.mean(centered ** 2))
+            se = math.sqrt((float(np.mean(centered ** 4)) - s2 * s2) / LAW_M)
+            assert abs(s2 - var) < 5.0 * se
+
+    @pytest.mark.parametrize("spec", [LAW_MODELS["gauss64"][0], AFFINE_EXP16,
+                                      MIXPROD8, AFFINE_GAMMA2X4],
+                             ids=["gauss64", "affine_exp16", "mixprod8",
+                                  "affine_gamma2x4"])
+    def test_model_route_draws_the_points(self, spec, model_route):
+        # the fixture's model is sampled and evaluated, whatever law or rest
+        # the model it wraps has
+        whole = model_route(model_from_spec(spec))
+        sample_information(whole, 1000, RngStream(63))
+        assert whole.calls["sample"] > 0 and whole.calls["log_density"] > 0
+
+    def test_affine_image_deviations_are_the_base_deviations(self):
+        # -log f_Y(AX + b) - h_Y = -log f_X(X) - h_X at every point, so the
+        # image draws its base and no point goes through the matrix
+        base = Product([gamma(2.0)] * 2)
+        image = AffineMap(base, [[2.0, 0.0], [1.0, 1.0]], [0.5, -1.0])
+        m = BLOCK_SIZE + 99
+        a = sample_information(image, m, RngStream(64), workers=2)
+        b = sample_information(base, m, RngStream(64))
+        assert a.deviations.tobytes() == b.deviations.tobytes()
+
     def test_law_route_pool_size(self, monkeypatch):
-        # a law route starts one worker per started _CHUNK_ELEMENTS draws
-        # (one block); the model route keeps every worker asked for
+        # every route starts at most one worker per block
         used = []
         run_blocks = RngStream.run_blocks
 
@@ -344,7 +421,7 @@ class TestSampleInformation:
         runs = [sample_information(model, m, RngStream(71), workers=5)
                 for m in (BLOCK_SIZE, 2 * BLOCK_SIZE + 5, 4 * BLOCK_SIZE)]
         sample_information(Product([gamma(2.0)]), 10, RngStream(71), workers=5)
-        assert used == [1, 3, 4, 5]
+        assert used == [1, 3, 4, 1]
         single = sample_information(model, 4 * BLOCK_SIZE, RngStream(71))
         assert single.deviations.tobytes() == runs[2].deviations.tobytes()
 

@@ -21,9 +21,11 @@ reproduces the same values.
 The n-dimensional models work on row chunks of points: a product draws
 and evaluates each run of one component object once per chunk, its
 columns filled row by row, and an affine matrix is inverted once, at
-construction, so each solve is one matrix product.  A builder imports the
-scipy functions its density needs, so importing this module loads no scipy
-module.
+construction, so each solve is one matrix product.  No family imports
+scipy when it is built: gamma's entropy takes ``numerics.digamma``, and the
+quantiles of gamma, ``gaussian1d`` and ``half_normal`` import their scipy
+function at their first call, so no Monte Carlo draw that bypasses them
+loads any scipy module.  ``from_log_density`` imports scipy's logsumexp.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ from .numerics import (
     DomainError,
     NumericsError,
     de_rule,
+    digamma,
     log_gamma,
     peak_width,
     unimodal_argmax,
@@ -231,6 +234,42 @@ _TINY = np.finfo(np.float64).tiny
 # node table three to five suffice.
 _NEWTON_STEPS = 50
 
+# How far below the chord of its two neighbours a custom density's log g may
+# lie at a normalization node, relative to the largest term entering log g
+# there (at least 1): the rounding of a log-density computed as a
+# difference of large terms, about 10^7 times the unit roundoff.
+_CONCAVITY_RTOL = 1e-9
+
+
+def _check_log_concave(name: str, x: np.ndarray, log_f: np.ndarray,
+                       order_p: Optional[float]) -> None:
+    """ParameterError unless the slopes of log g between adjacent sorted
+    nodes x never increase, log g being log f less (order_p - 1) log x for
+    an order-p density and log f otherwise.  Each pair of adjacent slopes is
+    compared as its equivalent, the middle node's log g on or above the
+    chord of its neighbours, which divides by no node gap where nodes crowd
+    within a few ulp; a -inf value between finite ones fails it."""
+    x, first = np.unique(x, return_index=True)
+    log_g, size = log_f[first], np.abs(log_f[first])
+    if order_p is not None:
+        power = (order_p - 1.0) * np.log(x)
+        log_g, size = log_g - power, size + np.abs(power)
+    size = np.where(np.isfinite(size), size, 0.0)
+    tol = _CONCAVITY_RTOL * np.maximum.reduce(
+        [size[:-2], size[1:-1], size[2:]], initial=1.0)
+    w = (x[1:-1] - x[:-2]) / (x[2:] - x[:-2])
+    with np.errstate(invalid="ignore"):
+        # NaN (-inf less -inf) where log g is -inf at both ends or the middle
+        defect = (1.0 - w) * log_g[:-2] + w * log_g[2:] - log_g[1:-1]
+        bad = np.flatnonzero(defect > tol)
+    if bad.size:
+        i = bad[np.argmax(defect[bad] / tol[bad])]
+        raise ParameterError(
+            f"custom density {name!r} is not log-concave"
+            f"{' past its x^(p-1) factor' if order_p is not None else ''}: "
+            f"its log-density's slope increases at x = {x[i + 1]:.6g}, where "
+            f"it lies {defect[i]:.3g} below the chord of its neighbours")
+
 
 def _rejection_sampler(log_pdf: Callable, mode: float) -> Callable:
     """Acceptance-rejection under the universal log-concave envelope.
@@ -278,6 +317,17 @@ def _rejection_sampler(log_pdf: Callable, mode: float) -> Callable:
 
 # --- standard families -----------------------------------------------------
 
+def _special(name: str) -> Callable:
+    """scipy.special's ``name``, imported when it is first called, so that a
+    density whose quantile no draw reaches loads no scipy module."""
+
+    def call(*args):
+        import scipy.special
+        return getattr(scipy.special, name)(*args)
+
+    return call
+
+
 def exponential() -> Density1D:
     """Standard exponential: f(x) = e^-x on (0, inf)."""
     return Density1D(
@@ -314,9 +364,9 @@ def gamma(p: float) -> Density1D:
     if p == 1.0:
         return replace(exponential(), name="gamma(1)",
                        spec={"family": "gamma", "params": {"p": 1.0}})
-    from scipy.special import digamma, gammaincinv
     lgp = log_gamma(p)
-    ent = p + lgp + (1.0 - p) * float(digamma(p))
+    ent = p + lgp + (1.0 - p) * digamma(p)
+    gammaincinv = _special("gammaincinv")
     return Density1D(
         name=f"gamma({p:g})",
         support=(0.0, math.inf),
@@ -335,7 +385,7 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
     mu, sigma = _finite(mu, "gaussian1d mu"), _finite(sigma, "gaussian1d sigma")
     if not sigma > 0.0:
         raise ParameterError(f"gaussian sigma must be positive, got {sigma!r}")
-    from scipy.special import ndtri
+    ndtri = _special("ndtri")
     c = -0.5 * LOG_2PI - math.log(sigma)
     return Density1D(
         name=f"gaussian1d({mu:g},{sigma:g})",
@@ -385,7 +435,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
 
 def half_normal() -> Density1D:
     """Half-normal: f(x) = sqrt(2/pi) e^(-x^2/2) on (0, inf)."""
-    from scipy.special import ndtri
+    ndtri = _special("ndtri")
     c = 0.5 * math.log(2.0 / math.pi)
     return Density1D(
         name="half_normal",
@@ -414,8 +464,11 @@ def from_log_density(
     steps on log F below the mode's level and on log(1 - F) above, both
     concave for a log-concave density and each a rule over the tail away
     from the mode; a rule or Newton loop that does not converge raises
-    NumericsError.  Sampling uses the log-concave rejection envelope, which
-    detects material violations of log-concavity.
+    NumericsError.  The theorem's hypothesis is checked on the normalizing
+    nodes: a log-density (less (order_p - 1) log x for an order-p density)
+    whose slopes between adjacent nodes increase raises ParameterError.
+    Sampling uses the log-concave rejection envelope, which detects material
+    violations between the nodes too.
     """
     a, b = support
     if not a < b:
@@ -439,14 +492,16 @@ def from_log_density(
         log_m = log_w + log_g
         log_z = logsumexp(log_m)
         masses = np.exp(log_m - log_z)
-        last.update(x=x, masses=masses)
+        last.update(x=x, masses=masses, log_g=np.broadcast_to(log_g, x.shape))
         return np.array([log_z, masses @ np.where(masses > 0.0, log_g, 0.0)])
 
     rule = de_rule(log_mass_and_mean, support, center=mode, scale=scale)
-    log_z, mean_log_g = converged(rule, "the normalization and entropy rule")
-    # F at the nodes of the normalizing set: the quantiles' start points
+    # a density outside the hypothesis is named as such, converged or not
     order = np.argsort(last["x"])
     knots, masses = last["x"][order], last["masses"][order]
+    _check_log_concave(name, knots, last["log_g"][order], order_p)
+    log_z, mean_log_g = converged(rule, "the normalization and entropy rule")
+    # F at the nodes of the normalizing set: the quantiles' start points
     knot_levels = np.cumsum(masses) - 0.5 * masses
     below_mode = masses[knots < mode].sum()
     log_mass = lambda x, log_w: logsumexp(log_w + density.log_pdf(x), axis=-1)

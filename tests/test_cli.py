@@ -713,8 +713,12 @@ def _scipy_loaded_after(code: str) -> list:
 def test_import_leaves_quadpack_and_brent_unloaded():
     # scipy.special and scipy.linalg add about 0.3 s to every start, more
     # than numpy, and scipy.integrate and scipy.optimize more again; only the
-    # models and checks that use them import them, so none of these loads any
+    # quantiles, custom densities and exact checks that use them import
+    # them, so no Monte Carlo or aep run loads any
     assert _scipy_loaded_after("import infoconc.cli") == []
+    three = json.dumps({"family": "product", "params": {"components": [
+        {"family": "gaussian1d", "params": {"mu": 1.0, "sigma": 2.0}},
+        {"family": "half_normal"}, {"family": "gamma", "params": {"p": 3.0}}]}})
     for argv in (["aep", "--model", "laplace", "--samples", "2000",
                   "--workers", "2"],
                  ["tail", "--model", "exponential", "--samples", "2000"],
@@ -722,13 +726,19 @@ def test_import_leaves_quadpack_and_brent_unloaded():
                  ["tail", "--model", json.dumps(
                      {"family": "gaussian", "params": {"mean": [0.5, 0.5]}}),
                   "--samples", "2000"],
+                 # gamma's entropy takes digamma from numerics, and no
+                 # column here is drawn through its quantile
+                 ["tail", "--model", "gamma", "--p", "2", "--dim", "16",
+                  "--samples", "2000"],
+                 ["mgf", "--model", three, "--samples", "2000"],
+                 ["aep", "--model", "gamma", "--p", "2", "--samples", "2000"],
                  ["list-bounds"]):
         code = f"import infoconc.cli\nassert infoconc.cli.main({argv!r}) == 0"
         assert _scipy_loaded_after(code) == [], argv
 
 
 @pytest.mark.parametrize("spec, loaded", [
-    ({"family": "gamma", "params": {"p": 2.0}}, ["scipy.special"]),
+    ({"family": "gamma", "params": {"p": 2.0}}, []),
     # a matrix is inverted once by numpy: the affine path loads no scipy
     ({"family": "affine", "params": {"base": {"family": "exponential"},
                                      "matrix": [[2.0]]}}, []),
@@ -746,6 +756,41 @@ def test_models_import_what_they_use_when_built(spec, loaded):
             "    distributions.RngStream(3), workers=2)\n"
             "assert sorted(sys.modules) == before")
     assert _scipy_loaded_after(code) == loaded
+
+
+@pytest.mark.parametrize("family", ["gamma", "gaussian1d", "half_normal"])
+def test_first_quantile_call_loads_scipy_special(family):
+    # building the density loads nothing; its quantile's first call
+    # imports scipy.special, which holds the inverse function
+    params = {"p": 2.0} if family == "gamma" else {}
+    code = ("from infoconc import distributions\n"
+            "d = distributions.density_from_spec("
+            f"{{'family': {family!r}, 'params': {params!r}}})\n"
+            "import sys\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "d.quantile(0.5)")
+    assert _scipy_loaded_after(code) == ["scipy.special"]
+
+
+def test_lazy_quantile_import_on_pool_threads_keeps_worker_invariance():
+    # a whole gaussian1d model draws through its quantile, so in a fresh
+    # process four pool threads, switching every microsecond, reach its
+    # first call together: one imports scipy.special while the others wait
+    # on the import lock, and the deviations are the one-worker run's bytes
+    code = ("import sys\n"
+            "sys.setswitchinterval(1e-6)\n"
+            f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from conftest import WholeModel\n"
+            "from infoconc import distributions, infotools\n"
+            "model = WholeModel(distributions.model_from_spec(\n"
+            "    {'family': 'gaussian1d', 'params': {'mu': 1.0, 'sigma': 2.0}}))\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "runs = [infotools.sample_information(\n"
+            "            model, 4 * infotools.BLOCK_SIZE - 5,\n"
+            "            distributions.RngStream(4), workers=w)\n"
+            "        for w in (4, 1)]\n"
+            "assert runs[0].deviations.tobytes() == runs[1].deviations.tobytes()")
+    assert _scipy_loaded_after(code) == ["scipy.special"]
 
 
 def test_parser_is_reused_with_fresh_defaults(tmp_path):

@@ -272,14 +272,15 @@ def test_half_normal_sample_mean():
 
 
 def test_rejection_sampler_rejects_non_log_concave():
-    # bimodal: clearly above the log-concave envelope far from the mode
-    d = from_log_density(
-        "bimodal",
-        lambda x: np.logaddexp(-0.5 * (x - 6.0) ** 2, -0.5 * (x + 6.0) ** 2),
-        (-math.inf, math.inf),
-    )
+    # bimodal, normalized, enveloped at one mode: clearly above the
+    # log-concave envelope at the other (from_log_density refuses it)
+    def log_f(x):
+        return (np.logaddexp(-0.5 * (x - 6.0) ** 2, -0.5 * (x + 6.0) ** 2)
+                - math.log(2.0 * math.sqrt(2.0 * math.pi)))
+
+    draw = infoconc.distributions._rejection_sampler(log_f, -6.0)
     with pytest.raises(ParameterError):
-        d.sample(RngStream(seed=1).generator(), 10_000)
+        draw(RngStream(seed=1).generator(), 10_000)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +667,59 @@ def test_custom_density_build_evaluates_arrays():
     d = from_log_density("logistic", logistic, (-math.inf, math.inf))
     assert sum(size == 1 for size in sizes) <= 1
     assert len(sizes) <= 20
+    assert d.mode == pytest.approx(0.0, abs=1e-6)
+
+
+def _bimodal(x):
+    return np.logaddexp(-0.5 * (x - 3.0) ** 2, -0.5 * (x + 3.0) ** 2)
+
+
+def _convex_kinks(x):
+    # slope -2 inside [-1, 1], -1 outside: a convex kink at each of +-1
+    return np.maximum(-2.0 * np.abs(x), -1.0 - np.abs(x))
+
+
+@pytest.mark.parametrize("log_f, support, order_p", [
+    (_bimodal, (-math.inf, math.inf), None),
+    (_convex_kinks, (-math.inf, math.inf), None),
+    (lambda x: math.log(2.0) - 2.0 * np.sqrt(x), (0.0, math.inf), None),
+    # x^2 e^-x is gamma(3), log-concave, but not of order 5: log f less
+    # 4 log x is convex
+    (lambda x: 2.0 * np.log(x) - x, (0.0, math.inf), 5.0),
+], ids=["bimodal", "convex_kinks", "sqrt_tail", "order_p_past_its_factor"])
+def test_custom_density_outside_the_hypothesis_raises(log_f, support, order_p):
+    with pytest.raises(ParameterError, match="not log-concave"):
+        from_log_density("bad", log_f, support, order_p)
+
+
+def test_custom_density_hypothesis_check_names_where_the_slope_rises():
+    with pytest.raises(ParameterError) as info:
+        from_log_density("bimodal", _bimodal, (-math.inf, math.inf))
+    # the log-density is convex where |x| < 0.59, between the two modes
+    x = float(str(info.value).split("increases at x = ")[1].split(",")[0])
+    assert abs(x) < 0.59
+
+
+REBUILT = [*standard_zoo(), *positive_zoo(), gamma(1.01), gamma(1e4),
+           gaussian1d(1e3, 1e-3), uniform(-1e3, 5e3)]
+
+
+@pytest.mark.parametrize("d", REBUILT, ids=[d.name for d in REBUILT])
+def test_zoo_densities_rebuilt_from_their_log_density_build(d):
+    # within the hypothesis, with and without the order-p factor, however
+    # far the nodes crowd towards an end or the mode
+    for order_p in {d.order_p, None}:
+        rebuilt = from_log_density(d.name, d.log_pdf, d.support, order_p)
+        assert abs(rebuilt.entropy - d.entropy) <= 1e-9 * max(1.0, abs(d.entropy))
+
+
+@pytest.mark.parametrize("log_f", [
+    lambda x: -x - 2.0 * np.logaddexp(0.0, -x),
+    lambda x: x - np.exp(x),
+], ids=["logistic", "gumbel_min"])
+def test_log_concave_custom_densities_build(log_f):
+    with np.errstate(over="ignore"):
+        d = from_log_density("custom", log_f, (-math.inf, math.inf))
     assert d.mode == pytest.approx(0.0, abs=1e-6)
 
 

@@ -13,9 +13,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from infoconc.bounds import order_p_variance_caps
 from infoconc.distributions import (
+    Density1D,
     exponential,
     from_log_density,
     gamma,
@@ -304,10 +306,20 @@ class TestQuantileDensityConcavity:
 
     def test_detects_log_convex_tail(self):
         # f(x) = 2 exp(-2 sqrt(x)) is not log-concave and its quantile
-        # density is convex, so the checker must flag it
-        heavy = from_log_density(
-            "sqrt_tail", lambda x: math.log(2.0) - 2.0 * np.sqrt(x),
-            (0.0, math.inf))
+        # density is convex, so the checker must flag it.  from_log_density
+        # refuses it, so it is built here: 2 sqrt(X) is gamma(2), whence
+        # the entropy 2 - log 2 and, with the lower branch of Lambert's W,
+        # the quantile s^2 / 4, s = -1 - W(-(1 - t) / e)
+        def quantile(t):
+            s = -1.0 - lambertw(-(1.0 - t) / math.e, k=-1).real
+            return 0.25 * s * s
+
+        heavy = Density1D(
+            name="sqrt_tail", support=(0.0, math.inf),
+            entropy=2.0 - math.log(2.0), mode=0.0,
+            spec={"family": "custom", "params": {"name": "sqrt_tail"}},
+            _log_pdf=lambda x: math.log(2.0) - 2.0 * np.sqrt(x),
+            _quantile=quantile)
         report = quantile_density_concavity(heavy, self.LEVELS)
         assert not report.ok
         assert report.worst_defect < -1e-6

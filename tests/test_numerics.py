@@ -35,6 +35,7 @@ from infoconc.numerics import (
     peak_width,
     unimodal_argmax,
     integrate,
+    digamma as psi,
     log_gamma,
     log_integral,
     trigamma,
@@ -98,6 +99,57 @@ def test_log_gamma_domain(x):
     # 1e308: log Gamma overflows a double
     with pytest.raises(DomainError):
         log_gamma(x)
+
+
+# ---------------------------------------------------------------------------
+# digamma
+# ---------------------------------------------------------------------------
+
+DIGAMMA_ROOT = 1.4616321449683622      # mp.findroot(mp.digamma, 1.46)
+
+DIGAMMA_GRID = sorted({*np.geomspace(1.0, 1e10, 2001).tolist(),
+                       *np.linspace(1.0, 12.0, 441).tolist(),
+                       *(float(k) for k in range(1, 11)),
+                       *np.linspace(DIGAMMA_ROOT - 0.05, DIGAMMA_ROOT + 0.05,
+                                    201).tolist()})
+
+
+def test_digamma_matches_mpmath_to_four_ulp():
+    # absolute error in units of the spacing of max(1, |psi|): the values
+    # cross 0 at the root; over this grid scipy's worst is 1.4 units, this
+    # one's 2.0
+    worst = 0.0
+    for x in DIGAMMA_GRID:
+        ref = mp.digamma(x)
+        unit = np.spacing(max(1.0, abs(float(ref))))
+        worst = max(worst, float(abs(mp.mpf(psi(x)) - ref)) / unit)
+    assert worst <= 4.0
+
+
+def test_digamma_at_integers_is_harmonic_less_euler():
+    for k in range(1, 11):
+        ref = math.fsum(1.0 / j for j in range(1, k)) - 0.5772156649015329
+        assert abs(psi(float(k)) - ref) <= 4.0 * np.spacing(max(1.0, abs(ref)))
+
+
+def test_digamma_recurrence_and_root():
+    assert abs(psi(DIGAMMA_ROOT)) <= 4.0 * np.spacing(1.0)
+    for x in (1.0, 1.5, 3.25, 9.75, 10.0, 123.5):
+        assert abs(psi(x + 1.0) - psi(x) - 1.0 / x) <= 4e-15 * max(1.0, psi(x))
+
+
+@pytest.mark.parametrize("x", [0.999, 0.5, 0.0, -1.0, math.nan])
+def test_digamma_domain(x):
+    with pytest.raises(DomainError):
+        psi(x)
+
+
+def test_gamma_entropy_matches_the_scipy_formula():
+    # p + log Gamma(p) + (1 - p) psi(p): (1 - p) scales the error of psi, so
+    # this holds to 1e-14 only where psi agrees with scipy's to the last bits
+    for p in [*np.geomspace(1.001, 1e4, 400).tolist(), 1.5, 2.0, 3.0, 5.0]:
+        ref = p + log_gamma(p) + (1.0 - p) * float(digamma(p))
+        assert abs(gamma(p).entropy - ref) <= 1e-14 * abs(ref), p
 
 
 # ---------------------------------------------------------------------------

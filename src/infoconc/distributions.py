@@ -177,8 +177,9 @@ class Density1D:
     order_p : float or None
         When set, the density factors as x^(order_p - 1) * g(x) on positive
         support with g log-concave.
-    info_law : (k, c) or None
-        When set, -log f(X) is c + Gamma(k, 1) in law (k = 0: the constant c).
+    info_shape : float or None
+        When set, -log f(X) - entropy is Gamma(k, 1) - k in law, k this
+        shape (k = 0: identically 0).
 
     ``_log_pdf`` is the formula inside the support; ``_sampler``, if set,
     replaces the draw by ``_quantile``.
@@ -190,7 +191,7 @@ class Density1D:
     mode: float
     spec: dict = field(repr=False)
     order_p: Optional[float] = None
-    info_law: Optional[Tuple[float, float]] = None
+    info_shape: Optional[float] = None
     _log_pdf: Callable = field(repr=False, default=None)
     _sampler: Callable = field(repr=False, default=None)
     _quantile: Callable = field(repr=False, default=None)
@@ -337,7 +338,7 @@ def exponential() -> Density1D:
         mode=0.0,
         spec={"family": "exponential"},
         order_p=1.0,
-        info_law=(1.0, 0.0),
+        info_shape=1.0,
         _log_pdf=lambda y: -y,
         _quantile=lambda t: -np.log1p(-t),
     )
@@ -393,7 +394,7 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
         entropy=0.5 * math.log(2.0 * math.pi * math.e * sigma**2),
         mode=mu,
         spec={"family": "gaussian1d", "params": {"mu": mu, "sigma": sigma}},
-        info_law=(0.5, -c),
+        info_shape=0.5,
         _log_pdf=lambda y: c - 0.5 * ((y - mu) / sigma) ** 2,
         _quantile=lambda t: mu + sigma * ndtri(t),
     )
@@ -407,7 +408,7 @@ def laplace() -> Density1D:
         entropy=1.0 + math.log(2.0),
         mode=0.0,
         spec={"family": "laplace"},
-        info_law=(1.0, math.log(2.0)),
+        info_shape=1.0,
         _log_pdf=lambda y: -np.abs(y) - math.log(2.0),
         _quantile=lambda t: np.where(t < 0.5, np.log(2.0 * t), -np.log(2.0 * (1.0 - t))),
     )
@@ -427,7 +428,7 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
         mode=0.5 * (a + b),
         spec={"family": "uniform", "params": {"a": a, "b": b}},
         order_p=1.0 if a >= 0.0 else None,
-        info_law=(0.0, logw),
+        info_shape=0.0,
         _log_pdf=lambda y: np.full(y.shape, -logw),
         _quantile=lambda t: a + width * t,
     )
@@ -444,7 +445,7 @@ def half_normal() -> Density1D:
         mode=0.0,
         spec={"family": "half_normal"},
         order_p=1.0,
-        info_law=(0.5, -c),
+        info_shape=0.5,
         _log_pdf=lambda y: c - 0.5 * y * y,
         _quantile=lambda t: ndtri(0.5 * (1.0 + t)),
     )
@@ -593,10 +594,10 @@ def positive_zoo() -> list:
 # n-dimensional models
 # ---------------------------------------------------------------------------
 
-# Array elements per piece of work (a row chunk of a sample_information
-# block, of ModelND.log_density or of Product.sample, a step piece of
-# aep.run_trajectories; an eighth of it caps a rejection round): 512 KB
-# arrays, which stay in cache, whatever the block length and dimension.
+# Array elements per piece of work (a row chunk of a deviation block, of
+# ModelND.log_density or of Product.sample, the widest trajectory piece with
+# no law; an eighth of it caps a rejection round): 512 KB arrays, which
+# stay in cache, whatever the block length and dimension.
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -652,10 +653,10 @@ class Product(ModelND):
         self.spec = {"family": "product", "params": {"components": [c.spec for c in components]}}
         # a sum of independent Gamma(k_i, 1) is Gamma(sum k_i, 1); the other
         # columns, in column order, are the rest
-        shapes = [c.info_law[0] for c in components if c.info_law is not None]
+        shapes = [c.info_shape for c in components if c.info_shape is not None]
         if shapes:
             self.info_shape = float(sum(shapes))
-            rest = [c for c in components if c.info_law is None]
+            rest = [c for c in components if c.info_shape is None]
             if rest:
                 self.info_rest = Product(rest)
         # the column runs, in column order: adjacent columns of one component

@@ -15,23 +15,25 @@ A model's deviations split into a part that is Gamma(K, 1) - K in law
 (``ModelND.info_shape``), drawn directly, and a rest (``ModelND.info_rest``:
 the columns with no law, an affine image's base, or a model with no law
 part itself) that is sampled and evaluated in row chunks, so no whole block
-of points is ever held.
+of points is ever held.  ``aep`` draws the grid intervals of its
+trajectories with the same block routine, ``_draw_deviations``.
 
 Proportions get Wilson score intervals, which behave sensibly at zero
 observed exceedances; means get the usual normal approximation.  Exponential
 moments are accumulated in log space so large deviations cannot overflow:
 both moments of one alpha come from a single exp, taken in place in one
 reused buffer.  Each reduction holds at most one float64 scratch array of
-the batch's length, and a count one boolean mask, and runs its ufuncs with
-``out=`` into them.  These are estimates only; ``bounds`` decides windows,
-vacuity and verdicts.
+the batch's length, and runs its ufuncs with ``out=`` into it; every count
+of |dev| >= x, here and in ``aep``'s exceedance table, is one boolean mask
+(``_count_exceedances``).  These are estimates only; ``bounds`` decides
+windows, vacuity and verdicts.
 """
 from __future__ import annotations
 
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -126,44 +128,58 @@ class InfoSampleBatch:
     deviations: np.ndarray
 
 
+def _check_count(count: int, name: str, least: int = 1) -> None:
+    """Refuse a count below ``least`` or past 2^63 - 1, the largest size
+    numpy can index."""
+    if not least <= count < 2**63:
+        raise DomainError(f"{name} must lie in [{least}, 2^63 - 1], got {count!r}")
+
+
+def _draw_deviations(gen: np.random.Generator, shape: float,
+                     rest: Optional[ModelND], out: np.ndarray) -> None:
+    """Fill ``out`` with information deviations drawn from ``gen``: one
+    ``standard_gamma(shape)`` draw minus ``shape`` for the law part, plus
+    the deviations of ``rest`` (unless None), sampled and evaluated in row
+    chunks of about ``_CHUNK_ELEMENTS`` coordinates, in order from the same
+    generator, so no whole array of points is held.  ``standard_gamma(0)``
+    writes zeros without drawing, so a rest with K = 0 reads the stream
+    from its start.  A NaN or infinity is left for the caller to report.
+    """
+    gen.standard_gamma(shape, out=out)
+    out -= shape
+    if rest is None:
+        return
+    h = rest.entropy
+    rows = max(1, distributions._CHUNK_ELEMENTS // rest.dim)
+    with np.errstate(all="ignore"):
+        for a in range(0, out.size, rows):
+            b = min(a + rows, out.size)
+            x = rest.sample(gen, b - a)
+            out[a:b] += -rest.log_density(x) - h
+
+
 def sample_information(model: ModelND, m: int, rng: RngStream,
                        workers: int = 1) -> InfoSampleBatch:
     """Draw m samples and return their information deviations.
 
     Work is partitioned by ``rng.run_blocks`` into fixed blocks of
     BLOCK_SIZE draws, so the deviations array is identical for any
-    ``workers`` value.  Block b is one ``standard_gamma(K)`` draw minus K
-    from its generator, K the model's ``info_shape``, plus the deviations
-    of its ``info_rest``, sampled and evaluated in row chunks of about
-    ``_CHUNK_ELEMENTS`` coordinates, in order from the same generator, so a
-    worker holds no whole block of points.  A model with no law part is its
-    own rest with K = 0, and ``standard_gamma(0)`` writes zeros without
-    drawing, so its points read the block's stream from its start.  No
-    more workers start than there are blocks.  A deviation that is NaN or
-    infinite, as from draws that overflow, raises NumericsError: no tail
-    count or moment of it means anything.
+    ``workers`` value; each block is one ``_draw_deviations`` call from its
+    own generator, K the model's ``info_shape`` and the rest its
+    ``info_rest``, or K = 0 and the model itself when it has no law part.
+    No more workers start than there are blocks.  A count m outside
+    [1, 2^63 - 1] raises DomainError, and a deviation that is NaN or
+    infinite, as from draws that overflow, NumericsError: no tail count or
+    moment of it means anything.
     """
-    if m <= 0:
-        raise DomainError(f"sample count must be positive, got {m!r}")
+    _check_count(m, "sample count")
     out = np.empty(m, dtype=float)
     shape, rest = model.info_shape, model.info_rest
     if shape is None:
         shape, rest = 0.0, model
-    if rest is not None:
-        h = rest.entropy
-        rows = max(1, distributions._CHUNK_ELEMENTS // rest.dim)
 
     def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-        gen.standard_gamma(shape, out=out[lo:hi])
-        out[lo:hi] -= shape
-        if rest is None:
-            return
-        # a NaN or infinity is reported once, below, not warned of per block
-        with np.errstate(all="ignore"):
-            for a in range(lo, hi, rows):
-                b = min(a + rows, hi)
-                x = rest.sample(gen, b - a)
-                out[a:b] += -rest.log_density(x) - h
+        _draw_deviations(gen, shape, rest, out[lo:hi])
 
     rng.run_blocks(m, BLOCK_SIZE, run_block, min(workers, -(-m // BLOCK_SIZE)))
     if not np.isfinite(out).all():
@@ -178,6 +194,17 @@ class TailRow:
     threshold_nats: float
     exceedances: int
     estimate: McEstimate
+
+
+def _count_exceedances(d: np.ndarray, x: float) -> int:
+    """How many entries of d have |d| >= x, for x >= 0: d >= x plus
+    d <= -x, both into one boolean mask, with no |d| copy (at x = 0,
+    every entry)."""
+    if x == 0.0:
+        return d.size
+    mask = np.greater_equal(d, x)
+    above = np.count_nonzero(mask)
+    return int(above + np.count_nonzero(np.less_equal(d, -x, out=mask)))
 
 
 def empirical_tail(batch: InfoSampleBatch, thresholds: Sequence[float],
@@ -197,13 +224,10 @@ def empirical_tail(batch: InfoSampleBatch, thresholds: Sequence[float],
         unit = float(batch.dim)
     else:
         raise DomainError(f"unknown scaling {scaling!r}")
-    absdev = np.abs(batch.deviations)
-    exceeds = np.empty(batch.m, dtype=bool)
     rows = []
     for t in ts:
         thr = t * unit
-        np.greater_equal(absdev, thr, out=exceeds)
-        count = int(np.count_nonzero(exceeds))
+        count = _count_exceedances(batch.deviations, thr)
         rows.append(TailRow(
             t=float(t),
             threshold_nats=float(thr),
@@ -311,12 +335,7 @@ def entropy_power_band(batch: InfoSampleBatch, s: float = 1.0,
     """
     if s <= 0.0:
         raise DomainError(f"band half-width must be positive, got {s!r}")
-    # |dev| < x is dev < x and not dev <= -x, with x > 0: two comparisons
-    # into one mask, and no |dev| copy
-    d, x = batch.deviations, s * batch.dim
-    mask = np.empty(batch.m, dtype=bool)
-    inside = (np.count_nonzero(np.less(d, x, out=mask))
-              - np.count_nonzero(np.less_equal(d, -x, out=mask)))
+    inside = batch.m - _count_exceedances(batch.deviations, s * batch.dim)
     return McEstimate.from_proportion(inside, batch.m, confidence)
 
 

@@ -1,14 +1,15 @@
 """Tests for the equipartition simulation layer.
 
-Oracles: the information law route (one Gamma draw per grid interval) is
-checked in law against trajectories drawn step by step: the base sampler
-and log_pdf for i.i.d. processes; for the autoregression, the AR(1)
-recursion evaluated by the dense multivariate Gaussian with covariance
-Sigma_ij = sigma1^2 rho^|i-j| (built with plain linear algebra, a fully
-independent route).  The checks are two-sample KS tests and the exact mean
-and variance of c n + Gamma(k n).  The streamed step route is checked byte for byte
-against the cumulative sum of whole blocks, with the piece budget forced
-small enough to split trials into column pieces.  Frozen entropy rates:
+Oracle: ``step_route_info``, trajectories drawn step by step and summed
+whole: the base sampler and log_pdf for i.i.d. processes; for the
+autoregression, the AR(1) recursion evaluated by the dense multivariate
+Gaussian with covariance Sigma_ij = sigma1^2 rho^|i-j| (built with plain
+linear algebra, a fully independent route).  ``run_trajectories`` is
+checked against it in law, by two-sample KS tests, both where a grid
+interval is one Gamma draw and where a base with no law is cut into pieces
+(the piece budget forced small), and against the exact mean and variance
+of h_n + Gamma(k n) - k n.  Byte identity is checked across worker counts
+and, where no interval is cut, across piece budgets.  Frozen entropy rates:
 
     sd = 1:  (1/2) log(2 pi e)            = 1.4189385332046727
     sd = 2:  (1/2) log(2 pi e) + log 2    = 2.112085713764618
@@ -87,11 +88,11 @@ def step_route_info(process, grid, trials, gen):
 
 def assert_same_law(process, seed):
     """Law-route info against the step route (KS), and against the exact
-    mean h_n / n and variance k / n of (c n + c1 - c + Gamma(k n)) / n."""
+    mean h_n / n and variance k / n of (h_n + Gamma(k n) - k n) / n."""
     law = run_trajectories(process, LAW_GRID, LAW_TRIALS, RngStream(seed)).info
     steps = step_route_info(process, LAW_GRID, LAW_TRIALS,
                             RngStream(seed, stream_id=1).generator())
-    k = process.info_law[0]
+    k = process.info_shape
     for j, n in enumerate(LAW_GRID):
         mean = process.joint_entropy(n) / n
         if k == 0.0:  # no randomness: both routes give the entropy rate
@@ -145,16 +146,26 @@ class TestProcessDefinitions:
                 GaussAR1(rho, sd)
 
     def test_iid_process_passes_the_base_law_through(self):
-        assert IIDProcess(laplace()).info_law == (1.0, math.log(2.0),
-                                                  math.log(2.0))
-        assert IIDProcess(gamma(2.0)).info_law is None
+        assert IIDProcess(laplace()).info_shape == 1.0
+        assert IIDProcess(uniform()).info_shape == 0.0
+        assert IIDProcess(gamma(2.0)).info_shape is None
 
     def test_ar1_law_constants_match_joint_entropy(self):
+        # pointwise, -log f_n(x) is h_n plus the deviations z^2/2 - 1/2 of
+        # the standardized innovations: the joint entropy holds every
+        # constant, and a step's shape is 1/2
         proc = GaussAR1(0.7, 1.3)
-        k, first, c = proc.info_law
-        assert k == 0.5
-        assert abs(k + first - proc.joint_entropy(1)) < 1e-14
-        assert abs(k + c - proc.entropy_rate) < 1e-14
+        assert proc.info_shape == 0.5
+        z = np.random.default_rng(5).standard_normal((4, 12))
+        x = np.empty_like(z)
+        x[:, 0] = math.sqrt(proc.sigma1_sq) * z[:, 0]
+        for k in range(1, 12):
+            x[:, k] = proc.rho * x[:, k - 1] + proc.sd * z[:, k]
+        dev = np.cumsum(0.5 * z * z - proc.info_shape, axis=1)
+        for n in (1, 2, 12):
+            info = -dense_gaussian_log_density(x[:, :n], proc.rho, proc.sd)
+            assert np.allclose(info, proc.joint_entropy(n) + dev[:, n - 1],
+                               rtol=1e-12, atol=1e-12)
 
 
 LAW_FAMILIES = {
@@ -204,18 +215,22 @@ class TestInformationLaw:
 
 
 class NanLaw:
-    """A process whose information law has a NaN constant."""
+    """A process with a step shape whose joint entropy is NaN."""
     entropy_rate = 1.0
-    info_law = (1.0, math.nan, math.nan)
+    info_shape = 1.0
+
+    def joint_entropy(self, n):
+        return math.nan
+
+
+class NanSteps:
+    """A process drawn step by step whose steps are NaN."""
+    entropy_rate = 1.0
+    info_shape = None
+    base = replace(uniform(), _log_pdf=lambda y: np.full(y.shape, math.nan))
 
     def joint_entropy(self, n):
         return float(n)
-
-
-class NanSteps(NanLaw):
-    """A process drawn step by step whose steps are NaN."""
-    info_law = None
-    base = replace(uniform(), _log_pdf=lambda y: np.full(y.shape, math.nan))
 
 
 class TestRunTrajectories:
@@ -301,29 +316,6 @@ class TestRunTrajectories:
             run_trajectories(process, [4, 16], 100, RngStream(1))
 
 
-def whole_block_info(process, grid, trials, rng):
-    """-log f_n / n of each block drawn whole: the interval Gamma draws of a
-    process with an information law, else the cumulative sum of the block's
-    whole (trials, n_max) array of base draws."""
-    grid = np.asarray(grid, dtype=np.int64)
-    n_max = int(grid[-1])
-    info = np.empty((trials, grid.size))
-    for b, lo in enumerate(range(0, trials, TRIAL_BLOCK)):
-        hi = min(lo + TRIAL_BLOCK, trials)
-        gen = rng.generator(b)
-        if process.info_law is None:
-            x = process.base.sample(gen, (hi - lo) * n_max)
-            cum = np.cumsum(-process.base.log_pdf(x.reshape(hi - lo, n_max)),
-                            axis=1)
-            info[lo:hi] = cum[:, grid - 1] / grid
-        else:
-            k, first, c = process.info_law
-            g = gen.standard_gamma(k * np.diff(grid, prepend=0),
-                                   (hi - lo, grid.size))
-            info[lo:hi] = (np.cumsum(g, axis=1) + (c * grid + (first - c))) / grid
-    return info
-
-
 def logistic():
     """The logistic density, built by ``from_log_density``."""
     return from_log_density(
@@ -338,7 +330,7 @@ def _logistic():
     return replace(logistic(), _quantile=logit, _sampler=None)
 
 
-# the first two take the law route, the last two draw every step
+# the first two have a step shape, the last two draw every step
 PROCESSES = [GaussAR1(0.5, 1.3), IIDProcess(laplace()),
              IIDProcess(gamma(2.0)), IIDProcess(_logistic())]
 PROCESS_IDS = ["ar1", "laplace", "gamma2", "custom"]
@@ -351,14 +343,55 @@ class TestStreamedBlocks:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pieces_match_whole_blocks(self, monkeypatch, process, grid,
                                        budget, workers):
+        # a law interval is one piece at any budget, and so is an interval
+        # no wider than the budget: the bytes are those of the default
+        # budget; a wider interval with no law is cut, which draws the
+        # stream in another order but keeps the law of the step route
         if budget == "n_max + 1":
             budget = grid[-1] + 1
         rng = RngStream(41)
         trials = TRIAL_BLOCK + 3
-        want = whole_block_info(process, grid, trials, rng)
+        want = run_trajectories(process, grid, trials, rng).info
         monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
-        got = run_trajectories(process, grid, trials, rng, workers=workers)
-        assert got.info.tobytes() == want.tobytes()
+        got = run_trajectories(process, grid, trials, rng, workers=workers).info
+        if process.info_shape is None and max(np.diff(grid, prepend=0)) > budget:
+            steps = step_route_info(process, grid, trials,
+                                    RngStream(41, stream_id=1).generator())
+            for j in range(len(grid)):
+                assert ks_2samp(got[:, j], steps[:, j]).pvalue > 1e-3
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("process", [
+        *PROCESSES, IIDProcess(logistic())], ids=[*PROCESS_IDS, "rejection"])
+    def test_cut_pieces_are_worker_invariant(self, monkeypatch, process):
+        # a budget of 7 cuts every interval of this grid but the first
+        # into pieces, of two widths each
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 7)
+        runs = [run_trajectories(process, [2, 12, 30], TRIAL_BLOCK + 5,
+                                 RngStream(53), workers=w).info.tobytes()
+                for w in (1, 2, 5)]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("base", [gamma(2.0), logistic()],
+                             ids=["gamma2", "custom"])
+    def test_cut_pieces_match_step_route(self, monkeypatch, base):
+        process, grid, trials = IIDProcess(base), [3, 10, 40], 4000
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 8)
+        got = run_trajectories(process, grid, trials, RngStream(59)).info
+        steps = step_route_info(process, grid, trials,
+                                RngStream(59, stream_id=1).generator())
+        for j in range(len(grid)):
+            assert ks_2samp(got[:, j], steps[:, j]).pvalue > 1e-3, grid[j]
+
+    def test_law_interval_is_one_draw_at_any_length(self):
+        # n = 10^15 steps are one Gamma draw per trial: at once, and with
+        # the deviation scale sqrt(k / n) of Gamma(k n) - k n over n
+        report = run_trajectories(IIDProcess(laplace()), [16, 10**15], 4000,
+                                  RngStream(61))
+        sd = report.per_coord_deviations().std(axis=0)
+        expected = 1.0 / np.sqrt(report.n_grid)
+        assert np.all(abs(sd - expected) < 0.1 * expected)
 
     @pytest.mark.parametrize("process, trials", [
         *((process, 8) for process in PROCESSES),

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,29 @@ class TestUsageErrors:
         assert out.err.startswith("error:") and "HOLDS" not in out.out
         assert message in out.err
         assert not csv.exists() and not js.exists()
+
+    # a size numpy cannot index is refused by name before any array is
+    # made, not left to numpy's ValueError or to a wrapping int64 cast; the
+    # last length parses as the float 2^63
+    @pytest.mark.parametrize("argv,message", [
+        (["tail", "--model", "exponential", "--samples", str(10**19)],
+         f"sample count must lie in [1, 2^63 - 1], got {10**19}"),
+        (["aep", "--model", "exponential", "--samples", str(10**19)],
+         f"trial count must lie in [2, 2^63 - 1], got {10**19}"),
+        (["aep", "--model", "laplace", "--samples", "10",
+          "--n-grid", "16,1e19"],
+         f"trajectory length must lie in [1, 2^63 - 1], got {10**19}"),
+        (["aep", "--model", "laplace", "--samples", "10",
+          "--n-grid", f"16,{2**63 - 1}"],
+         f"trajectory length must lie in [1, 2^63 - 1], got {2**63}"),
+    ], ids=["tail_samples", "aep_samples", "aep_length", "aep_length_rounds_up"])
+    def test_sizes_past_int64_are_errors(self, argv, message, tmp_path, capsys):
+        csv = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out-csv", str(csv)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not csv.exists()
 
     @pytest.mark.parametrize("argv", [
         ["tail", "--model", "exponential", "--t-grid", "0,nan,1"],

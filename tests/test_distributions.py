@@ -865,15 +865,23 @@ def test_non_finite_parameters_are_named(build, name):
 
 
 def test_information_law_mean_is_the_entropy():
-    # -log f(X) = c + Gamma(k, 1) in law has mean c + k = h(f); the shapes
-    # are checked in law by the trajectory tests
-    for d in [exponential(), gamma(1.0), laplace(), gaussian1d(0.7, 1.9),
-              half_normal(), uniform(-1.0, 2.0)]:
-        k, c = d.info_law
-        assert k + c == pytest.approx(d.entropy, abs=1e-14), d.name
-    assert gamma(2.0).info_law is None
+    # -log f(X) - h = Gamma(k, 1) - k in law: over the family's own draws,
+    # -log f(X) has mean h and variance k; the shapes are checked in law
+    # by the trajectory tests
+    m = 20000
+    gen = np.random.default_rng(3)
+    for d, k in [(exponential(), 1.0), (gamma(1.0), 1.0), (laplace(), 1.0),
+                 (gaussian1d(0.7, 1.9), 0.5), (half_normal(), 0.5),
+                 (uniform(-1.0, 2.0), 0.0)]:
+        assert d.info_shape == k, d.name
+        info = -d.log_pdf(d.sample(gen, m))
+        assert abs(info.mean() - d.entropy) <= 5.0 * math.sqrt(k / m) + 1e-14, d.name
+        # the sample variance of Gamma(k) has excess kurtosis 6 / k
+        slack = 5.0 * k * math.sqrt((2.0 + 6.0 / max(k, 1e-300)) / m)
+        assert abs(info.var() - k) <= slack + 1e-14, d.name
+    assert gamma(2.0).info_shape is None
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
-    assert bump.info_law is None
+    assert bump.info_shape is None
 
 
 def test_information_split():

@@ -123,7 +123,7 @@ CASES = {
     "tail_mixed_gamma": (["tail", "--model", json.dumps(MIXED_GAMMA),
                           "--samples", "70000", "--seed", "20",
                           "--workers", "2", "--t-grid", "0:2:0.5"], None),
-    # gamma(2) has no information law, so this is the step route
+    # gamma(2) has no information law, so every step is drawn
     "aep_iid_gamma2": (["aep", "--model", "gamma", "--p", "2",
                         "--samples", "300", "--seed", "19", "--n-grid", "2,8",
                         "--s-grid", "0.5,2.5"], None),
@@ -132,15 +132,15 @@ CASES = {
 # SHA-256 of each case, taken with DIGEST_VERSIONS
 DIGESTS = {
     "aep_gauss_ar1":
-        "c69d61152301eca0c083ce5e30f9f5184900824a87b623c654449206491a05cb",
+        "35865e247f481a2baa7fa19f789baa2910f663cf24a564c89e9338116a873096",
     "aep_iid_exponential":
-        "47e86e2a30001597db3e0d80ea0490f76b8c79fe2d132d0e1f519b156efbd5c3",
+        "6ab68160264becb810b890bba4e5b04b5e7a5e1abc2bd78c3996222eec0a32e0",
     "aep_iid_gamma2":
-        "1503a026e7f4155851749b6974babec70c400f42100b85cc69229326fa663c6a",
+        "dff1d3bc29fd53b699a051acb5078e61225ddfdf66b65d8493497c7a7b1be310",
     "aep_iid_json_workers2":
-        "5dd4e2aad058a50ed95e01b1a75e4549274c3f07edfc508c8201f9288f149390",
+        "b8c47ec8adfb683264b45097cee70a98df92a2e600a35196931471817ca1e3c3",
     "aep_process_file":
-        "bb8be3abf4e8d0d2d634076c4ea20b287e961b8f2bc252ee3c1c70a55def53cd",
+        "02d8e2a7f9340d9e53db5e1b7f515459b82f5e3107b9ee24568a8fee960fd870",
     "entropy_power_affine":
         "9eef1b15a02cc8405b8292038a538d376b96e30523b6c806988699acf904715b",
     "entropy_power_gaussian":

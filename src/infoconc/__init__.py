@@ -22,7 +22,6 @@ from .distributions import (
     AffineMap,
     BallUniform,
     Density1D,
-    GaussianModel,
     ModelND,
     ParameterError,
     Product,

@@ -38,8 +38,8 @@ import numpy as np
 from . import distributions
 from .distributions import (Density1D, LOG_2PI, ParameterError, Product,
                             RngStream, _finite, density_from_spec, spec_reader)
-from .infotools import (McEstimate, _check_count, _count_exceedances,
-                        _draw_deviations)
+from .infotools import (DEFAULT_CONFIDENCE, McEstimate, _check_count,
+                        _count_exceedances, _draw_deviations)
 from .numerics import DomainError, NumericsError, check_grid
 
 __all__ = [
@@ -127,7 +127,7 @@ class TrajectoryReport:
         return np.median(tail_sup, axis=0)
 
     def exceedance_table(self, s_values: Sequence[float],
-                         confidence: float = 0.999) -> list:
+                         confidence: float = DEFAULT_CONFIDENCE) -> list:
         """Wilson estimates of P{|centered deviation| >= s} per length and s."""
         svals = check_grid(s_values, "s grid")
         if svals[0] <= 0.0:
@@ -171,8 +171,8 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     steps, a piece of w steps drawn as ``Product([base] * w)``, built once
     per width, so a worker's memory stays bounded.  At most one worker
     starts per ``_CHUNK_ELEMENTS`` draws: thread hand-offs cost more than a
-    few law draws.  A length or trial count past 2^63 - 1 raises
-    DomainError, a NaN or infinite deviation NumericsError.
+    few law draws.  A length, trial count or (trials, grid) size past
+    ``_MAX_COUNT`` raises DomainError, a NaN or infinite deviation NumericsError.
     """
     grid = check_grid(n_grid, "length grid")
     if grid[0] < 1.0 or np.any(grid != np.floor(grid)):
@@ -180,6 +180,7 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     _check_count(int(grid[-1]), "trajectory length")
     grid = grid.astype(np.int64)
     _check_count(trials, "trial count", least=2)
+    _check_count(trials * grid.size, "trial count times grid lengths")
     k, cut = process.info_shape, distributions._CHUNK_ELEMENTS
     rest = functools.cache(lambda w: Product([process.base] * w))
     # each grid interval of d steps as its pieces (Gamma shape, rest)

@@ -40,6 +40,7 @@ from .distributions import (
     model_from_spec,
 )
 from .infotools import (
+    DEFAULT_CONFIDENCE,
     deviation_mean,
     deviation_variance,
     empirical_mgf,
@@ -161,12 +162,15 @@ def _cells(e) -> tuple:
 
 def _tail_rows(batch, args):
     ts = parse_grid(args.t_grid)
+    # the bounds take t in units of sqrt(n): a per-coordinate s is s sqrt(n)
+    unit = math.sqrt(batch.dim) if args.scaling == "per_coordinate" else 1.0
     rows = []
     for row in empirical_tail(batch, ts, scaling=args.scaling,
                               confidence=args.confidence):
-        exp_v = bounds.compare(row.estimate, bounds.exp_tail_bound(row.t))
+        t = row.t * unit
+        exp_v = bounds.compare(row.estimate, bounds.exp_tail_bound(t))
         gauss_v = bounds.compare(row.estimate,
-                                 bounds.gaussian_tail_bound(row.t, batch.dim))
+                                 bounds.gaussian_tail_bound(t, batch.dim))
         rows.append((row.t, row.threshold_nats, row.exceedances,
                      *_cells(row.estimate), exp_v.bound, exp_v.vacuous,
                      exp_v.verdict, gauss_v.bound, gauss_v.in_window,
@@ -430,7 +434,7 @@ def build_parser() -> _Parser:
     mc_flags.add_argument("--seed", type=int, default=0)
     mc_flags.add_argument("--stream", type=int, default=0)
     mc_flags.add_argument("--workers", type=int, default=1)
-    mc_flags.add_argument("--confidence", type=float, default=0.999)
+    mc_flags.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE)
 
     out_flags = _Parser(add_help=False)
     out_flags.add_argument("--out-csv")
@@ -483,8 +487,8 @@ def main(argv=None) -> int:
             return 1
         return args.func(args)
     except (UsageError, ParameterError, NumericsError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            json.JSONDecodeError, MemoryError, OverflowError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -4,9 +4,10 @@ Two layers live here.  ``Density1D`` wraps a one-dimensional log-concave
 density together with everything the experiments need from it: normalized
 log-density, exact sampler, differential entropy in nats, quantiles, and
 the optional order-p factorization f(x) = x^(p-1) g(x).  ``ModelND`` builds
-n-dimensional models from those pieces (independent products, the
-standard normal, affine pushforwards, uniform balls); a Gaussian with a mean
-or covariance factor is the ``AffineMap`` image of the standard normal.
+n-dimensional models from those pieces: independent products, their affine
+pushforwards, and uniform balls.  The standard normal is the product of
+``gaussian1d`` copies, and a Gaussian with a mean or covariance factor is
+the ``AffineMap`` image of it.
 
 Sampling is exact everywhere.  ``Density1D`` applies a family's support
 (log_pdf is -inf outside) and draws by its quantile unless the family
@@ -25,11 +26,13 @@ construction, so each solve is one matrix product.  No family imports
 scipy when it is built: gamma's entropy takes ``numerics.digamma``, and the
 quantiles of gamma, ``gaussian1d`` and ``half_normal`` import their scipy
 function at their first call, so no Monte Carlo draw that bypasses them
-loads any scipy module.  ``from_log_density`` imports scipy's logsumexp.
+loads any scipy module; a library draw of the standard normal reaches
+``gaussian1d``'s.  ``from_log_density`` imports scipy's logsumexp.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -53,7 +56,6 @@ __all__ = [
     "Density1D",
     "ModelND",
     "Product",
-    "GaussianModel",
     "AffineMap",
     "BallUniform",
     "exponential",
@@ -96,10 +98,12 @@ def _finite_array(value, what: str) -> np.ndarray:
     return value
 
 
-def _whole(value, what: str) -> int:
-    """value as an int; a bool or a non-integral number is a ParameterError."""
+def _count(value, what: str) -> int:
+    """value as an int >= 1; anything else, a bool too, is a ParameterError."""
     if isinstance(value, bool) or not float(value).is_integer():
         raise ParameterError(f"{what} must be an integer, got {value!r}")
+    if int(value) < 1:
+        raise ParameterError(f"{what} must be >= 1, got {value!r}")
     return int(value)
 
 
@@ -618,7 +622,6 @@ class ModelND:
 
     dim: int
     entropy: float
-    spec: dict
     info_shape: Optional[float] = None
     info_rest: Optional["ModelND"] = None
 
@@ -650,25 +653,25 @@ class Product(ModelND):
         self.components = components
         self.dim = len(components)
         self.entropy = float(sum(c.entropy for c in components))
-        self.spec = {"family": "product", "params": {"components": [c.spec for c in components]}}
+        # column runs: adjacent columns of one component object (by identity:
+        # two custom densities may share a name) share a draw and a log_pdf
+        self._runs, lo = [], 0
+        for _, run in itertools.groupby(components, key=id):
+            hi = lo + len(list(run))
+            self._runs.append((components[lo], lo, hi))
+            lo = hi
         # a sum of independent Gamma(k_i, 1) is Gamma(sum k_i, 1); the other
         # columns, in column order, are the rest
-        shapes = [c.info_shape for c in components if c.info_shape is not None]
+        shapes, rest = [], []
+        for c, lo, hi in self._runs:
+            if c.info_shape is None:
+                rest += [c] * (hi - lo)
+            else:
+                shapes += [c.info_shape] * (hi - lo)
         if shapes:
             self.info_shape = float(sum(shapes))
-            rest = [c for c in components if c.info_shape is None]
             if rest:
                 self.info_rest = Product(rest)
-        # the column runs, in column order: adjacent columns of one component
-        # object (identity, not spec: two custom densities may share a name)
-        # share a draw and a log_pdf call
-        self._runs = []
-        for i, c in enumerate(components):
-            last = self._runs[-1] if self._runs else None
-            if last and last[0] is c:
-                self._runs[-1] = (c, last[1], i + 1)
-            else:
-                self._runs.append((c, i, i + 1))
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         # sums the same C-contiguous layout as stacking one log_pdf per column
@@ -689,26 +692,6 @@ class Product(ModelND):
                 k = hi - lo
                 piece[:, lo:hi] = c.sample(gen, len(piece) * k).reshape(-1, k)
         return out
-
-
-class GaussianModel(ModelND):
-    """Standard normal N(0, I) in ``dim`` dimensions.  A mean and covariance
-    factor T (cov = T T') make the AffineMap image T X + mean of it."""
-
-    def __init__(self, dim: int):
-        self.dim = _whole(dim, "gaussian dimension")
-        if self.dim < 1:
-            raise ParameterError(f"gaussian dimension must be >= 1, got {self.dim!r}")
-        self.entropy = 0.5 * self.dim * math.log(2.0 * math.pi * math.e)
-        self.spec = {"family": "gaussian", "params": {"dim": self.dim}}
-        self.info_shape = 0.5 * self.dim  # |X|^2 / 2 is Gamma(n/2, 1)
-
-    def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
-        q = np.sum(rows * rows, axis=-1)
-        return -0.5 * self.dim * LOG_2PI - 0.5 * q
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return gen.standard_normal((size, self.dim))
 
 
 class AffineMap(ModelND):
@@ -738,14 +721,6 @@ class AffineMap(ModelND):
         self.info_shape, self.info_rest = base.info_shape, base.info_rest
         if self.info_shape is None:
             self.info_shape, self.info_rest = 0.0, base
-        self.spec = {
-            "family": "affine",
-            "params": {
-                "base": base.spec,
-                "matrix": self.matrix.tolist(),
-                "shift": self.shift.tolist(),
-            },
-        }
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         pre = rows - self.shift
@@ -767,17 +742,14 @@ class BallUniform(ModelND):
     """Uniform distribution on the centered Euclidean ball of given radius."""
 
     def __init__(self, dim: int, radius: float = 1.0):
-        dim = _whole(dim, "ball dimension")
+        dim = _count(dim, "ball dimension")
         radius = _finite(radius, "ball radius")
-        if dim < 1:
-            raise ParameterError(f"ball dimension must be >= 1, got {dim!r}")
         if not radius > 0.0:
             raise ParameterError(f"ball radius must be positive, got {radius!r}")
         self.dim = dim
         self.radius = radius
         self._log_vol = 0.5 * dim * math.log(math.pi) - log_gamma(0.5 * dim + 1.0) + dim * math.log(radius)
         self.entropy = self._log_vol
-        self.spec = {"family": "ball_uniform", "params": {"dim": dim, "radius": radius}}
         self.info_shape = 0.0  # f is constant on the ball
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -854,15 +826,14 @@ def model_from_spec(spec: dict) -> ModelND:
         if "components" in params:
             comps = [density_from_spec(s) for s in params["components"]]
         elif "component" in params and "copies" in params:
-            copies = _whole(params["copies"], "product copies")
-            if copies < 1:
-                raise ParameterError("product copies must be >= 1")
+            copies = _count(params["copies"], "product copies")
             comps = [density_from_spec(params["component"])] * copies
         else:
             raise ParameterError("product spec needs 'components' or ('component', 'copies')")
         return Product(comps)
     if family == "gaussian":
-        # N(mean, T T') is the affine image T X + mean of X ~ N(0, I)
+        # N(0, I) is the product of dim copies of one gaussian1d, and
+        # N(mean, T T') its affine image T X + mean
         mean, factor = params.get("mean"), params.get("cov_factor")
         for value, what in ((mean, "gaussian mean"), (factor, "gaussian cov_factor")):
             if value is not None:
@@ -872,7 +843,7 @@ def model_from_spec(spec: dict) -> ModelND:
             if factor is None and mean is None:
                 raise ParameterError("gaussian spec needs 'dim', 'mean' or 'cov_factor'")
             dim = len(mean if factor is None else factor)
-        base = GaussianModel(dim)
+        base = Product([gaussian1d()] * _count(dim, "gaussian dimension"))
         if mean is None and factor is None:
             return base
         return AffineMap(base, np.eye(base.dim) if factor is None else factor, mean)

@@ -128,11 +128,14 @@ class InfoSampleBatch:
     deviations: np.ndarray
 
 
+# the largest count whose float64 array numpy can size (2^60 - 1 on 64 bits)
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+
+
 def _check_count(count: int, name: str, least: int = 1) -> None:
-    """Refuse a count below ``least`` or past 2^63 - 1, the largest size
-    numpy can index."""
-    if not least <= count < 2**63:
-        raise DomainError(f"{name} must lie in [{least}, 2^63 - 1], got {count!r}")
+    """Refuse a count below ``least`` or past ``_MAX_COUNT``."""
+    if not least <= count <= _MAX_COUNT:
+        raise DomainError(f"{name} must lie in [{least}, {_MAX_COUNT}], got {count!r}")
 
 
 def _draw_deviations(gen: np.random.Generator, shape: float,
@@ -168,7 +171,7 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
     own generator, K the model's ``info_shape`` and the rest its
     ``info_rest``, or K = 0 and the model itself when it has no law part.
     No more workers start than there are blocks.  A count m outside
-    [1, 2^63 - 1] raises DomainError, and a deviation that is NaN or
+    [1, _MAX_COUNT] raises DomainError, and a deviation that is NaN or
     infinite, as from draws that overflow, NumericsError: no tail count or
     moment of it means anything.
     """

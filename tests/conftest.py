@@ -13,7 +13,7 @@ class WholeModel(ModelND):
 
     def __init__(self, model):
         self.model = model
-        self.dim, self.entropy, self.spec = model.dim, model.entropy, model.spec
+        self.dim, self.entropy = model.dim, model.entropy
         self.calls = Counter()
 
     def sample(self, gen, size):

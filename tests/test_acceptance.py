@@ -16,8 +16,8 @@ import infoconc.distributions as dist
 from infoconc.aep import GaussAR1, run_trajectories
 from infoconc.bounds import HOLDS, VIOLATED
 from infoconc.cli import main as cli_main
-from infoconc.distributions import (AffineMap, GaussianModel, Product,
-                                    RngStream)
+from infoconc.distributions import (AffineMap, Product, RngStream,
+                                    model_from_spec)
 from infoconc.infotools import (empirical_mgf, empirical_tail,
                                 entropy_power_band, sample_information)
 from infoconc.lyapunov import (check_convexity_direction, moment_curve,
@@ -34,11 +34,16 @@ _batches = {}
 _gamma_reports = {}
 
 
+def standard_normal(n: int):
+    """The standard normal in R^n, as the ``gaussian`` spec builds it."""
+    return model_from_spec({"family": "gaussian", "params": {"dim": n}})
+
+
 def info_batch(family: str, n: int):
     key = (family, n)
     if key not in _batches:
         if family == "gaussian":
-            model, stream = GaussianModel(n), n
+            model, stream = standard_normal(n), n
         else:
             model, stream = Product([dist.exponential() for _ in range(n)]), 100 + n
         _batches[key] = sample_information(model, M_LARGE,
@@ -216,7 +221,7 @@ def test_09_affine_invariance_pointwise(model_route):
     # models without their points
     t0 = time.perf_counter()
     fails = []
-    base = GaussianModel(8)
+    base = standard_normal(8)
     mat_rng = np.random.default_rng(314159)
     for k in range(3):
         matrix = mat_rng.normal(size=(8, 8))
@@ -234,7 +239,7 @@ def test_09_affine_invariance_pointwise(model_route):
 
 def test_10_standard_normal_decomposition():
     t0 = time.perf_counter()
-    model = GaussianModel(32)
+    model = standard_normal(32)
     x = model.sample(RngStream(SEED, 400).generator(block=0), 10**4)
     dev = -model.log_density(x) - model.entropy
     direct = 0.5 * (np.sum(x * x, axis=1) - 32.0)

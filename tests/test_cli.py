@@ -13,6 +13,7 @@ import pytest
 import infoconc.cli as cli
 import infoconc.numerics
 from infoconc.cli import UsageError, main, parse_grid
+from infoconc.infotools import _MAX_COUNT
 
 
 def read_json_no_meta(path):
@@ -256,21 +257,50 @@ class TestUsageErrors:
         assert message in out.err
         assert not csv.exists() and not js.exists()
 
-    # a size numpy cannot index is refused by name before any array is
-    # made, not left to numpy's ValueError or to a wrapping int64 cast; the
-    # last length parses as the float 2^63
+    # a count whose float64 array numpy cannot size (past 2^60 - 1) is
+    # refused by name before any array is made, not left to numpy's
+    # ValueError or to a wrapping int64 cast; the fourth length parses as
+    # the float 2^63.  A count numpy can size but no memory can back ends
+    # in its MemoryError as an error line, and so does a list of model
+    # components too long to allocate or to index: every count here is at
+    # least 2^56, whose 2^59 bytes lie past any address space, so the
+    # allocation fails at once
     @pytest.mark.parametrize("argv,message", [
         (["tail", "--model", "exponential", "--samples", str(10**19)],
-         f"sample count must lie in [1, 2^63 - 1], got {10**19}"),
+         f"sample count must lie in [1, {_MAX_COUNT}], got {10**19}"),
         (["aep", "--model", "exponential", "--samples", str(10**19)],
-         f"trial count must lie in [2, 2^63 - 1], got {10**19}"),
+         f"trial count must lie in [2, {_MAX_COUNT}], got {10**19}"),
         (["aep", "--model", "laplace", "--samples", "10",
           "--n-grid", "16,1e19"],
-         f"trajectory length must lie in [1, 2^63 - 1], got {10**19}"),
+         f"trajectory length must lie in [1, {_MAX_COUNT}], got {10**19}"),
         (["aep", "--model", "laplace", "--samples", "10",
           "--n-grid", f"16,{2**63 - 1}"],
-         f"trajectory length must lie in [1, 2^63 - 1], got {2**63}"),
-    ], ids=["tail_samples", "aep_samples", "aep_length", "aep_length_rounds_up"])
+         f"trajectory length must lie in [1, {_MAX_COUNT}], got {2**63}"),
+        (["tail", "--model", "exponential", "--samples", str(2**62)],
+         f"sample count must lie in [1, {_MAX_COUNT}], got {2**62}"),
+        (["aep", "--model", "exponential", "--samples", str(2**61),
+          "--n-grid", "2,4"],
+         f"trial count must lie in [2, {_MAX_COUNT}], got {2**61}"),
+        (["aep", "--model", "exponential", "--samples", str(2**59),
+          "--n-grid", "2,4,8,16"],
+         f"trial count times grid lengths must lie in [1, {_MAX_COUNT}], "
+         f"got {2**61}"),
+        (["tail", "--model", "exponential", "--samples", str(2**59)],
+         "Unable to allocate"),
+        (["aep", "--model", "exponential", "--samples", str(2**57),
+          "--n-grid", "2,4"], "Unable to allocate"),
+        (["tail", "--model", "gaussian", "--dim", str(2**60),
+          "--samples", "10"], "out of memory"),
+        (["tail", "--model", '{"family": "gaussian", "params": {"dim": 1e300}}',
+          "--samples", "10"], "cannot fit 'int' into an index-sized integer"),
+        (["tail", "--model", '{"family": "product", "params": {"component": '
+          '{"family": "laplace"}, "copies": 1e300}}', "--samples", "10"],
+         "cannot fit 'int' into an index-sized integer"),
+    ], ids=["tail_samples", "aep_samples", "aep_length", "aep_length_rounds_up",
+            "tail_samples_past_array", "aep_samples_past_array",
+            "aep_trials_times_grid", "tail_samples_no_memory",
+            "aep_trials_no_memory", "gaussian_dim_no_memory",
+            "gaussian_dim_past_index", "copies_past_index"])
     def test_sizes_past_int64_are_errors(self, argv, message, tmp_path, capsys):
         csv = tmp_path / "out.csv"
         with warnings.catch_warnings():
@@ -361,6 +391,24 @@ class TestTailCommand:
             assert rc == 0
             outs.append(csv.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_per_coordinate_bounds_take_s_sqrt_n(self, tmp_path):
+        # the bounds take t in units of sqrt(n), so a per-coordinate s is
+        # t = s sqrt(n) = 4 s at n = 16, and the window t <= 2 sqrt(n) ends
+        # at s = 2
+        csv = tmp_path / "pc.csv"
+        assert main(["tail", "--model", "exponential", "--dim", "16",
+                     "--samples", "2000", "--t-grid", "0.5,2,3",
+                     "--scaling", "per_coordinate", "--out-csv", str(csv)]) == 0
+        rows = read_csv_rows(csv)
+        for row in rows:
+            t = 4.0 * float(row["t"])
+            gauss = cli.bounds.gaussian_tail_bound(t, 16)
+            assert float(row["exp_bound"]) == cli.bounds.exp_tail_bound(t).value
+            assert float(row["gauss_bound"]) == gauss.value
+            assert row["gauss_in_window"] == str(gauss.in_window).lower()
+        assert [r["gauss_in_window"] for r in rows] == ["true", "true", "false"]
+        assert float(rows[1]["gauss_bound"]) == 3.0 * math.exp(-4.0)
 
     def test_model_file(self, tmp_path):
         spec = {"family": "product",

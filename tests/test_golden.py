@@ -172,7 +172,7 @@ DIGESTS = {
     "tail_ball":
         "af0954841fa9a4673338079cc92e6a21bf6642540dec77ce1ffa6fe9d0c66aa5",
     "tail_exp_per_coordinate":
-        "21987e6711683432165750f90879f048cd32dfc9c84f2459c2c8b199e1578255",
+        "dbc8e32c83568b95a1b3f82dae81569b30e2f035b9484fa001700272b76c7f97",
     "tail_gamma_file":
         "51430446af1b5a8aa793413555fdf3c09f3d7495708e0bcf5a76efad06f0f6b5",
     "tail_gaussian":

@@ -25,7 +25,6 @@ from infoconc.bounds import (HOLDS, INCONCLUSIVE, Bound, compare,
                              entropy_power_floor, mgf_bound_nd)
 from infoconc.distributions import (
     AffineMap,
-    GaussianModel,
     ModelND,
     ParameterError,
     Product,
@@ -76,6 +75,11 @@ class NonFiniteModel(ModelND):
 
     def log_density(self, x):
         return np.where(np.arange(len(x)) % 2, np.inf, np.nan)
+
+
+def standard_normal(n: int):
+    """The standard normal in R^n, as the ``gaussian`` spec builds it."""
+    return model_from_spec({"family": "gaussian", "params": {"dim": n}})
 
 
 def make_batch(deviations, dim=1):
@@ -226,7 +230,7 @@ class TestSampleInformation:
         assert not np.array_equal(a.deviations, c.deviations)
 
     def test_worker_count_invariance(self):
-        model = GaussianModel(4)
+        model = standard_normal(4)
         m = 3 * BLOCK_SIZE + 17
         a = sample_information(model, m, RngStream(9), workers=1)
         b = sample_information(model, m, RngStream(9), workers=2)
@@ -417,7 +421,7 @@ class TestSampleInformation:
             run_blocks(self, total, block, work, workers)
 
         monkeypatch.setattr(RngStream, "run_blocks", spy)
-        model = GaussianModel(4)
+        model = standard_normal(4)
         runs = [sample_information(model, m, RngStream(71), workers=5)
                 for m in (BLOCK_SIZE, 2 * BLOCK_SIZE + 5, 4 * BLOCK_SIZE)]
         sample_information(Product([gamma(2.0)]), 10, RngStream(71), workers=5)
@@ -433,19 +437,32 @@ class TestSampleInformation:
         longer = sample_information(model, 2 * BLOCK_SIZE, RngStream(5))
         assert np.array_equal(short.deviations, longer.deviations[:BLOCK_SIZE])
 
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_gaussian_spec_is_the_gaussian1d_product(self, n):
+        # the standard normal is the product of n gaussian1d copies: both
+        # spellings have the law Gamma(n/2) - n/2 and draw the same bytes
+        copies = model_from_spec({"family": "product", "params": {
+            "component": {"family": "gaussian1d"}, "copies": n}})
+        model = standard_normal(n)
+        assert model.info_shape == copies.info_shape == n / 2
+        m = BLOCK_SIZE + 7
+        a = sample_information(model, m, RngStream(12), workers=2)
+        b = sample_information(copies, m, RngStream(12))
+        assert a.deviations.tobytes() == b.deviations.tobytes()
+
     def test_gaussian_matches_quadratic_form(self):
-        batch = sample_information(GaussianModel(8), 4096, RngStream(3))
+        batch = sample_information(standard_normal(8), 4096, RngStream(3))
         # Var(dev) = n/2
         assert abs(batch.deviations.var() - 4.0) < 0.5
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            sample_information(GaussianModel(2), 0, RngStream(1))
+            sample_information(standard_normal(2), 0, RngStream(1))
         with pytest.raises(DomainError):
-            sample_information(GaussianModel(2), 10, RngStream(1), workers=0)
+            sample_information(standard_normal(2), 10, RngStream(1), workers=0)
 
     def test_metadata(self):
-        batch = sample_information(GaussianModel(2), 100, RngStream(11, stream_id=4))
+        batch = sample_information(standard_normal(2), 100, RngStream(11, stream_id=4))
         assert batch.dim == 2
         assert batch.m == 100
         assert batch.deviations.shape == (100,)
@@ -453,7 +470,7 @@ class TestSampleInformation:
 
 @pytest.fixture(scope="module")
 def gauss4():
-    return sample_information(GaussianModel(4), 200000, RngStream(2024))
+    return sample_information(standard_normal(4), 200000, RngStream(2024))
 
 
 @pytest.fixture(scope="module")
@@ -516,7 +533,7 @@ class TestEmpiricalMgf:
         assert all(v >= 1.0 for v in vals)
 
     def test_dimensional_bound_holds(self):
-        batch = sample_information(GaussianModel(16), 100000, RngStream(88))
+        batch = sample_information(standard_normal(16), 100000, RngStream(88))
         row = empirical_mgf(batch, [1.0])[0]
         verdict = compare(row.estimate, mgf_bound_nd(1.0, 16))
         assert verdict.in_window
@@ -553,7 +570,7 @@ class TestEmpiricalMgf:
 
 class TestBands:
     def test_entropy_power_band_gaussian(self):
-        batch = sample_information(GaussianModel(64), 100000, RngStream(4096))
+        batch = sample_information(standard_normal(64), 100000, RngStream(4096))
         est = entropy_power_band(batch, s=1.0)
         verdict = compare(est, entropy_power_floor(1.0, 64))
         assert verdict.in_window
@@ -574,7 +591,7 @@ class TestBands:
     def test_typical_set_vacuous_regime(self):
         # at s = 0.1 and n = 4 the floor is negative, so the check
         # certifies nothing and must say so
-        batch = sample_information(GaussianModel(4), 50000, RngStream(7))
+        batch = sample_information(standard_normal(4), 50000, RngStream(7))
         est = entropy_power_band(batch, 0.1)
         verdict = compare(est, entropy_power_floor(0.1, 4))
         assert abs(verdict.bound - TYPICAL_BOUND_01_4) < 1e-15
@@ -585,7 +602,7 @@ class TestBands:
         assert est.ci_low <= exact <= est.ci_high
 
     def test_typical_set_informative_regime(self):
-        batch = sample_information(GaussianModel(256), 50000, RngStream(8))
+        batch = sample_information(standard_normal(256), 50000, RngStream(8))
         verdict = compare(entropy_power_band(batch, 0.5),
                           entropy_power_floor(0.5, 256))
         assert not verdict.vacuous
@@ -606,7 +623,7 @@ class TestBands:
 class TestMoments:
     def test_gaussian_variance(self):
         # dev = (x^2 - 1)/2 has variance 1/2 and fourth moment 15/4
-        batch = sample_information(GaussianModel(1), 400000, RngStream(31))
+        batch = sample_information(standard_normal(1), 400000, RngStream(31))
         est = deviation_variance(batch)
         assert abs(est.value - 0.5) < 5.0 * est.std_error
         assert est.std_error < 0.01
@@ -624,7 +641,7 @@ class TestMoments:
         assert abs(est.value) < 5.0 * est.std_error
 
     def test_interval_width_shrinks_like_root_m(self):
-        model = GaussianModel(2)
+        model = standard_normal(2)
         small = deviation_variance(sample_information(model, 40000, RngStream(34)))
         large = deviation_variance(sample_information(model, 160000, RngStream(34)))
         ratio = (small.ci_high - small.ci_low) / (large.ci_high - large.ci_low)

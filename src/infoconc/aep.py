@@ -28,7 +28,6 @@ reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -168,10 +167,10 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     the cumulative sum of the rows up to n.  With a step shape k, an
     interval of d steps is one Gamma(k d, 1) - k d draw, whatever d is.  An
     i.i.d. base with no law is cut every ``distributions._CHUNK_ELEMENTS``
-    steps, a piece of w steps drawn as ``Product([base] * w)``, built once
-    per width, so a worker's memory stays bounded.  At most one worker
-    starts per ``_CHUNK_ELEMENTS`` draws: thread hand-offs cost more than a
-    few law draws.  A length, trial count or (trials, grid) size past
+    steps, a piece of w steps drawn as the one-run ``Product([(base, w)])``,
+    so a worker's memory stays bounded.  At most one worker starts per
+    ``_CHUNK_ELEMENTS`` draws: thread hand-offs cost more than a few law
+    draws.  A length, trial count or (trials, grid) size past
     ``_MAX_COUNT`` raises DomainError, a NaN or infinite deviation NumericsError.
     """
     grid = check_grid(n_grid, "length grid")
@@ -182,10 +181,10 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     _check_count(trials, "trial count", least=2)
     _check_count(trials * grid.size, "trial count times grid lengths")
     k, cut = process.info_shape, distributions._CHUNK_ELEMENTS
-    rest = functools.cache(lambda w: Product([process.base] * w))
     # each grid interval of d steps as its pieces (Gamma shape, rest)
     intervals = [[(k * d, None)] if k is not None
-                 else [(0.0, rest(min(cut, d - a))) for a in range(0, d, cut)]
+                 else [(0.0, Product([(process.base, min(cut, d - a))]))
+                       for a in range(0, d, cut)]
                  for d in np.diff(grid, prepend=0).tolist()]
     draws = sum(1 if r is None else r.dim
                 for pieces in intervals for _, r in pieces)

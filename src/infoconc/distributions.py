@@ -5,9 +5,11 @@ density together with everything the experiments need from it: normalized
 log-density, exact sampler, differential entropy in nats, quantiles, and
 the optional order-p factorization f(x) = x^(p-1) g(x).  ``ModelND`` builds
 n-dimensional models from those pieces: independent products, their affine
-pushforwards, and uniform balls.  The standard normal is the product of
-``gaussian1d`` copies, and a Gaussian with a mean or covariance factor is
-the ``AffineMap`` image of it.
+pushforwards, and uniform balls.  A product is its column runs, (density,
+copies) pairs, so it is built in O(runs) at any dimension.  The standard
+normal is one run of ``gaussian1d`` copies, a Gaussian with a mean the
+product of its marginals, and one with a covariance factor the
+``AffineMap`` image of the standard normal.
 
 Sampling is exact everywhere.  ``Density1D`` applies a family's support
 (log_pdf is -inf outside) and draws by its quantile unless the family
@@ -20,19 +22,18 @@ keyed by (seed, stream_id), so any partition of the work across workers
 reproduces the same values.
 
 The n-dimensional models work on row chunks of points: a product draws
-and evaluates each run of one component object once per chunk, its
-columns filled row by row, and an affine matrix is inverted once, at
-construction, so each solve is one matrix product.  No family imports
-scipy when it is built: gamma's entropy takes ``numerics.digamma``, and the
-quantiles of gamma, ``gaussian1d`` and ``half_normal`` import their scipy
-function at their first call, so no Monte Carlo draw that bypasses them
-loads any scipy module; a library draw of the standard normal reaches
-``gaussian1d``'s.  ``from_log_density`` imports scipy's logsumexp.
+and evaluates each run once per chunk, its columns filled row by row, and
+an affine matrix is inverted once, at construction, so each solve is one
+matrix product.  No family imports scipy when it is built: gamma's
+entropy takes ``numerics.digamma``, and the quantiles of gamma,
+``gaussian1d`` and ``half_normal`` import their scipy function at their
+first call, so no Monte Carlo draw that bypasses them loads any scipy
+module; a library draw of the standard normal reaches ``gaussian1d``'s.
+``from_log_density`` imports scipy's logsumexp.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -98,12 +99,17 @@ def _finite_array(value, what: str) -> np.ndarray:
     return value
 
 
-def _count(value, what: str) -> int:
-    """value as an int >= 1; anything else, a bool too, is a ParameterError."""
-    if isinstance(value, bool) or not float(value).is_integer():
+# the largest count whose float64 array numpy can size (2^60 - 1 on 64 bits)
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+
+
+def _count(value, what: str, most: float = _MAX_COUNT) -> int:
+    """value as an int in [1, most]; anything else, a bool too, is a
+    ParameterError that gives the value as it was written."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
-    if int(value) < 1:
-        raise ParameterError(f"{what} must be >= 1, got {value!r}")
+    if not 1 <= int(value) <= most:
+        raise ParameterError(f"{what} must lie in [1, {most}], got {value!r}")
     return int(value)
 
 
@@ -644,40 +650,31 @@ class ModelND:
 
 
 class Product(ModelND):
-    """Independent product of one-dimensional densities."""
+    """Independent product of one-dimensional densities, given as its column
+    runs: ``(density, copies)`` pairs in column order.  The copies of a run
+    are adjacent columns that share one draw and one log_pdf call."""
 
-    def __init__(self, components: Sequence[Density1D]):
-        components = list(components)
-        if not components:
+    def __init__(self, runs: Sequence[Tuple[Density1D, int]]):
+        self.runs = [(d, _count(k, "product copies")) for d, k in runs]
+        if not self.runs:
             raise ParameterError("product model needs at least one component")
-        self.components = components
-        self.dim = len(components)
-        self.entropy = float(sum(c.entropy for c in components))
-        # column runs: adjacent columns of one component object (by identity:
-        # two custom densities may share a name) share a draw and a log_pdf
-        self._runs, lo = [], 0
-        for _, run in itertools.groupby(components, key=id):
-            hi = lo + len(list(run))
-            self._runs.append((components[lo], lo, hi))
-            lo = hi
-        # a sum of independent Gamma(k_i, 1) is Gamma(sum k_i, 1); the other
-        # columns, in column order, are the rest
-        shapes, rest = [], []
-        for c, lo, hi in self._runs:
-            if c.info_shape is None:
-                rest += [c] * (hi - lo)
-            else:
-                shapes += [c.info_shape] * (hi - lo)
-        if shapes:
-            self.info_shape = float(sum(shapes))
+        self.dim = _count(sum(k for _, k in self.runs), "product dimension")
+        self.entropy = float(sum(d.entropy * k for d, k in self.runs))
+        # a sum of independent Gamma(k_i, 1) is Gamma(sum k_i, 1); the runs
+        # with no law, in column order, are the rest
+        rest = [(d, k) for d, k in self.runs if d.info_shape is None]
+        if len(rest) < len(self.runs):
+            self.info_shape = float(sum(d.info_shape * k for d, k in self.runs
+                                        if d.info_shape is not None))
             if rest:
                 self.info_rest = Product(rest)
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         # sums the same C-contiguous layout as stacking one log_pdf per column
-        parts = np.empty(rows.shape)
-        for c, lo, hi in self._runs:
-            parts[:, lo:hi] = c.log_pdf(rows[:, lo:hi])
+        parts, lo = np.empty(rows.shape), 0
+        for d, k in self.runs:
+            parts[:, lo:lo + k] = d.log_pdf(rows[:, lo:lo + k])
+            lo += k
         return np.sum(parts, axis=-1)
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -687,10 +684,10 @@ class Product(ModelND):
         out = np.empty((size, self.dim))
         step = max(1, _CHUNK_ELEMENTS // self.dim)
         for r in range(0, size, step):
-            piece = out[r:r + step]
-            for c, lo, hi in self._runs:
-                k = hi - lo
-                piece[:, lo:hi] = c.sample(gen, len(piece) * k).reshape(-1, k)
+            piece, lo = out[r:r + step], 0
+            for d, k in self.runs:
+                piece[:, lo:lo + k] = d.sample(gen, len(piece) * k).reshape(-1, k)
+                lo += k
         return out
 
 
@@ -742,7 +739,9 @@ class BallUniform(ModelND):
     """Uniform distribution on the centered Euclidean ball of given radius."""
 
     def __init__(self, dim: int, radius: float = 1.0):
-        dim = _count(dim, "ball dimension")
+        # past _MAX_COUNT a ball still runs: its deviation is 0, and its
+        # volume is finite until log Gamma overflows
+        dim = _count(dim, "ball dimension", most=math.inf)
         radius = _finite(radius, "ball radius")
         if not radius > 0.0:
             raise ParameterError(f"ball radius must be positive, got {radius!r}")
@@ -821,19 +820,17 @@ def model_from_spec(spec: dict) -> ModelND:
     """
     family, params = _split_spec(spec)
     if family in _FAMILIES:
-        return Product([density_from_spec(spec)])
+        return Product([(density_from_spec(spec), 1)])
     if family == "product":
         if "components" in params:
-            comps = [density_from_spec(s) for s in params["components"]]
-        elif "component" in params and "copies" in params:
-            copies = _count(params["copies"], "product copies")
-            comps = [density_from_spec(params["component"])] * copies
-        else:
-            raise ParameterError("product spec needs 'components' or ('component', 'copies')")
-        return Product(comps)
+            return Product([(density_from_spec(s), 1) for s in params["components"]])
+        if "component" in params and "copies" in params:
+            return Product([(density_from_spec(params["component"]), params["copies"])])
+        raise ParameterError("product spec needs 'components' or ('component', 'copies')")
     if family == "gaussian":
-        # N(0, I) is the product of dim copies of one gaussian1d, and
-        # N(mean, T T') its affine image T X + mean
+        # N(0, I) is one run of dim gaussian1d columns, N(mean, I) the
+        # product of its marginals, and N(mean, T T') the affine image
+        # T X + mean of N(0, I)
         mean, factor = params.get("mean"), params.get("cov_factor")
         for value, what in ((mean, "gaussian mean"), (factor, "gaussian cov_factor")):
             if value is not None:
@@ -843,10 +840,14 @@ def model_from_spec(spec: dict) -> ModelND:
             if factor is None and mean is None:
                 raise ParameterError("gaussian spec needs 'dim', 'mean' or 'cov_factor'")
             dim = len(mean if factor is None else factor)
-        base = Product([gaussian1d()] * _count(dim, "gaussian dimension"))
-        if mean is None and factor is None:
-            return base
-        return AffineMap(base, np.eye(base.dim) if factor is None else factor, mean)
+        dim = _count(dim, "gaussian dimension")
+        if factor is not None:
+            return AffineMap(Product([(gaussian1d(), dim)]), factor, mean)
+        if mean is None:
+            return Product([(gaussian1d(), dim)])
+        if len(mean) != dim:
+            raise ParameterError(f"gaussian mean must have {dim} entries, got {len(mean)}")
+        return Product([(gaussian1d(mu), 1) for mu in mean])
     if family == "ball_uniform":
         return BallUniform(dim=params["dim"], radius=params.get("radius", 1.0))
     if family == "affine":

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distributions
-from .distributions import ModelND, RngStream
+from .distributions import _MAX_COUNT, ModelND, RngStream
 from .numerics import DomainError, NumericsError, check_grid
 
 __all__ = [
@@ -128,12 +128,8 @@ class InfoSampleBatch:
     deviations: np.ndarray
 
 
-# the largest count whose float64 array numpy can size (2^60 - 1 on 64 bits)
-_MAX_COUNT = np.iinfo(np.intp).max // 8
-
-
 def _check_count(count: int, name: str, least: int = 1) -> None:
-    """Refuse a count below ``least`` or past ``_MAX_COUNT``."""
+    """Refuse a count below ``least`` or past ``distributions._MAX_COUNT``."""
     if not least <= count <= _MAX_COUNT:
         raise DomainError(f"{name} must lie in [{least}, {_MAX_COUNT}], got {count!r}")
 

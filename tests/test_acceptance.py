@@ -45,7 +45,7 @@ def info_batch(family: str, n: int):
         if family == "gaussian":
             model, stream = standard_normal(n), n
         else:
-            model, stream = Product([dist.exponential() for _ in range(n)]), 100 + n
+            model, stream = Product([(dist.exponential(), 1) for _ in range(n)]), 100 + n
         _batches[key] = sample_information(model, M_LARGE,
                                            RngStream(SEED, stream), workers=2)
     return _batches[key]
@@ -140,7 +140,7 @@ def test_05_universal_mgf_below_four():
     half_bound = (8.0 / 3.0) * math.sqrt(2.0)  # 2^(3/2) / ((1/2)(3/2))
     for i, d in enumerate(dist.standard_zoo()):
         t0 = time.perf_counter()
-        batch = sample_information(Product([d]), M_LARGE,
+        batch = sample_information(Product([(d, 1)]), M_LARGE,
                                    RngStream(SEED, 200 + i), workers=2)
         row = empirical_mgf(batch, [0.5], form="two_sided_abs")[0]
         est = row.estimate

@@ -13,7 +13,7 @@ import pytest
 import infoconc.cli as cli
 import infoconc.numerics
 from infoconc.cli import UsageError, main, parse_grid
-from infoconc.infotools import _MAX_COUNT
+from infoconc.distributions import _MAX_COUNT
 
 
 def read_json_no_meta(path):
@@ -260,11 +260,12 @@ class TestUsageErrors:
     # a count whose float64 array numpy cannot size (past 2^60 - 1) is
     # refused by name before any array is made, not left to numpy's
     # ValueError or to a wrapping int64 cast; the fourth length parses as
-    # the float 2^63.  A count numpy can size but no memory can back ends
-    # in its MemoryError as an error line, and so does a list of model
-    # components too long to allocate or to index: every count here is at
-    # least 2^56, whose 2^59 bytes lie past any address space, so the
-    # allocation fails at once
+    # the float 2^63.  A model dimension or copies count past the same
+    # bound is refused where the model is built, as it was written, an
+    # integer too large for a float too.  A count numpy can size but no
+    # memory can back ends in its MemoryError as an error line: every count
+    # here is at least 2^56, whose 2^59 bytes lie past any address space,
+    # so the allocation fails at once
     @pytest.mark.parametrize("argv,message", [
         (["tail", "--model", "exponential", "--samples", str(10**19)],
          f"sample count must lie in [1, {_MAX_COUNT}], got {10**19}"),
@@ -290,17 +291,23 @@ class TestUsageErrors:
         (["aep", "--model", "exponential", "--samples", str(2**57),
           "--n-grid", "2,4"], "Unable to allocate"),
         (["tail", "--model", "gaussian", "--dim", str(2**60),
-          "--samples", "10"], "out of memory"),
+          "--samples", "10"],
+         f"gaussian dimension must lie in [1, {_MAX_COUNT}], got {2**60}"),
         (["tail", "--model", '{"family": "gaussian", "params": {"dim": 1e300}}',
-          "--samples", "10"], "cannot fit 'int' into an index-sized integer"),
+          "--samples", "10"],
+         f"gaussian dimension must lie in [1, {_MAX_COUNT}], got 1e+300"),
+        (["tail", "--model", "gaussian", "--dim", str(10**400),
+          "--samples", "10"],
+         f"gaussian dimension must lie in [1, {_MAX_COUNT}], got {10**400}"),
         (["tail", "--model", '{"family": "product", "params": {"component": '
           '{"family": "laplace"}, "copies": 1e300}}', "--samples", "10"],
-         "cannot fit 'int' into an index-sized integer"),
+         f"product copies must lie in [1, {_MAX_COUNT}], got 1e+300"),
     ], ids=["tail_samples", "aep_samples", "aep_length", "aep_length_rounds_up",
             "tail_samples_past_array", "aep_samples_past_array",
             "aep_trials_times_grid", "tail_samples_no_memory",
-            "aep_trials_no_memory", "gaussian_dim_no_memory",
-            "gaussian_dim_past_index", "copies_past_index"])
+            "aep_trials_no_memory", "gaussian_dim_past_count",
+            "gaussian_dim_float_past_count", "gaussian_dim_past_float",
+            "copies_past_count"])
     def test_sizes_past_int64_are_errors(self, argv, message, tmp_path, capsys):
         csv = tmp_path / "out.csv"
         with warnings.catch_warnings():
@@ -391,6 +398,15 @@ class TestTailCommand:
             assert rc == 0
             outs.append(csv.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_trillion_dimensional_gaussian_runs(self, tmp_path, capsys):
+        # the model is one run of 10^12 gaussian1d columns and its deviation
+        # one Gamma(5e11) draw: nothing is sized by the dimension
+        csv = tmp_path / "tail.csv"
+        assert main(["tail", "--model", "gaussian", "--dim", str(10**12),
+                     "--samples", "1000", "--out-csv", str(csv)]) == 0
+        assert "VIOLATED" not in csv.read_text()
+        assert "VIOLATED=0" in capsys.readouterr().out
 
     def test_per_coordinate_bounds_take_s_sqrt_n(self, tmp_path):
         # the bounds take t in units of sqrt(n), so a per-coordinate s is

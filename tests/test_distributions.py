@@ -18,6 +18,7 @@ from scipy.special import gammainc
 
 import infoconc.distributions
 from infoconc.distributions import (
+    _MAX_COUNT,
     AffineMap,
     BallUniform,
     Density1D,
@@ -382,7 +383,7 @@ def test_gaussian_factor_sample_covariance():
 
 
 def test_product_log_density_and_entropy():
-    m = Product([exponential(), exponential()])
+    m = Product([(exponential(), 1), (exponential(), 1)])
     assert m.log_density(np.array([1.0, 1.0])) == pytest.approx(-2.0, abs=1e-14)
     assert m.entropy == pytest.approx(2.0, abs=1e-14)
 
@@ -402,7 +403,7 @@ def test_product_entropy_matches_2d_quadrature():
         return integrate(integrand, (-math.inf, math.inf), tol=1e-11).value
 
     h2d = integrate(inner, (0.0, math.inf), tol=1e-9).value
-    m = Product([d1, d2])
+    m = Product([(d1, 1), (d2, 1)])
     assert abs(m.entropy - h2d) <= 1e-8
 
 
@@ -438,7 +439,7 @@ def test_affine_map_determinant_rules():
 def test_affine_identity_matrix_applies_only_the_shift():
     # the identity is skipped, and the bytes are those of the matrix
     # product and the triangular solve it would have taken
-    base = Product([exponential(), gaussian1d(), laplace()])
+    base = Product([(exponential(), 1), (gaussian1d(), 1), (laplace(), 1)])
     shift = np.array([0.5, -1.0, 2.0])
     m = AffineMap(base, np.eye(3), shift)
     assert m._inverse_t is None
@@ -479,7 +480,8 @@ def _well_conditioned(gen: np.random.Generator, n: int) -> np.ndarray:
 
 
 def test_affine_pushforward_coupling_is_exact():
-    base = Product([exponential(), gaussian1d(), laplace(), half_normal()])
+    base = Product([(exponential(), 1), (gaussian1d(), 1), (laplace(), 1),
+                    (half_normal(), 1)])
     t = _well_conditioned(np.random.default_rng(0), 4)
     m = AffineMap(base, t, shift=np.array([1.0, -2.0, 0.5, 0.0]))
     xb = base.sample(RngStream(seed=77).generator(), 500)
@@ -489,8 +491,9 @@ def test_affine_pushforward_coupling_is_exact():
 
 def test_affine_invariance_of_deviations():
     # h~(TX) - h(TX) must equal h~(X) - h(X) sample by sample
-    base = Product([gamma(2.0), gaussian1d(), exponential(), laplace(),
-                    half_normal(), uniform(0.0, 1.0), gamma(5.0), gaussian1d(1.0, 2.0)])
+    base = Product([(d, 1) for d in (
+        gamma(2.0), gaussian1d(), exponential(), laplace(),
+        half_normal(), uniform(0.0, 1.0), gamma(5.0), gaussian1d(1.0, 2.0))])
     t = _well_conditioned(np.random.default_rng(5), 8)
     m = AffineMap(base, t, shift=np.linspace(-1.0, 1.0, 8))
     x = base.sample(RngStream(seed=101).generator(), 10_000)
@@ -501,7 +504,7 @@ def test_affine_invariance_of_deviations():
 
 
 @pytest.mark.parametrize("make", [lambda: standard_normal(32),
-                                  lambda: Product([gaussian1d()] * 32)],
+                                  lambda: Product([(gaussian1d(), 32)])],
                          ids=["gaussian_model", "gaussian_product"])
 def test_standard_normal_deviation_decomposition(make):
     m = make()
@@ -513,7 +516,7 @@ def test_standard_normal_deviation_decomposition(make):
 
 def test_product_deviations_add():
     comps = [exponential(), gaussian1d(), laplace()]
-    m = Product(comps)
+    m = Product([(c, 1) for c in comps])
     x = m.sample(RngStream(seed=13).generator(), 2_000)
     total = -m.log_density(x) - m.entropy
     per = sum(-c.log_pdf(x[:, i]) - c.entropy for i, c in enumerate(comps))
@@ -522,7 +525,8 @@ def test_product_deviations_add():
 
 def stacked_log_density(m: Product, x: np.ndarray) -> np.ndarray:
     """Reference: one log_pdf call per column, summed over the stack."""
-    parts = [c.log_pdf(x[..., i]) for i, c in enumerate(m.components)]
+    columns = [d for d, k in m.runs for _ in range(k)]
+    parts = [c.log_pdf(x[..., i]) for i, c in enumerate(columns)]
     return np.sum(np.stack(parts, axis=-1), axis=-1)
 
 
@@ -557,15 +561,15 @@ def test_grouped_product_log_density_equals_stacked_sum(spec):
 
 @pytest.mark.parametrize("budget", [2**16, 40], ids=["one_piece", "row_pieces"])
 def test_product_runs_fill_rows_in_order(monkeypatch, budget):
-    # runs of one inverse-CDF, gamma or custom (rejection) component, broken
-    # by other objects.  Rows come in pieces of budget // dim (4 rows at the
+    # runs of one inverse-CDF, gamma or custom (rejection) component, between
+    # runs of other ones.  Rows come in pieces of budget // dim (4 rows at the
     # small budget); in each piece the k columns of a run are one draw of
     # rows * k values, filled row by row
     monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
     e, g, lap = exponential(), gamma(2.0), laplace()
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
-    m = Product([e, e, e, g, g, bump, bump, e, lap, e])
     runs = [(e, 3), (g, 2), (bump, 2), (e, 1), (lap, 1), (e, 1)]
+    m = Product(runs)
     rows = budget // m.dim
     for size in (0, 1, 777):
         got = m.sample(RngStream(seed=22).generator(), size)
@@ -604,15 +608,38 @@ def test_product_sample_temporaries_stay_bounded():
 
 
 def test_product_copies_share_one_component():
-    m = model_from_spec(EXP64)
-    assert all(c is m.components[0] for c in m.components)
+    # a copies spec is one run (d, 64), whatever its dimension
+    [(d, k)] = model_from_spec(EXP64).runs
+    assert (d.name, k) == ("exponential", 64)
+
+
+@pytest.mark.parametrize("spec,shape", [
+    ({"family": "gaussian", "params": {"dim": 10**12}}, 5e11),
+    ({"family": "product", "params": {"component": {"family": "exponential"},
+                                      "copies": 10**12}}, 1e12),
+], ids=["gaussian", "copies"])
+def test_product_builds_in_its_runs_at_any_dim(spec, shape):
+    # no list of 10^12 columns: the model is one run (d, 10^12)
+    tracemalloc.start()
+    try:
+        m = model_from_spec(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (len(m.runs), m.dim, m.info_shape, m.info_rest) == (1, 10**12, shape, None)
+
+
+def test_product_dimension_past_the_count_bound_is_refused():
+    with pytest.raises(ParameterError, match="product dimension must lie in"):
+        Product([(exponential(), _MAX_COUNT), (laplace(), 1)])
 
 
 def test_product_keeps_custom_densities_with_one_name_apart():
     narrow = from_log_density("bump", lambda x: -2.0 * x * x, (-math.inf, math.inf))
     wide = from_log_density("bump", lambda x: -0.125 * x * x, (-math.inf, math.inf))
     assert narrow.spec == wide.spec
-    m = Product([narrow, wide, narrow])
+    m = Product([(narrow, 1), (wide, 1), (narrow, 1)])
     x = np.array([[0.5, 2.0, -1.0], [1.5, -0.5, 0.25]])
     want = narrow.log_pdf(x[:, 0]) + wide.log_pdf(x[:, 1]) + narrow.log_pdf(x[:, 2])
     assert np.allclose(m.log_density(x), want, rtol=0.0, atol=1e-12)
@@ -807,6 +834,7 @@ def test_one_dim_family_promotes_to_model():
                                          "copies": True}},
         {"family": "gaussian", "params": {"mean": 5}},
         {"family": "gaussian", "params": {"cov_factor": 2}},
+        {"family": "gaussian", "params": {"dim": 3, "mean": [0.5, -1.0]}},
     ],
 )
 def test_bad_specs_raise_parameter_error(spec):
@@ -868,28 +896,30 @@ def test_information_law_mean_is_the_entropy():
 
 
 def test_information_split():
-    # (info_shape, rest components): the law components' shapes add up to K
-    # and the rest keeps the other columns in order; with no law component
+    # (info_shape, rest runs): the law runs' shapes times copies add up to K
+    # and the rest keeps the other runs in order; with no law component
     # info_shape is None and the model is drawn whole, and an affine image
     # splits as its base, with a base that has no law as its rest
     g2 = gamma(2.0)
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
     mixed = model_from_spec(MIXED8)
-    no_law = Product([g2, g2])
+    no_law = Product([(g2, 2)])
     for model, shape, rest in [
         (model_from_spec({"family": "gamma", "params": {"p": 2.0}}), None, None),
         (no_law, None, None),
-        (mixed, 3.5, [mixed.components[1]]),
-        (Product([bump, exponential(), g2, laplace()]), 2.0, [bump, g2]),
-        (AffineMap(Product([g2, exponential()]), [[2.0, 0.0], [1.0, 1.0]]),
-         1.0, [g2]),
-        (AffineMap(no_law, [[2.0, 0.0], [1.0, 1.0]]), 0.0, [g2, g2]),
+        (mixed, 3.5, [mixed.runs[1]]),
+        (Product([(bump, 1), (exponential(), 1), (g2, 1), (laplace(), 1)]),
+         2.0, [(bump, 1), (g2, 1)]),
+        (AffineMap(Product([(g2, 1), (exponential(), 1)]),
+                   [[2.0, 0.0], [1.0, 1.0]]), 1.0, [(g2, 1)]),
+        (AffineMap(no_law, [[2.0, 0.0], [1.0, 1.0]]), 0.0, [(g2, 2)]),
     ]:
         assert model.info_shape == shape
         if rest is None:
             assert model.info_rest is None
         else:
-            assert [id(c) for c in model.info_rest.components] == list(map(id, rest))
+            assert [(id(d), k) for d, k in model.info_rest.runs] == [
+                (id(d), k) for d, k in rest]
             assert model.info_rest.info_shape is None
     assert AffineMap(no_law, np.eye(2)).info_rest is no_law
     assert (standard_normal(6).info_shape, standard_normal(6).info_rest) == (3.0, None)

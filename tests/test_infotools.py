@@ -209,20 +209,20 @@ SPLIT_MODELS = {
 class TestSampleInformation:
     def test_exponential_support_bound(self):
         # dev = X - 1 for the standard exponential, so dev >= -1 always
-        batch = sample_information(Product([exponential()]), 20000, RngStream(1))
+        batch = sample_information(Product([(exponential(), 1)]), 20000, RngStream(1))
         assert batch.dim == 1
         assert batch.m == 20000
         assert np.all(batch.deviations >= -1.0 - 1e-12)
         assert abs(batch.deviations.mean()) < 5.0 / math.sqrt(20000)
 
     def test_reproducible(self):
-        model = Product([gamma(2.0)] * 3)
+        model = Product([(gamma(2.0), 3)])
         a = sample_information(model, 5000, RngStream(42, stream_id=7))
         b = sample_information(model, 5000, RngStream(42, stream_id=7))
         assert np.array_equal(a.deviations, b.deviations)
 
     def test_streams_differ(self):
-        model = Product([exponential()] * 2)
+        model = Product([(exponential(), 2)])
         a = sample_information(model, 4000, RngStream(42, stream_id=0))
         b = sample_information(model, 4000, RngStream(42, stream_id=1))
         c = sample_information(model, 4000, RngStream(43, stream_id=0))
@@ -278,7 +278,7 @@ class TestSampleInformation:
         # lu_factor pair) once made these runs differ.
         gen = np.random.default_rng(5)
         full = np.eye(16) + 0.5 * gen.standard_normal((16, 16))
-        model = (AffineMap(Product([exponential()] * 16), full)
+        model = (AffineMap(Product([(exponential(), 16)]), full)
                  if make == "affine" else model_from_spec(
                      {"family": "gaussian", "params": {"cov_factor": full.tolist()}}))
         model = model_route(model)
@@ -404,7 +404,7 @@ class TestSampleInformation:
     def test_affine_image_deviations_are_the_base_deviations(self):
         # -log f_Y(AX + b) - h_Y = -log f_X(X) - h_X at every point, so the
         # image draws its base and no point goes through the matrix
-        base = Product([gamma(2.0)] * 2)
+        base = Product([(gamma(2.0), 2)])
         image = AffineMap(base, [[2.0, 0.0], [1.0, 1.0]], [0.5, -1.0])
         m = BLOCK_SIZE + 99
         a = sample_information(image, m, RngStream(64), workers=2)
@@ -424,7 +424,7 @@ class TestSampleInformation:
         model = standard_normal(4)
         runs = [sample_information(model, m, RngStream(71), workers=5)
                 for m in (BLOCK_SIZE, 2 * BLOCK_SIZE + 5, 4 * BLOCK_SIZE)]
-        sample_information(Product([gamma(2.0)]), 10, RngStream(71), workers=5)
+        sample_information(Product([(gamma(2.0), 1)]), 10, RngStream(71), workers=5)
         assert used == [1, 3, 4, 1]
         single = sample_information(model, 4 * BLOCK_SIZE, RngStream(71))
         assert single.deviations.tobytes() == runs[2].deviations.tobytes()
@@ -432,7 +432,7 @@ class TestSampleInformation:
     def test_full_blocks_are_stable_across_total_size(self):
         # block b depends only on its index, so a longer run extends a
         # shorter one as long as both cover whole blocks
-        model = Product([gaussian1d(), exponential()])
+        model = Product([(gaussian1d(), 1), (exponential(), 1)])
         short = sample_information(model, BLOCK_SIZE, RngStream(5))
         longer = sample_information(model, 2 * BLOCK_SIZE, RngStream(5))
         assert np.array_equal(short.deviations, longer.deviations[:BLOCK_SIZE])
@@ -475,7 +475,7 @@ def gauss4():
 
 @pytest.fixture(scope="module")
 def expo():
-    return sample_information(Product([exponential()]), 400000, RngStream(501))
+    return sample_information(Product([(exponential(), 1)]), 400000, RngStream(501))
 
 
 class TestEmpiricalTail:
@@ -629,13 +629,13 @@ class TestMoments:
         assert est.std_error < 0.01
 
     def test_exponential_product_variance(self):
-        batch = sample_information(Product([exponential()] * 10), 200000,
+        batch = sample_information(Product([(exponential(), 10)]), 200000,
                                    RngStream(32))
         est = deviation_variance(batch)
         assert abs(est.value - 10.0) < 5.0 * est.std_error
 
     def test_mean_is_centered(self):
-        batch = sample_information(Product([gamma(5.0)] * 4), 100000,
+        batch = sample_information(Product([(gamma(5.0), 4)]), 100000,
                                    RngStream(33))
         est = deviation_mean(batch)
         assert abs(est.value) < 5.0 * est.std_error
@@ -660,7 +660,7 @@ class TestMgfFloor:
     def test_interval_is_raised_to_one(self):
         # E e^(a |X - 1|) is infinite for a >= 1 on the exponential; at
         # a = 1.75 and 2 the normal interval reaches below 0
-        batch = sample_information(Product([exponential()]), 100000,
+        batch = sample_information(Product([(exponential(), 1)]), 100000,
                                    RngStream(1))
         rows = empirical_mgf(batch, list(np.arange(0.0, 2.01, 0.25)))
         raised = [r.alpha for r in rows

@@ -1,8 +1,10 @@
-"""Pinned output digests of fixed CLI configurations.
+"""Pinned output digests of fixed CLI configurations and custom densities.
 
 Each configuration runs ``cli.main`` in-process and hashes, in order, the
 exit code, stdout, the CSV bytes and the JSON report re-serialized with
-sorted keys after dropping its time-dependent ``meta`` block.  A refactor
+sorted keys after dropping its time-dependent ``meta`` block.  Each custom
+density, which no command builds, is pinned by a library digest of its
+``from_log_density`` results.  A refactor
 that is meant to keep behaviour must leave every digest unchanged; a change
 that moves output bytes on purpose updates the digests and says which
 configurations moved and why.
@@ -13,12 +15,15 @@ differently, so a mismatch there is not by itself a defect.
 """
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy
 
-from infoconc.cli import main
+from infoconc.cli import main, parse_grid
+from infoconc.distributions import RngStream, from_log_density
+from infoconc.lyapunov import quantile_density_concavity
 
 DIGEST_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -221,3 +226,50 @@ def test_golden_digest(name, tmp_path, capsys):
     assert got == DIGESTS[name], (
         f"{name}: output bytes moved (digests taken with {DIGEST_VERSIONS}, "
         f"running {versions})")
+
+
+def logistic(x):
+    z = (x - 0.1) / 1.05
+    return -z - 2.0 * np.logaddexp(0.0, -z)
+
+
+def gumbel_min(x):
+    z = (x + 0.2) / 0.95
+    with np.errstate(over="ignore"):
+        return z - np.exp(z)
+
+
+# the benchmark's custom log-densities, each at one fixed loc and scale
+CUSTOM = {"logistic": logistic, "gumbel_min": gumbel_min}
+
+# SHA-256 of each custom density, taken with DIGEST_VERSIONS
+CUSTOM_DIGESTS = {
+    "gumbel_min":
+        "9c6b2969184d5fbb0b8eceda0a27e1e8f72789ec26941e15b79eb776c689489c",
+    "logistic":
+        "787c668d0a94b75defa26e4f02d07c57df7159a0b2d1248e4575461126a2896d",
+}
+
+
+def custom_density_digest(name: str) -> str:
+    """Entropy and mode, the quantiles at 0.05:0.95:0.05, their quantile
+    density's concavity report and 4096 rejection draws, hashed in order."""
+    density = from_log_density(name, CUSTOM[name], (-math.inf, math.inf))
+    levels = parse_grid("0.05:0.95:0.05")
+    report = quantile_density_concavity(density, levels)
+    h = hashlib.sha256()
+    h.update(f"{report.name} {report.direction} {report.ok}\n".encode())
+    for part in (density.entropy, density.mode, density.quantile(levels),
+                 report.worst_defect, report.worst_at, report.tol,
+                 report.grid, report.values, report.defects,
+                 density.sample(RngStream(5).generator(0), 4096)):
+        h.update(np.asarray(part, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CUSTOM))
+def test_custom_density_digest(name):
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert custom_density_digest(name) == CUSTOM_DIGESTS[name], (
+        f"{name}: custom density bytes moved (digests taken with "
+        f"{DIGEST_VERSIONS}, running {versions})")

@@ -29,7 +29,6 @@ entropy takes ``numerics.digamma``, and the quantiles of gamma,
 ``gaussian1d`` and ``half_normal`` import their scipy function at their
 first call, so no Monte Carlo draw that bypasses them loads any scipy
 module; a library draw of the standard normal reaches ``gaussian1d``'s.
-``from_log_density`` imports scipy's logsumexp.
 """
 from __future__ import annotations
 
@@ -47,6 +46,7 @@ from .numerics import (
     de_rule,
     digamma,
     log_gamma,
+    logsumexp,
     peak_width,
     unimodal_argmax,
 )
@@ -486,7 +486,6 @@ def from_log_density(
         raise ParameterError(f"invalid support {support!r}")
     if order_p is not None and a < 0.0:
         raise ParameterError("order-p densities must have nonnegative support")
-    from scipy.special import logsumexp
 
     raw = lambda x: np.asarray(log_density_fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
     mode = unimodal_argmax(raw, support)

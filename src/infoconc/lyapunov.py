@@ -31,7 +31,7 @@ import numpy as np
 
 from .distributions import Density1D, quantile_density
 from .numerics import (DomainError, QuadratureResult, check_grid, de_rule,
-                       log_gamma, peak_width)
+                       log_gamma, logsumexp, peak_width)
 
 __all__ = [
     "P_MAX",
@@ -97,7 +97,6 @@ def moment_curve(density: Density1D, kind: str,
         raise DomainError(
             f"moment curves need a nonnegative variable, support starts at {lo!r}")
     arr = _check_orders(grid)
-    from scipy.special import logsumexp
     res = _log_x_rule(density, lambda log_m, log_x: logsumexp(
         log_m + arr[:, np.newaxis] * log_x, axis=-1))
     log_vals = res.value.copy()
@@ -191,7 +190,6 @@ def order_p_variance_check(density: Density1D) -> OrderPVarianceReport:
     p = density.order_p
     if p is None:
         raise DomainError(f"density {density.name!r} has no declared order")
-    from scipy.special import logsumexp
 
     def moments(log_m, log_x):
         mass = np.exp(log_m)

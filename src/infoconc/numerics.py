@@ -6,7 +6,10 @@ exact checks integrate with ``de_rule``: one double-exponential node set,
 on which the integrand is evaluated as one array and every quantity is a
 reduction, centred by ``unimodal_argmax`` and scaled by ``peak_width``,
 both array scans.  ``log_gamma`` and ``digamma`` are pure Python;
-``trigamma`` calls scipy's polygamma.  ``integrate`` and
+``trigamma`` calls scipy's polygamma.  ``logsumexp`` is numpy alone: it
+runs scipy.special.logsumexp's float64 steps, so its output bytes are the
+same, without scipy's array-API dispatch (tens of microseconds a call) or
+its second ``exp`` of the whole array on every call.  ``integrate`` and
 ``find_root_increasing`` wrap scipy's QUADPACK and Brent solvers for scalar
 callables.  Every scipy module is imported only where a function needs it,
 so importing this one loads none.
@@ -31,6 +34,7 @@ __all__ = [
     "log_gamma",
     "digamma",
     "trigamma",
+    "logsumexp",
     "integrate",
     "de_rule",
     "peak_width",
@@ -163,6 +167,32 @@ def trigamma(p: float) -> float:
         raise DomainError(f"trigamma requires p > 0, got {p!r}")
     from scipy.special import polygamma
     return float(polygamma(1, p))
+
+
+def logsumexp(a, axis: Optional[int] = None):
+    """log(sum(exp(a))) over ``axis`` (all of ``a`` for None), as a float64
+    array or, for one result, a numpy scalar.
+
+    The steps and bytes of scipy.special.logsumexp without weights: the
+    ties of the maximum are counted and the other terms summed shifted by
+    it, log1p(s / ties) + log(ties) + max; a result that is not finite
+    (a row of -inf, a +inf or NaN entry) is the direct log(sum(exp(a))),
+    computed only when there is one.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axis, keepdims=True)
+        ties = a == top
+        count = np.sum(ties, axis=axis, keepdims=True, dtype=np.float64)
+        shifted = np.where(ties, -np.inf, a)
+        shifted -= top
+        s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
+        out = np.log1p(s / count) + np.log(count) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def _guarded(f: Callable[[float], float]) -> Callable[[float], float]:
@@ -327,7 +357,6 @@ def log_integral(
     ``peak_width``, and the integral is a log-sum-exp over them, so the log
     is accurate to about ``rel_tol`` whatever the size of the integral.
     """
-    from scipy.special import logsumexp
     peak = unimodal_argmax(exponent, support)
     res = de_rule(lambda x, log_w: logsumexp(log_w + exponent(x), axis=-1),
                   support, center=peak,

@@ -791,6 +791,10 @@ def _fresh_process(code: str) -> str:
                           capture_output=True, text=True).stdout
 
 
+def _main_code(argv: list) -> str:
+    return f"import infoconc.cli\nassert infoconc.cli.main({argv!r}) == 0"
+
+
 def _scipy_loaded_after(code: str) -> list:
     """The modules of _ON_DEMAND loaded once ``code`` ran in a new process."""
     out = _fresh_process(code + "\nimport json, sys\nprint(json.dumps(sorted("
@@ -801,8 +805,9 @@ def _scipy_loaded_after(code: str) -> list:
 def test_import_leaves_quadpack_and_brent_unloaded():
     # scipy.special and scipy.linalg add about 0.3 s to every start, more
     # than numpy, and scipy.integrate and scipy.optimize more again; only the
-    # quantiles, custom densities and exact checks that use them import
-    # them, so no Monte Carlo or aep run loads any
+    # functions that call scipy (the quantiles, trigamma and the scalar
+    # quadrature and root wrappers) import it, so no Monte Carlo or aep run
+    # loads any
     assert _scipy_loaded_after("import infoconc.cli") == []
     three = json.dumps({"family": "product", "params": {"components": [
         {"family": "gaussian1d", "params": {"mu": 1.0, "sigma": 2.0}},
@@ -821,8 +826,7 @@ def test_import_leaves_quadpack_and_brent_unloaded():
                  ["mgf", "--model", three, "--samples", "2000"],
                  ["aep", "--model", "gamma", "--p", "2", "--samples", "2000"],
                  ["list-bounds"]):
-        code = f"import infoconc.cli\nassert infoconc.cli.main({argv!r}) == 0"
-        assert _scipy_loaded_after(code) == [], argv
+        assert _scipy_loaded_after(_main_code(argv)) == [], argv
 
 
 @pytest.mark.parametrize("spec, loaded", [
@@ -858,6 +862,27 @@ def test_first_quantile_call_loads_scipy_special(family):
             "assert 'scipy.special' not in sys.modules\n"
             "d.quantile(0.5)")
     assert _scipy_loaded_after(code) == ["scipy.special"]
+
+
+@pytest.mark.parametrize("code, loaded", [
+    (_main_code(["lyapunov", "--model", "exponential"]), []),
+    (_main_code(["lyapunov", "--model", "gamma", "--p", "2",
+                 "--kind", "normalized"]), []),
+    ("import math\nimport numpy as np\n"
+     "from infoconc.distributions import from_log_density\n"
+     "from infoconc.lyapunov import quantile_density_concavity\n"
+     "d = from_log_density('logistic',\n"
+     "    lambda x: -x - 2.0 * np.logaddexp(0.0, -x), (-math.inf, math.inf))\n"
+     "quantile_density_concavity(d, [0.1, 0.3, 0.5, 0.7, 0.9])", []),
+    # trigamma's polygamma: the one scipy function of the exact checks
+    (_main_code(["order_p", "--model", "gamma", "--p", "2"]),
+     ["scipy.special"]),
+], ids=["lyapunov_exponential", "lyapunov_gamma2_normalized",
+        "custom_logistic", "order_p_gamma2"])
+def test_exact_checks_load_scipy_special_only_for_trigamma(code, loaded):
+    # moment curves, variance checks and custom densities reduce their node
+    # sets with numerics.logsumexp, which is numpy alone
+    assert _scipy_loaded_after(code) == loaded
 
 
 def test_lazy_quantile_import_on_pool_threads_keeps_worker_invariance():

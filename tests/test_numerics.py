@@ -11,8 +11,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import digamma, gammainc
+from scipy.special import logsumexp as scipy_logsumexp
 
 import infoconc.distributions
+import infoconc.lyapunov
 import infoconc.numerics
 from infoconc.distributions import (
     from_log_density,
@@ -38,6 +40,7 @@ from infoconc.numerics import (
     digamma as psi,
     log_gamma,
     log_integral,
+    logsumexp,
     trigamma,
 )
 
@@ -189,6 +192,71 @@ def test_trigamma_domain():
         trigamma(0.0)
     with pytest.raises(DomainError):
         trigamma(-2.0)
+
+
+# ---------------------------------------------------------------------------
+# logsumexp (scipy.special.logsumexp is the oracle, bit for bit)
+# ---------------------------------------------------------------------------
+
+def assert_same_as_scipy(a, axis):
+    got, want = logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def logsumexp_cases(seed):
+    """1-D and 2-D arrays of magnitude 1e-3 to 1e3, plain and with -inf
+    entries, tied maxima, a row of -inf and a +inf entry."""
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 50)),) if seed % 2 else (
+        int(rng.integers(1, 12)), int(rng.integers(1, 50)))
+    a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+    minus_inf = np.where(rng.uniform(size=shape) < 0.3, -np.inf, a)
+    # the top 30% of each row tied at one maximum
+    tied = np.minimum(a, np.quantile(a, 0.7, axis=-1, keepdims=True))
+    dead_row = minus_inf.copy()
+    dead_row[..., rng.integers(shape[0]) if a.ndim == 2 else slice(None)] = -np.inf
+    plus_inf = minus_inf.copy()
+    plus_inf.flat[rng.integers(a.size)] = np.inf
+    return [a, minus_inf, tied, dead_row, plus_inf]
+
+
+@pytest.mark.parametrize("axis", [None, -1])
+@pytest.mark.parametrize("seed", range(40))
+def test_logsumexp_matches_scipy_bit_for_bit(seed, axis):
+    for a in logsumexp_cases(seed):
+        assert_same_as_scipy(a, axis)
+
+
+@pytest.mark.parametrize("a", [[-np.inf], [-np.inf, -np.inf], [np.inf, 0.0],
+                               [np.inf, np.inf], [np.nan, 1.0], [0.0, 0.0],
+                               [3.0], [[-np.inf, -np.inf], [1.0, 1.0]]],
+                         ids=str)
+@pytest.mark.parametrize("axis", [None, -1])
+def test_logsumexp_edge_rows_match_scipy(a, axis):
+    assert_same_as_scipy(np.array(a), axis)
+
+
+def test_logsumexp_matches_scipy_on_the_node_sets_of_exact_checks(monkeypatch):
+    # what moment_curve (one row per order) and the quantile's tail rules of
+    # from_log_density (one row per end) reduce at every step halving
+    seen = []
+
+    def recording(a, axis=None):
+        seen.append((np.array(a), axis))
+        return logsumexp(a, axis=axis)
+
+    monkeypatch.setattr(infoconc.lyapunov, "logsumexp", recording)
+    moment_curve(gamma(2.0), "raw", np.arange(0.5, 40.5, 0.5))
+    curves = len(seen)
+    monkeypatch.setattr(infoconc.distributions, "logsumexp", recording)
+    logistic().quantile(np.linspace(0.05, 0.95, 19))
+    assert {a.shape[0] for a, _ in seen[:curves]} == {80}
+    assert any(a.ndim == 2 and axis == -1 for a, axis in seen[curves:])
+    for a, axis in seen:
+        assert_same_as_scipy(a, axis)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def logsumexp_cases(seed):
     # the top 30% of each row tied at one maximum
     tied = np.minimum(a, np.quantile(a, 0.7, axis=-1, keepdims=True))
     dead_row = minus_inf.copy()
-    dead_row[..., rng.integers(shape[0]) if a.ndim == 2 else slice(None)] = -np.inf
+    dead_row[rng.integers(shape[0]) if a.ndim == 2 else slice(None)] = -np.inf
     plus_inf = minus_inf.copy()
     plus_inf.flat[rng.integers(a.size)] = np.inf
     return [a, minus_inf, tied, dead_row, plus_inf]

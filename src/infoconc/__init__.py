@@ -34,9 +34,7 @@ from .distributions import (
     half_normal,
     laplace,
     model_from_spec,
-    positive_zoo,
     quantile_density,
-    standard_zoo,
     uniform,
 )
 from .bounds import (

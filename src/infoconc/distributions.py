@@ -24,11 +24,12 @@ reproduces the same values.
 The n-dimensional models work on row chunks of points: a product draws
 and evaluates each run once per chunk, its columns filled row by row, and
 an affine matrix is inverted once, at construction, so each solve is one
-matrix product.  No family imports scipy when it is built: gamma's
-entropy takes ``numerics.digamma``, and the quantiles of gamma,
-``gaussian1d`` and ``half_normal`` import their scipy function at their
-first call, so no Monte Carlo draw that bypasses them loads any scipy
-module; a library draw of the standard normal reaches ``gaussian1d``'s.
+matrix product.  No family imports scipy: gamma's entropy takes
+``numerics.digamma``, the quantiles of ``gaussian1d`` and ``half_normal``
+``numerics.normal_quantile``, and gamma's quantile Newton steps on
+``numerics.log_gamma_tail`` from the Wilson-Hilferty start, in the one
+Newton loop, ``_newton_quantile``, that a custom density's quantile takes
+from its node table.
 """
 from __future__ import annotations
 
@@ -46,7 +47,9 @@ from .numerics import (
     de_rule,
     digamma,
     log_gamma,
+    log_gamma_tail,
     logsumexp,
+    normal_quantile,
     peak_width,
     unimodal_argmax,
 )
@@ -66,8 +69,6 @@ __all__ = [
     "uniform",
     "half_normal",
     "from_log_density",
-    "standard_zoo",
-    "positive_zoo",
     "quantile_density",
     "spec_reader",
     "density_from_spec",
@@ -241,9 +242,34 @@ def _masked_log(x, support: Tuple[float, float], inside: Callable) -> np.ndarray
 
 _TINY = np.finfo(np.float64).tiny
 
-# Newton steps of a custom density's quantile; from the start points of the
-# node table three to five suffice.
+# Newton steps of a quantile; from the start points of a custom density's
+# node table or of gamma's Wilson-Hilferty start, three to five suffice.
 _NEWTON_STEPS = 50
+
+
+def _newton_quantile(what: str, level: np.ndarray, y: np.ndarray,
+                     upper: np.ndarray, log_tail: Callable, log_pdf: Callable,
+                     support: Tuple[float, float], scale: float) -> np.ndarray:
+    """The quantiles at ``level`` from start points y: Newton steps on
+    log F below the median and on log(1 - F) where ``upper``, both concave
+    for a log-concave density, ``log_tail(y, upper)`` giving them.  A step
+    past a finite end of the support goes halfway to it instead; the steps
+    stop once none moves by more than 1e-13 (|y| + scale), else
+    NumericsError names ``what``."""
+    a, b = support
+    target = np.log(np.where(upper, 1.0 - level, level))
+    for _ in range(_NEWTON_STEPS):
+        log_t = log_tail(y, upper)
+        step = (log_t - target) * np.exp(log_t - log_pdf(y))
+        new = np.where(upper, y + step, y - step)
+        new = np.where(new <= a, 0.5 * (a + y), np.where(new >= b, 0.5 * (b + y), new))
+        done = np.abs(new - y) <= 1e-13 * (np.abs(new) + scale)
+        y = new
+        if done.all():
+            return y
+    raise NumericsError(f"{what}: the quantile's Newton steps did not settle "
+                        f"in {_NEWTON_STEPS}")
+
 
 # How far below the chord of its two neighbours a custom density's log g may
 # lie at a normalization node, relative to the largest term entering log g
@@ -328,17 +354,6 @@ def _rejection_sampler(log_pdf: Callable, mode: float) -> Callable:
 
 # --- standard families -----------------------------------------------------
 
-def _special(name: str) -> Callable:
-    """scipy.special's ``name``, imported when it is first called, so that a
-    density whose quantile no draw reaches loads no scipy module."""
-
-    def call(*args):
-        import scipy.special
-        return getattr(scipy.special, name)(*args)
-
-    return call
-
-
 def exponential() -> Density1D:
     """Standard exponential: f(x) = e^-x on (0, inf)."""
     return Density1D(
@@ -376,18 +391,32 @@ def gamma(p: float) -> Density1D:
         return replace(exponential(), name="gamma(1)",
                        spec={"family": "gamma", "params": {"p": 1.0}})
     lgp = log_gamma(p)
-    ent = p + lgp + (1.0 - p) * digamma(p)
-    gammaincinv = _special("gammaincinv")
+    name = f"gamma({p:g})"
+    log_pdf = lambda y: (p - 1.0) * np.log(y) - y - lgp
+
+    def quantile(t) -> np.ndarray:
+        level = np.asarray(t, dtype=np.float64).ravel()
+        upper = level > 0.5
+        # Wilson and Hilferty's start; below the median at least the root of
+        # x^p / Gamma(p + 1) = level, which lies below the quantile
+        z = normal_quantile(level - 0.5, np.minimum(level, 1.0 - level))
+        start = p * (1.0 - 1.0 / (9.0 * p) + z / (3.0 * math.sqrt(p))) ** 3
+        floor = np.exp((np.log(level) + log_gamma(p + 1.0)) / p)
+        y = _newton_quantile(name, level, np.where(upper, start, np.maximum(start, floor)),
+                             upper, lambda x, up: log_gamma_tail(p, x, up), log_pdf,
+                             (0.0, math.inf), 0.0)
+        return y.reshape(np.shape(t))
+
     return Density1D(
-        name=f"gamma({p:g})",
+        name=name,
         support=(0.0, math.inf),
-        entropy=ent,
+        entropy=p + lgp + (1.0 - p) * digamma(p),
         mode=p - 1.0,
         spec={"family": "gamma", "params": {"p": p}},
         order_p=p,
-        _log_pdf=lambda y: (p - 1.0) * np.log(y) - y - lgp,
+        _log_pdf=log_pdf,
         _sampler=lambda gen, size: gen.standard_gamma(p, size),
-        _quantile=lambda t: gammaincinv(p, t),
+        _quantile=quantile,
     )
 
 
@@ -396,7 +425,6 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
     mu, sigma = _finite(mu, "gaussian1d mu"), _finite(sigma, "gaussian1d sigma")
     if not sigma > 0.0:
         raise ParameterError(f"gaussian sigma must be positive, got {sigma!r}")
-    ndtri = _special("ndtri")
     c = -0.5 * LOG_2PI - math.log(sigma)
     return Density1D(
         name=f"gaussian1d({mu:g},{sigma:g})",
@@ -406,7 +434,7 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
         spec={"family": "gaussian1d", "params": {"mu": mu, "sigma": sigma}},
         info_shape=0.5,
         _log_pdf=lambda y: c - 0.5 * ((y - mu) / sigma) ** 2,
-        _quantile=lambda t: mu + sigma * ndtri(t),
+        _quantile=lambda t: mu + sigma * normal_quantile(t - 0.5, np.minimum(t, 1.0 - t)),
     )
 
 
@@ -446,7 +474,6 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
 
 def half_normal() -> Density1D:
     """Half-normal: f(x) = sqrt(2/pi) e^(-x^2/2) on (0, inf)."""
-    ndtri = _special("ndtri")
     c = 0.5 * math.log(2.0 / math.pi)
     return Density1D(
         name="half_normal",
@@ -457,7 +484,8 @@ def half_normal() -> Density1D:
         order_p=1.0,
         info_shape=0.5,
         _log_pdf=lambda y: c - 0.5 * y * y,
-        _quantile=lambda t: ndtri(0.5 * (1.0 + t)),
+        # Phi^-1((1 + t)/2), from t/2 and (1 - t)/2, both exact
+        _quantile=lambda t: normal_quantile(0.5 * t, 0.5 * (1.0 - t)),
     )
 
 
@@ -531,23 +559,11 @@ def from_log_density(
         return out
 
     def quantile(t) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        level = t.ravel()
-        upper = level > below_mode
-        target = np.log(np.where(upper, 1.0 - level, level))
-        y = np.interp(level, knot_levels, knots)
-        for _ in range(_NEWTON_STEPS):
-            log_t = log_tail(y, upper)
-            step = (log_t - target) * np.exp(log_t - density.log_pdf(y))
-            new = np.where(upper, y + step, y - step)
-            # a step past a finite end goes halfway to it instead
-            new = np.where(new <= a, 0.5 * (a + y), np.where(new >= b, 0.5 * (b + y), new))
-            done = np.abs(new - y) <= 1e-13 * (np.abs(new) + scale)
-            y = new
-            if done.all():
-                return y.reshape(t.shape)
-        raise NumericsError(f"custom density {name!r}: the quantile's Newton "
-                            f"steps did not settle in {_NEWTON_STEPS}")
+        level = np.asarray(t, dtype=np.float64).ravel()
+        y = _newton_quantile(f"custom density {name!r}", level,
+                             np.interp(level, knot_levels, knots), level > below_mode,
+                             log_tail, density.log_pdf, support, scale)
+        return y.reshape(np.shape(t))
 
     density = Density1D(
         name=name,
@@ -571,32 +587,6 @@ _FAMILIES = {
     "uniform": uniform,
     "half_normal": half_normal,
 }
-
-
-def standard_zoo() -> list:
-    """Canonical instances exercised by the cross-family test sweeps."""
-    return [
-        exponential(),
-        gamma(2.0),
-        gamma(5.0),
-        gaussian1d(),
-        laplace(),
-        uniform(0.0, 1.0),
-        half_normal(),
-    ]
-
-
-def positive_zoo() -> list:
-    """Zoo members supported on (0, inf) (or a positive interval)."""
-    return [
-        exponential(),
-        gamma(1.5),
-        gamma(2.0),
-        gamma(5.0),
-        half_normal(),
-        uniform(0.0, 1.0),
-        uniform(0.5, 2.5),
-    ]
 
 
 # ---------------------------------------------------------------------------

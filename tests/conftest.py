@@ -3,7 +3,20 @@ from collections import Counter
 
 import pytest
 
-from infoconc.distributions import ModelND
+from infoconc.distributions import (ModelND, exponential, gamma, gaussian1d,
+                                    half_normal, laplace, uniform)
+
+
+def standard_zoo() -> list:
+    """Canonical instances exercised by the cross-family test sweeps."""
+    return [exponential(), gamma(2.0), gamma(5.0), gaussian1d(), laplace(),
+            uniform(0.0, 1.0), half_normal()]
+
+
+def positive_zoo() -> list:
+    """Zoo members supported on (0, inf) (or a positive interval)."""
+    return [exponential(), gamma(1.5), gamma(2.0), gamma(5.0), half_normal(),
+            uniform(0.0, 1.0), uniform(0.5, 2.5)]
 
 
 class WholeModel(ModelND):

@@ -25,6 +25,8 @@ from infoconc.lyapunov import (check_convexity_direction, moment_curve,
                                quantile_density_concavity)
 from infoconc.numerics import trigamma
 
+from conftest import positive_zoo, standard_zoo
+
 SEED = 42
 M_LARGE = 10**6
 GAMMA_ORDERS = (1.0, 2.0, 5.0, 10.0, 20.0)
@@ -110,7 +112,7 @@ def test_04_reverse_lyapunov_suite():
     t0 = time.perf_counter()
     fails = []
     grid = np.arange(0.5, 8.0 + 1e-9, 0.25)
-    zoo = dist.positive_zoo()
+    zoo = positive_zoo()
     assert len(zoo) >= 6
     for d in zoo:
         raw = moment_curve(d, "raw", grid)
@@ -138,7 +140,7 @@ def test_05_universal_mgf_below_four():
     fails = []
     slowest = 0.0
     half_bound = (8.0 / 3.0) * math.sqrt(2.0)  # 2^(3/2) / ((1/2)(3/2))
-    for i, d in enumerate(dist.standard_zoo()):
+    for i, d in enumerate(standard_zoo()):
         t0 = time.perf_counter()
         batch = sample_information(Product([(d, 1)]), M_LARGE,
                                    RngStream(SEED, 200 + i), workers=2)
@@ -275,7 +277,7 @@ def test_12_quantile_density_concavity():
     t0 = time.perf_counter()
     fails = []
     levels = np.arange(0.05, 0.95 + 1e-9, 0.05)
-    for d in dist.standard_zoo():
+    for d in standard_zoo():
         rep = quantile_density_concavity(d, levels)
         if not rep.ok:
             fails.append(f"{d.name}: worst defect {rep.worst_defect:.2e}")

@@ -7,14 +7,16 @@ quantiles against scipy.stats and closed forms, and the n-dimensional
 models against hand-written density formulas.
 """
 import math
+import time
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import solve, solve_triangular
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincinv
 
 import infoconc.distributions
 from infoconc.distributions import (
@@ -34,11 +36,11 @@ from infoconc.distributions import (
     laplace,
     model_from_spec,
     quantile_density,
-    standard_zoo,
-    positive_zoo,
     uniform,
 )
 from infoconc.numerics import DomainError, integrate
+
+from conftest import positive_zoo, standard_zoo
 
 # ---------------------------------------------------------------------------
 # oracles and frozen constants
@@ -178,6 +180,62 @@ def test_uniform_quantile_closed_form():
     d = uniform(2.0, 5.0)
     t = np.linspace(0.05, 0.95, 19)
     assert np.allclose(d.quantile(t), 2.0 + 3.0 * t, atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-20, 1e-10, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53])
+def test_half_normal_quantile_at_both_ends(t):
+    # Phi^-1((1 + t)/2) from t/2 and (1 - t)/2, both exact, where (1 + t)/2
+    # rounds 1 - 2^-53 to 1 and every t below 1e-16 to 1/2
+    with mp.workdps(40):
+        want = mp.sqrt(2) * mp.erfinv(mp.mpf(t))
+        assert abs(float(half_normal().quantile(t)) - want) <= 2.0 * np.finfo(float).eps * want
+
+
+# the gamma quantile's levels: the far lower tail, the percentiles, and
+# the upper tail up to 1 - 1e-15
+GAMMA_LEVELS = np.array([1e-300, 1e-30, 1e-8, *(np.arange(1, 100) / 100),
+                         1.0 - 1e-8, 1.0 - 1e-15])
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 5.0, 37.0, 1e3])
+def test_gamma_quantile_matches_gammaincinv(p):
+    got = gamma(p).quantile(GAMMA_LEVELS)
+    assert np.all(np.abs(got / gammaincinv(p, GAMMA_LEVELS) - 1.0) <= 1e-12)
+
+
+def gamma_cdf(p: float, x: float):
+    """P(p, x) by mpmath at 40 digits: x^p e^-x / Gamma(p + 1) times
+    1F1(1; p + 1; x), its power series, which takes about sqrt(p) terms."""
+    with mp.workdps(40):
+        p, x = mp.mpf(p), mp.mpf(x)
+        return (mp.exp(p * mp.log(x) - x - mp.loggamma(p + 1))
+                * mp.hyp1f1(1, p + 1, x, maxterms=10**7))
+
+
+@pytest.mark.parametrize("p", [1e4, 1e6, 1e8])
+def test_gamma_quantile_at_large_shapes(p):
+    d = gamma(p)
+    upper = GAMMA_LEVELS[3:]
+    assert np.all(np.abs(d.quantile(upper) / gammaincinv(p, upper) - 1.0) <= 1e-9)
+    # below 0.01 the oracle is P(p, x) itself: gammaincinv misses there at
+    # p = 1e8, where its P at the level 1e-8 is 1.44e-8
+    for level in GAMMA_LEVELS[:3]:
+        assert abs(gamma_cdf(p, float(d.quantile(level))) / level - 1) <= 1e-9
+
+
+def test_gamma_quantile_is_finite_at_the_largest_shape():
+    x = gamma(1e10).quantile(np.array([1e-300, 1e-8, 0.5, 1.0 - 1e-8, 1.0 - 1e-15]))
+    assert np.isfinite(x).all() and np.all(np.diff(x) > 0.0)
+
+
+def test_gamma_quantile_of_nineteen_levels_takes_a_millisecond():
+    d, levels = gamma(5.0), np.arange(1, 20) / 20
+    times = []
+    for _ in range(20):
+        start = time.perf_counter()
+        d.quantile(levels)
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ that is meant to keep behaviour must leave every digest unchanged; a change
 that moves output bytes on purpose updates the digests and says which
 configurations moved and why.
 
-The digests were taken with numpy 2.4.6 and scipy 1.17.1.  Other versions
-may round the last bits of special functions and linear algebra
-differently, so a mismatch there is not by itself a defect.
+The digests were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64.  Other
+versions may round the last bits of special functions and linear algebra
+differently, and the normal quantile runs in numpy's long double, which is
+float64 on some platforms, so a mismatch there is not by itself a defect.
 """
 import hashlib
 import json
@@ -94,6 +95,15 @@ CASES = {
     "quantile_density_gamma": (["quantile_density", "--model", "gamma",
                                 "--p", "3", "--t-grid", "0.05,0.3,0.6,0.95"],
                                None),
+    # every branch of the normal quantile: central, near tail and far tail
+    # (a level within 1.4e-11 of 0 or 1)
+    "quantile_density_gaussian": (["quantile_density", "--model", "gaussian",
+                                   "--t-grid", "1e-12,0.01,0.3,0.5,0.9,"
+                                   "0.999999,0.999999999999"], None),
+    "quantile_density_half_normal": (["quantile_density", "--model",
+                                      "half_normal", "--t-grid",
+                                      "1e-12,0.1,0.5,0.85,0.9,0.999,"
+                                      "0.999999999999"], None),
     "lyapunov_exp_normalized": (["lyapunov", "--model", "exponential",
                                  "--kind", "normalized", "--p-grid", "1:5:0.5"],
                                 None),
@@ -167,13 +177,17 @@ DIGESTS = {
     "mgf_one_sided":
         "21c1799c8d4b29b436007bd1ea46fef2bcd1b41991b924d2e7229fdfdc1e3d0c",
     "order_p_exponential":
-        "498ababb75a0aeda419724ec73d462822534ab6c639d0ead22409ff3423da127",
+        "dfb2e92d334650a69bc8ee4fc54ac9349fc2a628cedd8c75c52c9037be8a2f14",
     "order_p_gamma":
         "fba58440dc991294045744537ed618f6034e1e2d4e3e7f4dc39af24bd02d85b2",
     "quantile_density_exp":
         "e9c83a28ec77aa1795d281f69993c35946881ef242ae70653e012b576b8826c4",
     "quantile_density_gamma":
-        "6c8a7f47f4b67c39c5234399dce34117d1f1f739a7db9f2c98d5db5a2ea691f3",
+        "b799230c40fc7e94c01d181ad9c8ac27f52d840ab15f38824b4bb591db0ab21b",
+    "quantile_density_gaussian":
+        "8fe680583212ad468ef475ef5b6ac45ddc61df1183b0b499937ee51899ba35d2",
+    "quantile_density_half_normal":
+        "d566acc09e9831c937b200a1b77cb5835f88c4e447e6272de1bcb93361a09daf",
     "tail_ball":
         "af0954841fa9a4673338079cc92e6a21bf6642540dec77ce1ffa6fe9d0c66aa5",
     "tail_exp_per_coordinate":

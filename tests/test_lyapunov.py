@@ -23,8 +23,6 @@ from infoconc.distributions import (
     gamma,
     gaussian1d,
     half_normal,
-    positive_zoo,
-    standard_zoo,
     uniform,
 )
 from infoconc.lyapunov import (
@@ -36,6 +34,8 @@ from infoconc.lyapunov import (
     quantile_density_concavity,
 )
 from infoconc.numerics import DomainError, trigamma
+
+from conftest import positive_zoo, standard_zoo
 
 VAR_LOG_CHI3 = 0.23370055013616983   # psi1(3/2)/4
 MEAN_LOG_CHI3 = 0.3648185772692609   # (log 2 + psi(3/2))/2

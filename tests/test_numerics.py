@@ -10,7 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import digamma, gammainc
+from scipy.special import digamma, gammainc, gammaincc, ndtri
 from scipy.special import logsumexp as scipy_logsumexp
 
 import infoconc.distributions
@@ -40,7 +40,9 @@ from infoconc.numerics import (
     digamma as psi,
     log_gamma,
     log_integral,
+    log_gamma_tail,
     logsumexp,
+    normal_quantile,
     trigamma,
 )
 
@@ -187,11 +189,79 @@ def test_trigamma_positive_and_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_trigamma_matches_mpmath_to_eight_ulp():
+    grid = sorted({*np.geomspace(0.01, 1e10, 1501).tolist(),
+                   *np.linspace(0.01, 12.0, 600).tolist()})
+    worst = max(float(abs(mp.mpf(trigamma(p)) - mp.psi(1, p))) / np.spacing(trigamma(p))
+                for p in grid)
+    assert worst <= 8.0
+
+
 def test_trigamma_domain():
     with pytest.raises(DomainError):
         trigamma(0.0)
     with pytest.raises(DomainError):
         trigamma(-2.0)
+
+
+# ---------------------------------------------------------------------------
+# normal_quantile
+# ---------------------------------------------------------------------------
+
+def phi_inverse(t):
+    """Phi^-1(t) through normal_quantile, each argument exact."""
+    t = np.asarray(t, dtype=np.float64)
+    return normal_quantile(t - 0.5, np.minimum(t, 1.0 - t))
+
+
+def ulps(got, want) -> np.ndarray:
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_normal_quantile_matches_ndtri():
+    # within 5 ulp, not 4: ndtri is itself up to 4 ulp off in AS241's near
+    # tail branch (test_normal_quantile_matches_mpmath_to_two_ulp)
+    t = np.concatenate([np.random.default_rng(27).random(10**5),
+                        [1e-300, 1.0 - 2.0**-53]])
+    assert ulps(phi_inverse(t), ndtri(t)).max() <= 5.0
+
+
+def test_normal_quantile_matches_mpmath_to_two_ulp():
+    # every branch: uniform levels, and tails down to 1e-300 on both sides
+    rng = np.random.default_rng(28)
+    tails = 10.0 ** -rng.uniform(1.0, 300.0, 100)
+    t = np.concatenate([rng.random(200), tails, 1.0 - tails[tails > 1e-16]])
+    with mp.workdps(40):
+        # Phi(x) = t, or Phi(-x) = 1 - t above 1/2, where 1 - t is exact
+        want = [mp.findroot(lambda y: mp.ncdf(y) - level, x) if level <= 0.5
+                else mp.findroot(lambda y: mp.ncdf(-y) - (1 - mp.mpf(level)), x)
+                for level, x in zip(t, phi_inverse(t))]
+        worst = max(float(abs(mp.mpf(x) - w) / np.spacing(abs(float(w))))
+                    for x, w in zip(phi_inverse(t), want))
+    assert worst <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# log_gamma_tail
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [1.01, 2.0, 5.0, 37.0, 1e3, 1e5])
+def test_log_gamma_tail_matches_scipy(p):
+    # from 6 standard deviations below the mean to 12 above: both sides of
+    # the switch to the continued fraction
+    x = p + np.linspace(-6.0, 12.0, 73) * math.sqrt(p)
+    x = x[x > 0.0]
+    for upper, oracle in ((False, gammainc), (True, gammaincc)):
+        want = np.log(oracle(p, x))
+        keep = want > -700.0
+        got = log_gamma_tail(p, x, upper)
+        assert np.all(np.abs(got - want)[keep] <= 5e-14 * max(1.0, math.sqrt(p)))
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_log_gamma_tail_domain(x):
+    with pytest.raises(DomainError):
+        log_gamma_tail(2.0, np.array([1.0, x]), False)
 
 
 # ---------------------------------------------------------------------------

@@ -849,16 +849,13 @@ def test_models_import_what_they_use_when_built(spec, loaded):
     assert _scipy_loaded_after(code) == loaded
 
 
-# each experiment once: the Monte Carlo ones, aep, both exact ones on a
-# gamma, whose quantile and trigamma are numpy and pure Python, and the
-# quantile densities whose quantiles are the normal's
+# each Monte Carlo experiment, aep and the quantile densities once; the
+# exact checks and the pool-thread quantile draws have their own tests below
 _SWEEP = (["tail", "--model", "gaussian", "--dim", "4", "--samples", "2000"],
           ["mgf", "--model", "gamma", "--p", "2", "--samples", "2000"],
           ["variance", "--model", "half_normal", "--samples", "2000"],
           ["entropy_power", "--model", "laplace", "--samples", "2000"],
           ["aep", "--model", "gauss_ar1", "--samples", "200"],
-          ["lyapunov", "--model", "gamma", "--p", "2", "--kind", "normalized"],
-          ["order_p", "--model", "gamma", "--p", "2"],
           ["quantile_density", "--model", "gaussian"],
           ["quantile_density", "--model", "half_normal"],
           ["quantile_density", "--model", "gamma", "--p", "5"],
@@ -866,27 +863,61 @@ _SWEEP = (["tail", "--model", "gaussian", "--dim", "4", "--samples", "2000"],
 
 
 def test_every_experiment_runs_on_numpy_alone():
-    # then a custom density's quantile density, and a whole gaussian1d model
-    # drawn through its quantile on four pool threads, switching every
-    # microsecond, whose deviations are the one-worker run's bytes
-    code = "\n".join([
-        "import math, sys",
-        "import numpy as np",
-        f"sys.path.insert(0, {os.path.dirname(__file__)!r})",
-        "from conftest import WholeModel",
-        "from infoconc import cli, distributions, infotools, lyapunov",
-        *(f"assert cli.main({argv!r}) == 0" for argv in _SWEEP),
-        "d = distributions.from_log_density('logistic',",
-        "    lambda x: -x - 2.0 * np.logaddexp(0.0, -x), (-math.inf, math.inf))",
-        "lyapunov.quantile_density_concavity(d, [0.1, 0.3, 0.5, 0.7, 0.9])",
-        "sys.setswitchinterval(1e-6)",
-        "model = WholeModel(distributions.model_from_spec(",
-        "    {'family': 'gaussian1d', 'params': {'mu': 1.0, 'sigma': 2.0}}))",
-        "runs = [infotools.sample_information(",
-        "            model, 4 * infotools.BLOCK_SIZE - 5,",
-        "            distributions.RngStream(4), workers=w)",
-        "        for w in (4, 1)]",
-        "assert runs[0].deviations.tobytes() == runs[1].deviations.tobytes()"])
+    code = "\n".join(["from infoconc import cli",
+                      *(f"assert cli.main({argv!r}) == 0" for argv in _SWEEP)])
+    assert _scipy_loaded_after(code) == []
+
+
+@pytest.mark.parametrize("family", ["gamma", "gaussian1d", "half_normal"])
+def test_first_quantile_call_loads_scipy_special(family):
+    # the quantiles once imported scipy.special on their first call; the
+    # normal's is AS241 and gamma's Newton steps on numerics.log_gamma_tail,
+    # so the first call now loads no scipy module
+    params = {"p": 2.0} if family == "gamma" else {}
+    code = ("from infoconc import distributions\n"
+            "d = distributions.density_from_spec("
+            f"{{'family': {family!r}, 'params': {params!r}}})\n"
+            "d.quantile(0.5)")
+    assert _scipy_loaded_after(code) == []
+
+
+@pytest.mark.parametrize("code, loaded", [
+    (_main_code(["lyapunov", "--model", "exponential"]), []),
+    (_main_code(["lyapunov", "--model", "gamma", "--p", "2",
+                 "--kind", "normalized"]), []),
+    ("import math\nimport numpy as np\n"
+     "from infoconc.distributions import from_log_density\n"
+     "from infoconc.lyapunov import quantile_density_concavity\n"
+     "d = from_log_density('logistic',\n"
+     "    lambda x: -x - 2.0 * np.logaddexp(0.0, -x), (-math.inf, math.inf))\n"
+     "quantile_density_concavity(d, [0.1, 0.3, 0.5, 0.7, 0.9])", []),
+    # trigamma, once scipy's polygamma, is pure Python like digamma
+    (_main_code(["order_p", "--model", "gamma", "--p", "2"]), []),
+], ids=["lyapunov_exponential", "lyapunov_gamma2_normalized",
+        "custom_logistic", "order_p_gamma2"])
+def test_exact_checks_load_scipy_special_only_for_trigamma(code, loaded):
+    # moment curves, variance checks and custom densities reduce their node
+    # sets with numerics.logsumexp, which is numpy alone
+    assert _scipy_loaded_after(code) == loaded
+
+
+def test_lazy_quantile_import_on_pool_threads_keeps_worker_invariance():
+    # a whole gaussian1d model draws through its quantile, so in a fresh
+    # process four pool threads, switching every microsecond, reach its
+    # first call together; no import is left for them to race on, and the
+    # deviations are the one-worker run's bytes
+    code = ("import sys\n"
+            "sys.setswitchinterval(1e-6)\n"
+            f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from conftest import WholeModel\n"
+            "from infoconc import distributions, infotools\n"
+            "model = WholeModel(distributions.model_from_spec(\n"
+            "    {'family': 'gaussian1d', 'params': {'mu': 1.0, 'sigma': 2.0}}))\n"
+            "runs = [infotools.sample_information(\n"
+            "            model, 4 * infotools.BLOCK_SIZE - 5,\n"
+            "            distributions.RngStream(4), workers=w)\n"
+            "        for w in (4, 1)]\n"
+            "assert runs[0].deviations.tobytes() == runs[1].deviations.tobytes()")
     assert _scipy_loaded_after(code) == []
 
 

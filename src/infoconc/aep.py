@@ -20,8 +20,8 @@ Sigma_ij = sigma1^2 rho^|i-j| exists only in the tests, as an independent
 oracle for that law.
 
 A report reads each trajectory only at its grid lengths, so each grid
-interval's deviations are drawn by ``infotools``' block routine, the one
-``sample_information`` uses (see ``run_trajectories``).  Trajectories are
+interval is drawn whole by ``sample_information``'s block routine, which
+alone cuts work into pieces (see ``run_trajectories``).  Trajectories are
 simulated on ``RngStream.run_blocks`` in fixed blocks of TRIAL_BLOCK
 trials, block b drawing from counter offset b of the Philox stream, so
 reports are byte-identical for any worker count.
@@ -84,11 +84,11 @@ class GaussAR1:
             raise ParameterError(f"innovation scale must be positive, got {sd!r}")
         self.rho, self.sd = rho, sd
         self.sigma1_sq = sd * sd / (1.0 - rho * rho)
-        self.entropy_rate = 0.5 * (LOG_2PI + 1.0 + math.log(sd * sd))
+        self.entropy_rate = 0.5 * (LOG_2PI + 1.0) + math.log(sd)
         self.spec = {"process": "gauss_ar1", "params": {"rho": self.rho, "sd": self.sd}}
 
     def joint_entropy(self, n: int) -> float:
-        first = 0.5 * (LOG_2PI + 1.0 + math.log(self.sigma1_sq))
+        first = self.entropy_rate - 0.5 * math.log1p(-self.rho ** 2)
         return first + (n - 1) * self.entropy_rate
 
 
@@ -164,14 +164,14 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
 
     A block of trials fills one row per grid interval with the deviations
     of its steps, by ``infotools``' block routine, and -log f_n is h_n plus
-    the cumulative sum of the rows up to n.  With a step shape k, an
-    interval of d steps is one Gamma(k d, 1) - k d draw, whatever d is.  An
-    i.i.d. base with no law is cut every ``distributions._CHUNK_ELEMENTS``
-    steps, a piece of w steps drawn as the one-run ``Product([(base, w)])``,
-    so a worker's memory stays bounded.  At most one worker starts per
-    ``_CHUNK_ELEMENTS`` draws: thread hand-offs cost more than a few law
-    draws.  A length, trial count or (trials, grid) size past
-    ``_MAX_COUNT`` raises DomainError, a NaN or infinite deviation NumericsError.
+    the cumulative sum of the rows up to n.  An interval of d steps,
+    whatever d is, is one Gamma(k d, 1) - k d draw with a step shape k, or
+    else the one-run rest ``Product([(base, d)])`` of an i.i.d. base with no
+    law, which the block routine cuts, so a worker's memory stays bounded.
+    At most one worker starts per ``distributions._CHUNK_ELEMENTS`` draws:
+    thread hand-offs cost more than a few law draws.  A length, trial count
+    or (trials, grid) size past ``_MAX_COUNT`` raises DomainError, a NaN or
+    infinite deviation NumericsError.
     """
     grid = check_grid(n_grid, "length grid")
     if grid[0] < 1.0 or np.any(grid != np.floor(grid)):
@@ -180,28 +180,21 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     grid = grid.astype(np.int64)
     _check_count(trials, "trial count", least=2)
     _check_count(trials * grid.size, "trial count times grid lengths")
-    k, cut = process.info_shape, distributions._CHUNK_ELEMENTS
-    # each grid interval of d steps as its pieces (Gamma shape, rest)
-    intervals = [[(k * d, None)] if k is not None
-                 else [(0.0, Product([(process.base, min(cut, d - a))]))
-                       for a in range(0, d, cut)]
+    k = process.info_shape
+    intervals = [(k * d, None) if k is not None
+                 else (0.0, Product([(process.base, d)]))
                  for d in np.diff(grid, prepend=0).tolist()]
-    draws = sum(1 if r is None else r.dim
-                for pieces in intervals for _, r in pieces)
-    workers = min(workers, -(-trials * draws // cut))
+    draws = grid.size if k is not None else int(grid[-1])
+    workers = min(workers, -(-trials * draws // distributions._CHUNK_ELEMENTS))
     joint = np.array([process.joint_entropy(int(n)) for n in grid])
     info = np.empty((trials, grid.size))
 
     def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
         dev = np.empty((grid.size, hi - lo))
-        part = np.empty(hi - lo)
         # a NaN or infinity is reported once, below, not warned of per block
         with np.errstate(all="ignore"):
-            for row, pieces in zip(dev, intervals):
-                _draw_deviations(gen, *pieces[0], row)
-                for shape, piece in pieces[1:]:
-                    _draw_deviations(gen, shape, piece, part)
-                    row += part
+            for row, (shape, rest) in zip(dev, intervals):
+                _draw_deviations(gen, shape, rest, row)
             np.cumsum(dev, axis=0, out=dev)
             dev += joint[:, None]
             dev /= grid[:, None]

@@ -429,7 +429,7 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
     return Density1D(
         name=f"gaussian1d({mu:g},{sigma:g})",
         support=(-math.inf, math.inf),
-        entropy=0.5 * math.log(2.0 * math.pi * math.e * sigma**2),
+        entropy=0.5 * (LOG_2PI + 1.0) + math.log(sigma),
         mode=mu,
         spec={"family": "gaussian1d", "params": {"mu": mu, "sigma": sigma}},
         info_shape=0.5,
@@ -594,9 +594,9 @@ _FAMILIES = {
 # ---------------------------------------------------------------------------
 
 # Array elements per piece of work (a row chunk of a deviation block, of
-# ModelND.log_density or of Product.sample, the widest trajectory piece with
-# no law; an eighth of it caps a rejection round): 512 KB arrays, which
-# stay in cache, whatever the block length and dimension.
+# ModelND.log_density or of Product.sample, or a column piece of a wider
+# rest; an eighth of it caps a rejection round): 512 KB arrays, which stay
+# in cache, whatever the block length and dimension.
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -610,9 +610,10 @@ class ModelND:
 
     The information deviation -log f(X) - entropy splits into a law part,
     Gamma(K, 1) - K in law (K = 0: identically 0), plus the deviation of
-    ``info_rest`` at independent points, or nothing when ``info_rest`` is
-    None.  ``info_shape`` is K, or None when no part has a law: then the
-    model itself is the rest.  A model sets both once, at construction.
+    ``info_rest`` at independent points, or nothing when it is None;
+    ``info_shape`` is K, or None when no part has a law and the model is its
+    own rest.  Every rest here is a ``Product`` of runs with no law, whose
+    ``runs`` the block routine reads.  A model sets both once, at construction.
     """
 
     dim: int

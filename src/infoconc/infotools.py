@@ -14,9 +14,9 @@ the Philox stream, so the result is byte-identical for any worker count.
 A model's deviations split into a part that is Gamma(K, 1) - K in law
 (``ModelND.info_shape``), drawn directly, and a rest (``ModelND.info_rest``:
 the columns with no law, an affine image's base, or a model with no law
-part itself) that is sampled and evaluated in row chunks, so no whole block
-of points is ever held.  ``aep`` draws the grid intervals of its
-trajectories with the same block routine, ``_draw_deviations``.
+part itself) that ``_draw_deviations`` alone cuts into pieces, so no whole
+block of points is ever held, however wide; ``aep`` draws the grid
+intervals of its trajectories with the same block routine.
 
 Proportions get Wilson score intervals, which behave sensibly at zero
 observed exceedances; means get the usual normal approximation.  Exponential
@@ -138,23 +138,29 @@ def _draw_deviations(gen: np.random.Generator, shape: float,
                      rest: Optional[ModelND], out: np.ndarray) -> None:
     """Fill ``out`` with information deviations drawn from ``gen``: one
     ``standard_gamma(shape)`` draw minus ``shape`` for the law part, plus
-    the deviations of ``rest`` (unless None), sampled and evaluated in row
-    chunks of about ``_CHUNK_ELEMENTS`` coordinates, in order from the same
-    generator, so no whole array of points is held.  ``standard_gamma(0)``
-    writes zeros without drawing, so a rest with K = 0 reads the stream
-    from its start.  A NaN or infinity is left for the caller to report.
+    the deviations of ``rest`` (unless None), in order from the same
+    generator in pieces of at most ``_CHUNK_ELEMENTS`` values: row chunks,
+    or for a wider rest, a row at a time, each run in column pieces.
+    ``standard_gamma(0)`` writes zeros without drawing, so a rest with K = 0
+    reads the stream from its start; a NaN or infinity is left to the caller.
     """
     gen.standard_gamma(shape, out=out)
     out -= shape
     if rest is None:
         return
-    h = rest.entropy
-    rows = max(1, distributions._CHUNK_ELEMENTS // rest.dim)
+    h, cut = rest.entropy, distributions._CHUNK_ELEMENTS
+    rows = cut // rest.dim
     with np.errstate(all="ignore"):
+        if rest.dim > cut:
+            for i in range(out.size):
+                for d, k in rest.runs:
+                    for a in range(0, k, cut):
+                        x = d.sample(gen, min(cut, k - a))
+                        out[i] -= d.log_pdf(x).sum() + x.size * d.entropy
+            return
         for a in range(0, out.size, rows):
-            b = min(a + rows, out.size)
-            x = rest.sample(gen, b - a)
-            out[a:b] += -rest.log_density(x) - h
+            x = rest.sample(gen, min(rows, out.size - a))
+            out[a:a + rows] += -rest.log_density(x) - h
 
 
 def sample_information(model: ModelND, m: int, rng: RngStream,

@@ -222,6 +222,19 @@ class TestUsageErrors:
         assert "malformed" not in err
         assert not csv.exists()
 
+    # a gaussian scale whose square underflows or overflows is well formed:
+    # its entropy is log sigma plus a constant, and the run ends as any other
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--model", '{"family":"gaussian1d","params":{"sigma":1e-200}}'],
+        ["aep", "--model", '{"family":"gaussian1d","params":{"sigma":1e200}}',
+         "--n-grid", "4,16"],
+        ["aep", "--model", "gauss_ar1", "--sd", "1e-200", "--n-grid", "4,16"],
+        ["aep", "--model", "gauss_ar1", "--sd", "1e200", "--n-grid", "4,16"],
+    ], ids=["tail_sigma_tiny", "aep_sigma_huge", "ar1_sd_tiny", "ar1_sd_huge"])
+    def test_extreme_gaussian_scale_runs(self, argv, capsys):
+        assert main([*argv, "--samples", "100"]) == 0
+        assert capsys.readouterr().err == ""
+
     # a gamma order past 1e10 is refused before log Gamma of it is taken
     @pytest.mark.parametrize("p", ["1e308", "2e10"],
                              ids=["gamma_huge_p", "gamma_past_limit"])

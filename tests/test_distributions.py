@@ -123,6 +123,18 @@ def test_zoo_entropy_matches_quadrature(d):
     assert abs(d.entropy - quad_entropy(d)) <= 1e-8
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e200])
+def test_gaussian1d_entropy_at_extreme_scales(sigma):
+    # sigma^2 underflows or overflows, but the entropy is finite:
+    # log(2 pi e) / 2 + log sigma, here by mpmath at 40 digits
+    with mp.workdps(40):
+        want = float(mp.log(2 * mp.pi * mp.e) / 2 + mp.log(mp.mpf(sigma)))
+    d = gaussian1d(3.0, sigma)
+    assert abs(d.entropy - want) <= 1e-15 * abs(want)
+    x = d.sample(np.random.default_rng(1), 1000)
+    assert np.isfinite(d.log_pdf(x)).all()
+
+
 @pytest.mark.parametrize("d", zoo(), ids=ZOO_IDS)
 def test_zoo_log_density_is_midpoint_concave(d):
     x = interior_grid(d, 81)

@@ -21,6 +21,7 @@ import pytest
 from scipy.special import chdtr, chdtrc, ndtri, polygamma
 from scipy.stats import ks_2samp
 
+import infoconc.distributions
 from infoconc.bounds import (HOLDS, INCONCLUSIVE, Bound, compare,
                              entropy_power_floor, mgf_bound_nd)
 from infoconc.distributions import (
@@ -270,6 +271,44 @@ class TestSampleInformation:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    def test_wide_rest_memory_is_a_few_pieces(self):
+        # a rest wider than _CHUNK_ELEMENTS columns is drawn a row at a time
+        # in column pieces; one whole 2^20-column row of points is 8 MB, and
+        # its log-density temporaries as much again
+        model = Product([(gamma(2.0), 2**20)])
+        tracemalloc.start()
+        try:
+            sample_information(model, 2, RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_column_pieces_of_one_run_move_only_rounding(self, monkeypatch):
+        # cut into column pieces of at most 7 values, a one-run rest reads
+        # the same stream in the same order as its row chunks: only the
+        # rounding of the sums moves
+        model = Product([(gamma(2.0), 20)])
+        want = sample_information(model, 1000, RngStream(5)).deviations
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 7)
+        got = sample_information(model, 1000, RngStream(5)).deviations
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("budget", [1, 3, 8])
+    def test_column_pieces_match_one_row_chunks(self, monkeypatch, budget):
+        # at a budget of the rest's width each row chunk is one row, its
+        # runs drawn in column order; a smaller budget cuts each run into
+        # column pieces of the same stream, with the law columns' one Gamma
+        # draw first either way
+        model = Product([(gamma(2.0), 5), (exponential(), 3), (gamma(5.0), 4),
+                         (gamma(1.5), 9)])
+        assert model.info_rest.dim == 18
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 18)
+        want = sample_information(model, 500, RngStream(6)).deviations
+        monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
+        got = sample_information(model, 500, RngStream(6)).deviations
+        assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("make", ["affine", "cov_factor"])
     def test_shared_linear_factors_are_thread_safe(self, make, model_route):

@@ -8,14 +8,10 @@ honest confidence intervals, and compares them against the closed-form
 bounds, reporting HOLDS / INCONCLUSIVE / VIOLATED per grid point.
 """
 from .numerics import (
-    BracketError,
     DomainError,
     IntegrandError,
     NumericsError,
-    find_root_increasing,
-    integrate,
     log_gamma,
-    log_integral,
     trigamma,
 )
 from .distributions import (

@@ -59,6 +59,10 @@ from .serialize import dump_json, write_csv
 
 __all__ = ["main", "entrypoint", "parse_grid"]
 
+# every grid point becomes a CSV row and a JSON result built in Python; the
+# largest grid in any test, workload or doc has 80 points
+_MAX_GRID_POINTS = 2 ** 16
+
 
 class UsageError(Exception):
     pass
@@ -85,8 +89,10 @@ def parse_grid(text: str) -> list:
                 raise ValueError("step must be positive")
             if stop < start:
                 raise ValueError("stop must not precede start")
-            count = int(math.floor((stop - start) / step + 1e-9))
-            vals = [start + i * step for i in range(count + 1)]
+            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            if count > _MAX_GRID_POINTS:
+                raise ValueError(f"{count} points, more than {_MAX_GRID_POINTS}")
+            vals = [start + i * step for i in range(count)]
         elif "," in text:
             vals = [float(p) for p in text.split(",") if p.strip() != ""]
         else:

@@ -684,7 +684,7 @@ class Product(ModelND):
 class AffineMap(ModelND):
     """Pushforward T X + shift of a base model under an invertible matrix.
     T^-1 is one product with ``_inverse_t``, the transposed inverse computed
-    once (None for the identity) and only read, so threads may share it."""
+    once and only read, so threads may share it."""
 
     def __init__(self, base: ModelND, matrix, shift=None):
         self.base = base
@@ -700,8 +700,7 @@ class AffineMap(ModelND):
             raise ParameterError("shift shape does not match the base model dimension")
         self.dim = n
         self._logabsdet = float(logdet)
-        self._inverse_t = (None if np.array_equal(self.matrix, np.eye(n))
-                           else np.linalg.inv(self.matrix).T)
+        self._inverse_t = np.linalg.inv(self.matrix).T
         self.entropy = base.entropy + self._logabsdet
         # log|det T| enters -log f and the entropy alike, so each point's
         # deviation is its base point's
@@ -710,17 +709,13 @@ class AffineMap(ModelND):
             self.info_shape, self.info_rest = 0.0, base
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
-        pre = rows - self.shift
-        if self._inverse_t is not None:
-            pre = pre @ self._inverse_t
+        pre = (rows - self.shift) @ self._inverse_t
         return self.base.log_density(pre) - self._logabsdet
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         # same draws as the base model, pushed through the map (coupling used
-        # by the affine-invariance checks); x @ I' is x, bit for bit
-        y = self.base.sample(gen, size)
-        if self._inverse_t is not None:
-            y = y @ self.matrix.T
+        # by the affine-invariance checks)
+        y = self.base.sample(gen, size) @ self.matrix.T
         y += self.shift
         return y
 

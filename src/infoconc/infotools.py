@@ -76,8 +76,6 @@ class McEstimate:
     std_error: float
     ci_low: float
     ci_high: float
-    m: int
-    confidence_level: float
 
     @staticmethod
     def from_proportion(successes: int, m: int,
@@ -96,17 +94,10 @@ class McEstimate:
         # snap it there rather than keep the last-ulp residue
         lo = 0.0 if successes == 0 else max(0.0, center - half)
         hi = 1.0 if successes == m else min(1.0, center + half)
-        return McEstimate(
-            value=phat,
-            std_error=math.sqrt(phat * (1.0 - phat) / m),
-            ci_low=lo,
-            ci_high=hi,
-            m=m,
-            confidence_level=confidence,
-        )
+        return McEstimate(phat, math.sqrt(phat * (1.0 - phat) / m), lo, hi)
 
     @staticmethod
-    def from_mean_se(mean: float, std_error: float, m: int,
+    def from_mean_se(mean: float, std_error: float,
                      confidence: float = DEFAULT_CONFIDENCE) -> "McEstimate":
         z = _z_value(confidence)
         return McEstimate(
@@ -114,8 +105,6 @@ class McEstimate:
             std_error=float(std_error),
             ci_low=float(mean - z * std_error),
             ci_high=float(mean + z * std_error),
-            m=int(m),
-            confidence_level=confidence,
         )
 
 
@@ -295,7 +284,7 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
     rows = []
     for alpha in arr:
         if alpha == 0.0:
-            est = McEstimate.from_mean_se(1.0, 0.0, batch.m, confidence)
+            est = McEstimate.from_mean_se(1.0, 0.0, confidence)
         else:
             # y = |dev|/sqrt(n) or dev/sqrt(n) with alpha folded into the
             # scale; rounding is monotone, so peak is the largest exponent
@@ -320,12 +309,10 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
                 var = excess * _safe_exp(2.0 * l1)
                 se = (math.sqrt(var / batch.m) if math.isfinite(var)
                       else mean * math.sqrt(excess / batch.m))
-                est = _floored(McEstimate.from_mean_se(mean, se, batch.m,
-                                                       confidence), 1.0)
+                est = _floored(McEstimate.from_mean_se(mean, se, confidence), 1.0)
             else:
                 # overflowed estimate: no statistical claim either way
-                est = McEstimate(math.inf, math.inf, 0.0, math.inf,
-                                 batch.m, confidence)
+                est = McEstimate(math.inf, math.inf, 0.0, math.inf)
         rows.append(MgfRow(alpha=float(alpha), estimate=est))
     return rows
 
@@ -361,7 +348,7 @@ def deviation_variance(batch: InfoSampleBatch,
     s2 = float(np.square(sq, out=sq).sum()) / (m - 1)
     mu4 = float(np.square(sq, out=sq).sum()) / m
     se = math.sqrt(max(0.0, mu4 - s2 * s2) / m)
-    return _floored(McEstimate.from_mean_se(s2, se, m, confidence), 0.0)
+    return _floored(McEstimate.from_mean_se(s2, se, confidence), 0.0)
 
 
 def deviation_mean(batch: InfoSampleBatch,
@@ -380,4 +367,4 @@ def deviation_mean(batch: InfoSampleBatch,
     # einsum, not a BLAS dot, whose rounding follows its thread count
     sum_sq = float(np.einsum("i,i->", d, d))
     s2 = max(0.0, sum_sq - m * mean * mean) / (m - 1)
-    return McEstimate.from_mean_se(mean, math.sqrt(s2 / m), m, confidence)
+    return McEstimate.from_mean_se(mean, math.sqrt(s2 / m), confidence)

@@ -12,9 +12,9 @@ functions, by power series and continued fraction) on arrays.
 ``logsumexp`` runs scipy.special.logsumexp's float64 steps, so its output
 bytes are the same, without scipy's array-API dispatch (tens of
 microseconds a call) or its second ``exp`` of the whole array on every
-call.  Only ``integrate`` and ``find_root_increasing``, scalar wrappers of
-scipy's QUADPACK and Brent solvers that no command calls, import scipy, and
-only when they run, so importing this module loads none.
+call.  numpy is the only dependency: ``integrate``, ``log_integral``,
+``find_root_increasing`` and ``BracketError``, which no command uses, are
+not in ``__all__`` and stay only for the benchmark tracer and their tests.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "NumericsError",
     "DomainError",
-    "BracketError",
     "IntegrandError",
     "QuadratureResult",
     "DEFAULT_TOL",
@@ -39,11 +38,8 @@ __all__ = [
     "normal_quantile",
     "log_gamma_tail",
     "logsumexp",
-    "integrate",
     "de_rule",
     "peak_width",
-    "log_integral",
-    "find_root_increasing",
     "unimodal_argmax",
 ]
 
@@ -398,7 +394,8 @@ def integrate(
     rel_tol: float = 1e-12,
     max_subdiv: int = 200,
 ) -> QuadratureResult:
-    """Adaptive quadrature (QUADPACK) of ``f`` over ``support``.
+    """Adaptive quadrature (QUADPACK) of ``f`` over ``support``; not in
+    ``__all__``, and it needs scipy, from the ``test`` extra.
 
     Parameters
     ----------
@@ -593,7 +590,8 @@ def find_root_increasing(
 
     The bracket must satisfy g(lo) <= target <= g(hi); otherwise a
     BracketError is raised.  The returned x has |g(x) - target| <= tol
-    whenever g is resolvable to that accuracy in double precision.
+    whenever g is resolvable to that accuracy in double precision.  Not in
+    ``__all__``, and it needs scipy, from the ``test`` extra.
     """
     lo, hi = bracket
     if not lo < hi:

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from infoconc.bounds import (
     HOLDS,
@@ -28,7 +29,7 @@ from infoconc.bounds import (
     variance_cap_nd,
 )
 from infoconc.cli import _EXPERIMENTS
-from infoconc.numerics import DomainError, find_root_increasing, trigamma
+from infoconc.numerics import DomainError, trigamma
 
 # Frozen constants.
 CROSSOVER = 3.095658245942757        # root of t^2 - t = 16 log(3/2)
@@ -99,7 +100,9 @@ class TestTailBounds:
         def log_ratio(t):
             return (math.log(exp_tail_bound(t).value)
                     - math.log(gaussian_tail_bound(t, 64).value))
-        root = find_root_increasing(log_ratio, 0.0, (1.0, 10.0), tol=1e-12)
+        # Brent's method with xtol 1e-13 (1 + |a| + |b|) on the bracket [1, 10]
+        root = brentq(log_ratio, 1.0, 10.0, xtol=1e-13 * 12.0, rtol=8.9e-16,
+                      maxiter=200)
         assert abs(root - CROSSOVER) < 1e-10
 
     def test_ordering_flips_at_crossover(self):

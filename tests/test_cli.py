@@ -3,9 +3,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +70,13 @@ class TestGridParsing:
     def test_bad_grids(self, bad):
         with pytest.raises(UsageError):
             parse_grid(bad)
+
+    def test_range_is_counted_before_it_is_built(self):
+        # 0:1e12:1 would build a trillion floats before any check
+        assert len(parse_grid("0:65535:1")) == 2 ** 16
+        for text, count in (("0:65536:1", 65537), ("0:1e12:1", 10**12 + 1)):
+            with pytest.raises(UsageError, match=f"{count} points, more than 65536"):
+                parse_grid(text)
 
 
 class TestUsageErrors:
@@ -875,10 +884,48 @@ _SWEEP = (["tail", "--model", "gaussian", "--dim", "4", "--samples", "2000"],
           ["list-bounds"])
 
 
+# a finder ahead of every other that refuses each scipy module, as if scipy
+# were not installed
+_REFUSE_SCIPY = """import sys
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
 def test_every_experiment_runs_on_numpy_alone():
-    code = "\n".join(["from infoconc import cli",
-                      *(f"assert cli.main({argv!r}) == 0" for argv in _SWEEP)])
-    assert _scipy_loaded_after(code) == []
+    # numpy is the only runtime dependency: every experiment, the exact
+    # checks and a custom density's quantiles and draws run with scipy
+    # refused
+    argvs = [*_SWEEP, ["lyapunov", "--model", "gamma", "--p", "2"],
+             ["order_p", "--model", "gamma", "--p", "2"]]
+    code = "\n".join([
+        _REFUSE_SCIPY, "import math", "import numpy as np",
+        "from infoconc import cli, distributions",
+        *(f"assert cli.main({argv!r}) == 0" for argv in argvs),
+        "d = distributions.from_log_density('logistic',",
+        "    lambda x: -x - 2.0 * np.logaddexp(0.0, -x), (-math.inf, math.inf))",
+        "assert np.all(np.isfinite(d.quantile([0.001, 0.5, 0.999])))",
+        "x = d.sample(distributions.RngStream(5).generator(), 4096)",
+        "assert x.shape == (4096,) and np.all(np.isfinite(x))",
+        "import scipy"])
+    with pytest.raises(subprocess.CalledProcessError) as refused:
+        _fresh_process(code)
+    # the last line alone failed: scipy was refused, and nothing before
+    # it needed scipy
+    assert refused.value.stderr.rstrip().endswith(
+        "ModuleNotFoundError: No module named 'scipy'")
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    name = lambda requirement: re.match(r"[A-Za-z0-9_.-]+", requirement)[0]
+    assert [name(r) for r in project["dependencies"]] == ["numpy"]
+    assert "scipy" in {name(r) for r in project["optional-dependencies"]["test"]}
 
 
 @pytest.mark.parametrize("family", ["gamma", "gaussian1d", "half_normal"])

@@ -15,6 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 from scipy.linalg import solve, solve_triangular
 from scipy.special import gammainc, gammaincinv
 
@@ -38,7 +39,7 @@ from infoconc.distributions import (
     quantile_density,
     uniform,
 )
-from infoconc.numerics import DomainError, integrate
+from infoconc.numerics import DomainError
 
 from conftest import positive_zoo, standard_zoo
 
@@ -64,16 +65,23 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return max(np.max(grid_hi - u), np.max(u - grid_lo))
 
 
+def quadpack(f, support, tol: float) -> float:
+    """scipy's QUADPACK value of the integral of f over ``support``, with
+    relative tolerance 1e-12 and 200 subdivisions."""
+    return quad(f, *support, epsabs=tol, epsrel=1e-12, limit=200,
+                full_output=1)[0]
+
+
 def quad_entropy(d: Density1D) -> float:
     def integrand(x: float) -> float:
         t = float(d.log_pdf(np.array([x]))[0])
         return 0.0 if t < -700.0 else -t * math.exp(t)
 
-    return integrate(integrand, d.support, tol=1e-11).value
+    return quadpack(integrand, d.support, tol=1e-11)
 
 
 def quad_mass(d: Density1D) -> float:
-    return integrate(lambda x: float(np.exp(d.log_pdf(np.array([x]))[0])), d.support, tol=1e-11).value
+    return quadpack(lambda x: float(np.exp(d.log_pdf(np.array([x]))[0])), d.support, tol=1e-11)
 
 
 def interior_grid(d: Density1D, n: int = 41) -> np.ndarray:
@@ -470,9 +478,9 @@ def test_product_entropy_matches_2d_quadrature():
             lf = -x + ly
             return 0.0 if lf < -700.0 else -lf * fx * math.exp(ly)
 
-        return integrate(integrand, (-math.inf, math.inf), tol=1e-11).value
+        return quadpack(integrand, (-math.inf, math.inf), tol=1e-11)
 
-    h2d = integrate(inner, (0.0, math.inf), tol=1e-9).value
+    h2d = quadpack(inner, (0.0, math.inf), tol=1e-9)
     m = Product([(d1, 1), (d2, 1)])
     assert abs(m.entropy - h2d) <= 1e-8
 
@@ -507,13 +515,10 @@ def test_affine_map_determinant_rules():
 
 
 def test_affine_identity_matrix_applies_only_the_shift():
-    # the identity is skipped, and the bytes are those of the matrix
-    # product and the triangular solve it would have taken
+    # the bytes are those of the matrix product and the triangular solve
     base = Product([(exponential(), 1), (gaussian1d(), 1), (laplace(), 1)])
     shift = np.array([0.5, -1.0, 2.0])
     m = AffineMap(base, np.eye(3), shift)
-    assert m._inverse_t is None
-    assert AffineMap(base, 2.0 * np.eye(3))._inverse_t is not None
     xb = base.sample(RngStream(seed=79).generator(), 500)
     xm = m.sample(RngStream(seed=79).generator(), 500)
     assert np.array_equal(xm, xb @ np.eye(3).T + shift)

@@ -20,11 +20,10 @@ Sigma_ij = sigma1^2 rho^|i-j| exists only in the tests, as an independent
 oracle for that law.
 
 A report reads each trajectory only at its grid lengths, so each grid
-interval is drawn whole by ``sample_information``'s block routine, which
-alone cuts work into pieces (see ``run_trajectories``).  Trajectories are
-simulated on ``RngStream.run_blocks`` in fixed blocks of TRIAL_BLOCK
-trials, block b drawing from counter offset b of the Philox stream, so
-reports are byte-identical for any worker count.
+interval is drawn whole by ``sample_information``'s block routine (see
+``run_trajectories``).  Trajectories are simulated on ``RngStream.run_blocks``
+in fixed blocks of TRIAL_BLOCK trials, block b drawing from counter offset b
+of the Philox stream, so reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -167,7 +166,7 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     the cumulative sum of the rows up to n.  An interval of d steps,
     whatever d is, is one Gamma(k d, 1) - k d draw with a step shape k, or
     else the one-run rest ``Product([(base, d)])`` of an i.i.d. base with no
-    law, which the block routine cuts, so a worker's memory stays bounded.
+    law, which cuts itself into pieces, so a worker's memory stays bounded.
     At most one worker starts per ``distributions._CHUNK_ELEMENTS`` draws:
     thread hand-offs cost more than a few law draws.  A length, trial count
     or (trials, grid) size past ``_MAX_COUNT`` raises DomainError, a NaN or

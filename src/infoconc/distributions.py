@@ -593,10 +593,10 @@ _FAMILIES = {
 # n-dimensional models
 # ---------------------------------------------------------------------------
 
-# Array elements per piece of work (a row chunk of a deviation block, of
-# ModelND.log_density or of Product.sample, or a column piece of a wider
-# rest; an eighth of it caps a rejection round): 512 KB arrays, which stay
-# in cache, whatever the block length and dimension.
+# Array elements per piece of work (a row chunk of ModelND.add_deviations,
+# ModelND.log_density or Product.sample, or a column piece of a wider
+# product's add_deviations; an eighth of it caps a rejection round): 512 KB
+# arrays, which stay in cache, whatever the block length and dimension.
 _CHUNK_ELEMENTS = 2**16
 
 
@@ -612,8 +612,8 @@ class ModelND:
     Gamma(K, 1) - K in law (K = 0: identically 0), plus the deviation of
     ``info_rest`` at independent points, or nothing when it is None;
     ``info_shape`` is K, or None when no part has a law and the model is its
-    own rest.  Every rest here is a ``Product`` of runs with no law, whose
-    ``runs`` the block routine reads.  A model sets both once, at construction.
+    own rest.  A model sets both once, at construction; a rest draws its
+    deviations with ``add_deviations``.
     """
 
     dim: int
@@ -637,6 +637,14 @@ class ModelND:
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
+
+    def add_deviations(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Add -log f - entropy of ``out.size`` fresh draws from ``gen`` into
+        ``out`` in stream order, in row chunks of about ``_CHUNK_ELEMENTS`` values."""
+        h, rows = self.entropy, max(1, _CHUNK_ELEMENTS // self.dim)
+        for a in range(0, out.size, rows):
+            x = self.sample(gen, min(rows, out.size - a))
+            out[a:a + rows] += -self.log_density(x) - h
 
 
 class Product(ModelND):
@@ -679,6 +687,17 @@ class Product(ModelND):
                 piece[:, lo:lo + k] = d.sample(gen, len(piece) * k).reshape(-1, k)
                 lo += k
         return out
+
+    def add_deviations(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        # past _CHUNK_ELEMENTS columns, a row at a time, each run in column
+        # pieces: the stream of the row chunks, only the row sums' rounding moves
+        if self.dim <= _CHUNK_ELEMENTS:
+            return super().add_deviations(gen, out)
+        for i in range(out.size):
+            for d, k in self.runs:
+                for a in range(0, k, _CHUNK_ELEMENTS):
+                    x = d.sample(gen, min(_CHUNK_ELEMENTS, k - a))
+                    out[i] -= d.log_pdf(x).sum() + x.size * d.entropy
 
 
 class AffineMap(ModelND):

@@ -14,9 +14,8 @@ the Philox stream, so the result is byte-identical for any worker count.
 A model's deviations split into a part that is Gamma(K, 1) - K in law
 (``ModelND.info_shape``), drawn directly, and a rest (``ModelND.info_rest``:
 the columns with no law, an affine image's base, or a model with no law
-part itself) that ``_draw_deviations`` alone cuts into pieces, so no whole
-block of points is ever held, however wide; ``aep`` draws the grid
-intervals of its trajectories with the same block routine.
+part itself) that adds its own in pieces (``ModelND.add_deviations``), so
+no block of points is held whole; ``aep``'s trajectories use the same routine.
 
 Proportions get Wilson score intervals, which behave sensibly at zero
 observed exceedances; means get the usual normal approximation.  Exponential
@@ -37,7 +36,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import distributions
 from .distributions import _MAX_COUNT, ModelND, RngStream
 from .numerics import DomainError, NumericsError, check_grid
 
@@ -125,31 +123,15 @@ def _check_count(count: int, name: str, least: int = 1) -> None:
 
 def _draw_deviations(gen: np.random.Generator, shape: float,
                      rest: Optional[ModelND], out: np.ndarray) -> None:
-    """Fill ``out`` with information deviations drawn from ``gen``: one
-    ``standard_gamma(shape)`` draw minus ``shape`` for the law part, plus
-    the deviations of ``rest`` (unless None), in order from the same
-    generator in pieces of at most ``_CHUNK_ELEMENTS`` values: row chunks,
-    or for a wider rest, a row at a time, each run in column pieces.
-    ``standard_gamma(0)`` writes zeros without drawing, so a rest with K = 0
-    reads the stream from its start; a NaN or infinity is left to the caller.
-    """
+    """Fill ``out`` with deviations from ``gen``: ``standard_gamma(shape)``
+    minus ``shape``, plus ``rest.add_deviations`` unless rest is None.  A
+    Gamma(0) draw writes zeros and draws nothing, so a rest with K = 0 reads
+    the stream from its start; a NaN or infinity is left to the caller."""
     gen.standard_gamma(shape, out=out)
     out -= shape
-    if rest is None:
-        return
-    h, cut = rest.entropy, distributions._CHUNK_ELEMENTS
-    rows = cut // rest.dim
-    with np.errstate(all="ignore"):
-        if rest.dim > cut:
-            for i in range(out.size):
-                for d, k in rest.runs:
-                    for a in range(0, k, cut):
-                        x = d.sample(gen, min(cut, k - a))
-                        out[i] -= d.log_pdf(x).sum() + x.size * d.entropy
-            return
-        for a in range(0, out.size, rows):
-            x = rest.sample(gen, min(rows, out.size - a))
-            out[a:a + rows] += -rest.log_density(x) - h
+    if rest is not None:
+        with np.errstate(all="ignore"):
+            rest.add_deviations(gen, out)
 
 
 def sample_information(model: ModelND, m: int, rng: RngStream,

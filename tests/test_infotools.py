@@ -285,6 +285,36 @@ class TestSampleInformation:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_wide_rest_that_is_not_a_product(self, model_route):
+        # a rest past _CHUNK_ELEMENTS columns that is not a Product draws a
+        # row at a time through its own sample and log_density: the stream
+        # of the product's column pieces, with only the row sums' rounding
+        # moved, and one 1 MB row of points, not the block
+        product = Product([(gamma(2.0), 2**17 + 3)])
+        want = sample_information(product, 2, RngStream(3)).deviations
+        whole = model_route(product)
+        tracemalloc.start()
+        try:
+            got = sample_information(whole, 2, RngStream(3)).deviations
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert whole.calls["sample"] == whole.calls["log_density"] == 2
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rest_that_is_not_a_product_keeps_the_row_chunk_bytes(
+            self, workers, model_route):
+        # ModelND's default add_deviations is the row-chunk route a narrow
+        # Product takes: the same draws in the same chunks, bit for bit
+        model = Product([(gamma(2.0), 16)])
+        m = 70_000
+        want = sample_information(model, m, RngStream(13), workers=workers)
+        got = sample_information(model_route(model), m, RngStream(13),
+                                 workers=workers)
+        assert got.deviations.tobytes() == want.deviations.tobytes()
+
     def test_column_pieces_of_one_run_move_only_rounding(self, monkeypatch):
         # cut into column pieces of at most 7 values, a one-run rest reads
         # the same stream in the same order as its row chunks: only the

@@ -37,3 +37,25 @@ def test_does_not_import_bounds(name):
 
 def test_the_scan_sees_an_import_of_bounds():
     assert "infoconc.bounds" in imported_modules("cli")
+
+
+def attributes_read(name: str) -> set:
+    """Every attribute name and every bare name a source file uses."""
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+# a rest cuts itself into pieces (ModelND.add_deviations): the block routine
+# reads neither a product's runs nor the cut, and aep no runs (its pool cap
+# may read the cut)
+@pytest.mark.parametrize("name,names", [
+    ("infotools", {"runs", "_CHUNK_ELEMENTS"}),
+    ("aep", {"runs"}),
+])
+def test_the_cut_of_a_rest_stays_in_distributions(name, names):
+    assert not names & attributes_read(name)
+
+
+def test_the_scan_sees_the_cut_of_a_rest():
+    assert {"runs", "_CHUNK_ELEMENTS"} <= attributes_read("distributions")

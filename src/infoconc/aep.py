@@ -20,10 +20,11 @@ Sigma_ij = sigma1^2 rho^|i-j| exists only in the tests, as an independent
 oracle for that law.
 
 A report reads each trajectory only at its grid lengths, so each grid
-interval is drawn whole by ``sample_information``'s block routine (see
-``run_trajectories``).  Trajectories are simulated on ``RngStream.run_blocks``
-in fixed blocks of TRIAL_BLOCK trials, block b drawing from counter offset b
-of the Philox stream, so reports are byte-identical for any worker count.
+interval of d steps is the product of d step densities, which draws its own
+deviations (see ``run_trajectories``).  Trajectories are simulated on
+``RngStream.run_blocks`` in fixed blocks of TRIAL_BLOCK trials, block b
+drawing from counter offset b of the Philox stream, so reports are
+byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -34,10 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from . import distributions
-from .distributions import (Density1D, LOG_2PI, ParameterError, Product,
-                            RngStream, _finite, density_from_spec, spec_reader)
+from .distributions import (Density1D, ParameterError, Product, RngStream,
+                            _finite, density_from_spec, gaussian1d, spec_reader)
 from .infotools import (DEFAULT_CONFIDENCE, McEstimate, _check_count,
-                        _count_exceedances, _draw_deviations)
+                        _count_exceedances)
 from .numerics import DomainError, NumericsError, check_grid
 
 __all__ = [
@@ -55,14 +56,13 @@ TRIAL_BLOCK = 1024
 
 
 class IIDProcess:
-    """Independent copies of a fixed one-dimensional density; a step's
-    ``info_shape`` is its base's."""
+    """Independent copies of a fixed one-dimensional density, the ``base``
+    of each step."""
 
     def __init__(self, base: Density1D):
         self.base = base
         self.entropy_rate = float(base.entropy)
         self.spec = {"process": "iid", "base": base.spec}
-        self.info_shape = base.info_shape
 
     def joint_entropy(self, n: int) -> float:
         return n * self.entropy_rate
@@ -70,10 +70,8 @@ class IIDProcess:
 
 class GaussAR1:
     """Stationary Gaussian autoregression of order one.  The information
-    of a step is a constant plus z^2/2 ~ Gamma(1/2, 1) of its innovation z,
-    so a step's ``info_shape`` is 1/2."""
-
-    info_shape = 0.5
+    of a step is a constant plus z^2/2 of its innovation z, so its deviation
+    has the law of its ``base`` N(0, sd^2)'s, Gamma(1/2, 1) - 1/2."""
 
     def __init__(self, rho: float = 0.5, sd: float = 1.0):
         rho, sd = _finite(rho, "autoregression rho"), _finite(sd, "innovation sd")
@@ -82,8 +80,9 @@ class GaussAR1:
         if sd <= 0.0:
             raise ParameterError(f"innovation scale must be positive, got {sd!r}")
         self.rho, self.sd = rho, sd
+        self.base = gaussian1d(0.0, sd)
         self.sigma1_sq = sd * sd / (1.0 - rho * rho)
-        self.entropy_rate = 0.5 * (LOG_2PI + 1.0) + math.log(sd)
+        self.entropy_rate = self.base.entropy
         self.spec = {"process": "gauss_ar1", "params": {"rho": self.rho, "sd": self.sd}}
 
     def joint_entropy(self, n: int) -> float:
@@ -162,15 +161,15 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     """Simulate ``trials`` trajectories and record -log f_n / n at each n.
 
     A block of trials fills one row per grid interval with the deviations
-    of its steps, by ``infotools``' block routine, and -log f_n is h_n plus
-    the cumulative sum of the rows up to n.  An interval of d steps,
-    whatever d is, is one Gamma(k d, 1) - k d draw with a step shape k, or
-    else the one-run rest ``Product([(base, d)])`` of an i.i.d. base with no
-    law, which cuts itself into pieces, so a worker's memory stays bounded.
-    At most one worker starts per ``distributions._CHUNK_ELEMENTS`` draws:
-    thread hand-offs cost more than a few law draws.  A length, trial count
-    or (trials, grid) size past ``_MAX_COUNT`` raises DomainError, a NaN or
-    infinite deviation NumericsError.
+    of its steps, and -log f_n is h_n plus the cumulative sum of the rows up
+    to n.  An interval of d steps, whatever d is, is the one-run product
+    ``Product([(process.base, d)])``, which draws its own deviations: one
+    Gamma(k d, 1) - k d draw for a base of shape k, or else its steps in
+    pieces, so a worker's memory stays bounded.  At most one worker starts
+    per ``distributions._CHUNK_ELEMENTS`` draws: thread hand-offs cost more
+    than a few law draws.  A length, trial count or (trials, grid) size past
+    ``_MAX_COUNT`` raises DomainError, a NaN or infinite deviation
+    NumericsError.
     """
     grid = check_grid(n_grid, "length grid")
     if grid[0] < 1.0 or np.any(grid != np.floor(grid)):
@@ -179,11 +178,9 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     grid = grid.astype(np.int64)
     _check_count(trials, "trial count", least=2)
     _check_count(trials * grid.size, "trial count times grid lengths")
-    k = process.info_shape
-    intervals = [(k * d, None) if k is not None
-                 else (0.0, Product([(process.base, d)]))
+    intervals = [Product([(process.base, d)])
                  for d in np.diff(grid, prepend=0).tolist()]
-    draws = grid.size if k is not None else int(grid[-1])
+    draws = grid.size if process.base.info_shape is not None else int(grid[-1])
     workers = min(workers, -(-trials * draws // distributions._CHUNK_ELEMENTS))
     joint = np.array([process.joint_entropy(int(n)) for n in grid])
     info = np.empty((trials, grid.size))
@@ -192,8 +189,8 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
         dev = np.empty((grid.size, hi - lo))
         # a NaN or infinity is reported once, below, not warned of per block
         with np.errstate(all="ignore"):
-            for row, (shape, rest) in zip(dev, intervals):
-                _draw_deviations(gen, shape, rest, row)
+            for row, interval in zip(dev, intervals):
+                interval.draw_deviations(gen, row)
             np.cumsum(dev, axis=0, out=dev)
             dev += joint[:, None]
             dev /= grid[:, None]

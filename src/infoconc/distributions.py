@@ -85,7 +85,9 @@ class ParameterError(ValueError):
 
 
 def _finite(value, what: str) -> float:
-    """value as a float; NaN or an infinity is a ParameterError naming it."""
+    """value as a float; a bool, NaN or infinity is a ParameterError naming it."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{what} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ParameterError(f"{what} must be finite, got {value!r}")
@@ -593,9 +595,9 @@ _FAMILIES = {
 # n-dimensional models
 # ---------------------------------------------------------------------------
 
-# Array elements per piece of work (a row chunk of ModelND.add_deviations,
-# ModelND.log_density or Product.sample, or a column piece of a wider
-# product's add_deviations; an eighth of it caps a rejection round): 512 KB
+# Array elements per piece of work (a row chunk of ModelND.draw_deviations,
+# ModelND.log_density or Product.sample, or a column piece of a run in
+# Product.draw_deviations; an eighth of it caps a rejection round): 512 KB
 # arrays, which stay in cache, whatever the block length and dimension.
 _CHUNK_ELEMENTS = 2**16
 
@@ -608,18 +610,15 @@ class ModelND:
     any leading shape, about ``_CHUNK_ELEMENTS`` array elements at a time.
     A row's value does not depend on the chunk it falls in.
 
-    The information deviation -log f(X) - entropy splits into a law part,
-    Gamma(K, 1) - K in law (K = 0: identically 0), plus the deviation of
-    ``info_rest`` at independent points, or nothing when it is None;
-    ``info_shape`` is K, or None when no part has a law and the model is its
-    own rest.  A model sets both once, at construction; a rest draws its
-    deviations with ``add_deviations``.
+    A model draws its own information deviations -log f(X) - entropy with
+    ``draw_deviations``.  ``info_shape`` is K when a part of them is
+    Gamma(K, 1) - K in law (K = 0: identically 0), or None when no part has
+    a law; a model sets it once, at construction.
     """
 
     dim: int
     entropy: float
     info_shape: Optional[float] = None
-    info_rest: Optional["ModelND"] = None
 
     def log_density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -638,13 +637,13 @@ class ModelND:
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def add_deviations(self, gen: np.random.Generator, out: np.ndarray) -> None:
-        """Add -log f - entropy of ``out.size`` fresh draws from ``gen`` into
-        ``out`` in stream order, in row chunks of about ``_CHUNK_ELEMENTS`` values."""
+    def draw_deviations(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Write -log f - entropy of ``out.size`` fresh draws into ``out`` in
+        stream order; by default row chunks of ``sample`` and ``log_density``."""
         h, rows = self.entropy, max(1, _CHUNK_ELEMENTS // self.dim)
         for a in range(0, out.size, rows):
             x = self.sample(gen, min(rows, out.size - a))
-            out[a:a + rows] += -self.log_density(x) - h
+            out[a:a + rows] = -self.log_density(x) - h
 
 
 class Product(ModelND):
@@ -659,13 +658,11 @@ class Product(ModelND):
         self.dim = _count(sum(k for _, k in self.runs), "product dimension")
         self.entropy = float(sum(d.entropy * k for d, k in self.runs))
         # a sum of independent Gamma(k_i, 1) is Gamma(sum k_i, 1); the runs
-        # with no law, in column order, are the rest
-        rest = [(d, k) for d, k in self.runs if d.info_shape is None]
-        if len(rest) < len(self.runs):
+        # with no law, in column order, are drawn and evaluated
+        self._free = [(d, k) for d, k in self.runs if d.info_shape is None]
+        if len(self._free) < len(self.runs):
             self.info_shape = float(sum(d.info_shape * k for d, k in self.runs
                                         if d.info_shape is not None))
-            if rest:
-                self.info_rest = Product(rest)
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         # sums the same C-contiguous layout as stacking one log_pdf per column
@@ -688,16 +685,22 @@ class Product(ModelND):
                 lo += k
         return out
 
-    def add_deviations(self, gen: np.random.Generator, out: np.ndarray) -> None:
-        # past _CHUNK_ELEMENTS columns, a row at a time, each run in column
-        # pieces: the stream of the row chunks, only the row sums' rounding moves
-        if self.dim <= _CHUNK_ELEMENTS:
-            return super().add_deviations(gen, out)
-        for i in range(out.size):
-            for d, k in self.runs:
-                for a in range(0, k, _CHUNK_ELEMENTS):
-                    x = d.sample(gen, min(_CHUNK_ELEMENTS, k - a))
-                    out[i] -= d.log_pdf(x).sum() + x.size * d.entropy
+    def draw_deviations(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        # a Gamma draw for the law runs (Gamma(0) draws nothing), then the
+        # other runs in row chunks and column pieces: sample's stream at any width
+        shape = self.info_shape or 0.0
+        gen.standard_gamma(shape, out=out)
+        out -= shape
+        if not self._free:
+            return
+        rows = max(1, _CHUNK_ELEMENTS // sum(k for _, k in self._free))
+        for a in range(0, out.size, rows):
+            part = out[a:a + rows]
+            for d, k in self._free:
+                for c in range(0, k, _CHUNK_ELEMENTS):
+                    w = min(_CHUNK_ELEMENTS, k - c)
+                    x = d.sample(gen, part.size * w)
+                    part -= d.log_pdf(x).reshape(-1, w).sum(axis=1) + w * d.entropy
 
 
 class AffineMap(ModelND):
@@ -723,9 +726,7 @@ class AffineMap(ModelND):
         self.entropy = base.entropy + self._logabsdet
         # log|det T| enters -log f and the entropy alike, so each point's
         # deviation is its base point's
-        self.info_shape, self.info_rest = base.info_shape, base.info_rest
-        if self.info_shape is None:
-            self.info_shape, self.info_rest = 0.0, base
+        self.info_shape = base.info_shape
 
     def _log_density_rows(self, rows: np.ndarray) -> np.ndarray:
         pre = (rows - self.shift) @ self._inverse_t
@@ -737,6 +738,9 @@ class AffineMap(ModelND):
         y = self.base.sample(gen, size) @ self.matrix.T
         y += self.shift
         return y
+
+    def draw_deviations(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        self.base.draw_deviations(gen, out)
 
 
 class BallUniform(ModelND):
@@ -766,6 +770,9 @@ class BallUniform(ModelND):
         u = gen.random(size)
         r = self.radius * u ** (1.0 / self.dim)
         return z * (r / norms)[:, np.newaxis]
+
+    def draw_deviations(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        out[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

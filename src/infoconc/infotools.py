@@ -11,11 +11,10 @@ the entropy-typical set, and the variance.  Sampling runs on
 ``RngStream.run_blocks``, the one block schedule of the package, in fixed
 blocks of ``BLOCK_SIZE`` draws, each sourced from its own counter offset of
 the Philox stream, so the result is byte-identical for any worker count.
-A model's deviations split into a part that is Gamma(K, 1) - K in law
-(``ModelND.info_shape``), drawn directly, and a rest (``ModelND.info_rest``:
-the columns with no law, an affine image's base, or a model with no law
-part itself) that adds its own in pieces (``ModelND.add_deviations``), so
-no block of points is held whole; ``aep``'s trajectories use the same routine.
+Each block is one ``ModelND.draw_deviations`` call: the model draws its own
+deviations, the part with a Gamma law directly and the rest in pieces, so
+no block of points is held whole; ``aep``'s trajectories draw theirs the
+same way.
 
 Proportions get Wilson score intervals, which behave sensibly at zero
 observed exceedances; means get the usual normal approximation.  Exponential
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,41 +120,25 @@ def _check_count(count: int, name: str, least: int = 1) -> None:
         raise DomainError(f"{name} must lie in [{least}, {_MAX_COUNT}], got {count!r}")
 
 
-def _draw_deviations(gen: np.random.Generator, shape: float,
-                     rest: Optional[ModelND], out: np.ndarray) -> None:
-    """Fill ``out`` with deviations from ``gen``: ``standard_gamma(shape)``
-    minus ``shape``, plus ``rest.add_deviations`` unless rest is None.  A
-    Gamma(0) draw writes zeros and draws nothing, so a rest with K = 0 reads
-    the stream from its start; a NaN or infinity is left to the caller."""
-    gen.standard_gamma(shape, out=out)
-    out -= shape
-    if rest is not None:
-        with np.errstate(all="ignore"):
-            rest.add_deviations(gen, out)
-
-
 def sample_information(model: ModelND, m: int, rng: RngStream,
                        workers: int = 1) -> InfoSampleBatch:
     """Draw m samples and return their information deviations.
 
     Work is partitioned by ``rng.run_blocks`` into fixed blocks of
     BLOCK_SIZE draws, so the deviations array is identical for any
-    ``workers`` value; each block is one ``_draw_deviations`` call from its
-    own generator, K the model's ``info_shape`` and the rest its
-    ``info_rest``, or K = 0 and the model itself when it has no law part.
-    No more workers start than there are blocks.  A count m outside
-    [1, _MAX_COUNT] raises DomainError, and a deviation that is NaN or
-    infinite, as from draws that overflow, NumericsError: no tail count or
-    moment of it means anything.
+    ``workers`` value; each block is one ``model.draw_deviations`` call from
+    its own generator.  No more workers start than there are blocks.  A
+    count m outside [1, _MAX_COUNT] raises DomainError, and a deviation that
+    is NaN or infinite, as from draws that overflow, NumericsError: no tail
+    count or moment of it means anything.
     """
     _check_count(m, "sample count")
     out = np.empty(m, dtype=float)
-    shape, rest = model.info_shape, model.info_rest
-    if shape is None:
-        shape, rest = 0.0, model
 
     def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-        _draw_deviations(gen, shape, rest, out[lo:hi])
+        # a NaN or infinity is reported once, below, not warned of per block
+        with np.errstate(all="ignore"):
+            model.draw_deviations(gen, out[lo:hi])
 
     rng.run_blocks(m, BLOCK_SIZE, run_block, min(workers, -(-m // BLOCK_SIZE)))
     if not np.isfinite(out).all():

@@ -20,10 +20,10 @@ def positive_zoo() -> list:
 
 
 class WholeModel(ModelND):
-    """``model`` with neither an information law nor a rest, and not a
-    ``Product``, so that ``sample_information`` draws it whole by
-    ``ModelND.add_deviations``: row chunks (one row, past 2^16 columns) of
-    ``model.sample`` and ``model.log_density``; ``calls`` counts both."""
+    """``model`` with no information law, and not a ``Product``, so that
+    ``sample_information`` draws it by ``ModelND.draw_deviations``'s
+    default: row chunks (one row, past 2^16 columns) of ``model.sample`` and
+    ``model.log_density``; ``calls`` counts both."""
 
     def __init__(self, model):
         self.model = model

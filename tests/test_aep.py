@@ -31,6 +31,7 @@ from infoconc.aep import (
     GaussAR1,
     IIDProcess,
     TRIAL_BLOCK,
+    process_from_spec,
     run_trajectories,
 )
 from infoconc.bounds import HOLDS, compare, per_coordinate_tail_bound
@@ -94,7 +95,7 @@ def assert_same_law(process, seed):
     law = run_trajectories(process, LAW_GRID, LAW_TRIALS, RngStream(seed)).info
     steps = step_route_info(process, LAW_GRID, LAW_TRIALS,
                             RngStream(seed, stream_id=1).generator())
-    k = process.info_shape
+    k = process.base.info_shape
     for j, n in enumerate(LAW_GRID):
         mean = process.joint_entropy(n) / n
         if k == 0.0:  # no randomness: both routes give the entropy rate
@@ -156,23 +157,34 @@ class TestProcessDefinitions:
             with pytest.raises(ParameterError, match=f"{name} must be finite"):
                 GaussAR1(rho, sd)
 
+    @pytest.mark.parametrize("spec,name", [
+        ({"process": "gauss_ar1", "params": {"sd": True}}, "innovation sd"),
+        ({"process": "gauss_ar1", "params": {"rho": False}}, "autoregression rho"),
+        ({"process": "iid", "base": {"family": "gamma", "params": {"p": True}}},
+         "gamma shape p"),
+    ], ids=["ar1_sd", "ar1_rho", "iid_gamma_p"])
+    def test_boolean_parameters_are_refused(self, spec, name):
+        # JSON true is a bool, not the number 1
+        with pytest.raises(ParameterError, match=f"{name} must be a number"):
+            process_from_spec(spec)
+
     def test_iid_process_passes_the_base_law_through(self):
-        assert IIDProcess(laplace()).info_shape == 1.0
-        assert IIDProcess(uniform()).info_shape == 0.0
-        assert IIDProcess(gamma(2.0)).info_shape is None
+        assert IIDProcess(laplace()).base.info_shape == 1.0
+        assert IIDProcess(uniform()).base.info_shape == 0.0
+        assert IIDProcess(gamma(2.0)).base.info_shape is None
 
     def test_ar1_law_constants_match_joint_entropy(self):
         # pointwise, -log f_n(x) is h_n plus the deviations z^2/2 - 1/2 of
         # the standardized innovations: the joint entropy holds every
         # constant, and a step's shape is 1/2
         proc = GaussAR1(0.7, 1.3)
-        assert proc.info_shape == 0.5
+        assert proc.base.info_shape == 0.5
         z = np.random.default_rng(5).standard_normal((4, 12))
         x = np.empty_like(z)
         x[:, 0] = math.sqrt(proc.sigma1_sq) * z[:, 0]
         for k in range(1, 12):
             x[:, k] = proc.rho * x[:, k - 1] + proc.sd * z[:, k]
-        dev = np.cumsum(0.5 * z * z - proc.info_shape, axis=1)
+        dev = np.cumsum(0.5 * z * z - proc.base.info_shape, axis=1)
         for n in (1, 2, 12):
             info = -dense_gaussian_log_density(x[:, :n], proc.rho, proc.sd)
             assert np.allclose(info, proc.joint_entropy(n) + dev[:, n - 1],
@@ -228,7 +240,7 @@ class TestInformationLaw:
 class NanLaw:
     """A process with a step shape whose joint entropy is NaN."""
     entropy_rate = 1.0
-    info_shape = 1.0
+    base = laplace()
 
     def joint_entropy(self, n):
         return math.nan
@@ -237,8 +249,8 @@ class NanLaw:
 class NanSteps:
     """A process drawn step by step whose steps are NaN."""
     entropy_rate = 1.0
-    info_shape = None
-    base = replace(uniform(), _log_pdf=lambda y: np.full(y.shape, math.nan))
+    base = replace(uniform(), info_shape=None,
+                   _log_pdf=lambda y: np.full(y.shape, math.nan))
 
     def joint_entropy(self, n):
         return float(n)
@@ -366,7 +378,7 @@ class TestStreamedBlocks:
         want = run_trajectories(process, grid, trials, rng).info
         monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)
         got = run_trajectories(process, grid, trials, rng, workers=workers).info
-        if process.info_shape is None and max(np.diff(grid, prepend=0)) > budget:
+        if process.base.info_shape is None and max(np.diff(grid, prepend=0)) > budget:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         else:
             assert got.tobytes() == want.tobytes()

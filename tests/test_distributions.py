@@ -702,7 +702,7 @@ def test_product_builds_in_its_runs_at_any_dim(spec, shape):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert (len(m.runs), m.dim, m.info_shape, m.info_rest) == (1, 10**12, shape, None)
+    assert (len(m.runs), m.dim, m.info_shape) == (1, 10**12, shape)
 
 
 def test_product_dimension_past_the_count_bound_is_refused():
@@ -950,6 +950,19 @@ def test_non_finite_parameters_are_named(build, name):
             build()
 
 
+@pytest.mark.parametrize("spec,name", [
+    ({"family": "gamma", "params": {"p": True}}, "gamma shape p"),
+    ({"family": "gaussian1d", "params": {"sigma": True}}, "gaussian1d sigma"),
+    ({"family": "uniform", "params": {"a": False}}, "uniform a"),
+    ({"family": "ball_uniform", "params": {"dim": 2, "radius": True}},
+     "ball radius"),
+], ids=["gamma_p", "gaussian1d_sigma", "uniform_a", "ball_radius"])
+def test_boolean_parameters_are_refused(spec, name):
+    # JSON true is a bool, not the number 1
+    with pytest.raises(ParameterError, match=f"{name} must be a number"):
+        model_from_spec(spec)
+
+
 def test_information_law_mean_is_the_entropy():
     # -log f(X) - h = Gamma(k, 1) - k in law: over the family's own draws,
     # -log f(X) has mean h and variance k; the shapes are checked in law
@@ -971,34 +984,23 @@ def test_information_law_mean_is_the_entropy():
 
 
 def test_information_split():
-    # (info_shape, rest runs): the law runs' shapes times copies add up to K
-    # and the rest keeps the other runs in order; with no law component
-    # info_shape is None and the model is drawn whole, and an affine image
-    # splits as its base, with a base that has no law as its rest
+    # the law runs' shapes times copies add up to K; with no law component
+    # info_shape is None, and an affine image has its base's
     g2 = gamma(2.0)
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
-    mixed = model_from_spec(MIXED8)
     no_law = Product([(g2, 2)])
-    for model, shape, rest in [
-        (model_from_spec({"family": "gamma", "params": {"p": 2.0}}), None, None),
-        (no_law, None, None),
-        (mixed, 3.5, [mixed.runs[1]]),
-        (Product([(bump, 1), (exponential(), 1), (g2, 1), (laplace(), 1)]),
-         2.0, [(bump, 1), (g2, 1)]),
+    for model, shape in [
+        (model_from_spec({"family": "gamma", "params": {"p": 2.0}}), None),
+        (no_law, None),
+        (model_from_spec(MIXED8), 3.5),
+        (Product([(bump, 1), (exponential(), 1), (g2, 1), (laplace(), 1)]), 2.0),
         (AffineMap(Product([(g2, 1), (exponential(), 1)]),
-                   [[2.0, 0.0], [1.0, 1.0]]), 1.0, [(g2, 1)]),
-        (AffineMap(no_law, [[2.0, 0.0], [1.0, 1.0]]), 0.0, [(g2, 2)]),
+                   [[2.0, 0.0], [1.0, 1.0]]), 1.0),
+        (AffineMap(no_law, [[2.0, 0.0], [1.0, 1.0]]), None),
+        (standard_normal(6), 3.0),
+        (BallUniform(3), 0.0),
     ]:
         assert model.info_shape == shape
-        if rest is None:
-            assert model.info_rest is None
-        else:
-            assert [(id(d), k) for d, k in model.info_rest.runs] == [
-                (id(d), k) for d, k in rest]
-            assert model.info_rest.info_shape is None
-    assert AffineMap(no_law, np.eye(2)).info_rest is no_law
-    assert (standard_normal(6).info_shape, standard_normal(6).info_rest) == (3.0, None)
-    assert (BallUniform(3).info_shape, BallUniform(3).info_rest) == (0.0, None)
 
 
 def test_density_from_spec_dispatch():

@@ -303,17 +303,31 @@ class TestSampleInformation:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert peak < 6 * 2**20
 
+    @pytest.mark.parametrize("case", ["one_run", "two_rows_a_chunk",
+                                      "two_runs", "affine_image"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rest_that_is_not_a_product_keeps_the_row_chunk_bytes(
-            self, workers, model_route):
-        # ModelND's default add_deviations is the row-chunk route a narrow
-        # Product takes: the same draws in the same chunks, bit for bit
-        model = Product([(gamma(2.0), 16)])
+            self, workers, case, model_route, monkeypatch):
+        # ModelND's default draw_deviations takes the row chunks of a
+        # Product's one loop: the same draws in the same chunks, bit for bit
+        # for one run, at the default cut or at a cut of 7 values (chunks of
+        # two 3-column rows); two runs are summed run by run, so only the
+        # rounding moves.  An affine image draws its base's deviations
+        two_runs = [(gamma(2.0), 3), (gamma(3.0), 2)]
+        product = Product({"one_run": [(gamma(2.0), 16)],
+                           "two_rows_a_chunk": [(gamma(2.0), 3)],
+                           "two_runs": two_runs, "affine_image": two_runs}[case])
+        if case == "two_rows_a_chunk":
+            monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 7)
+        other = (AffineMap(product, 2.0 * np.eye(product.dim))
+                 if case == "affine_image" else model_route(product))
         m = 70_000
-        want = sample_information(model, m, RngStream(13), workers=workers)
-        got = sample_information(model_route(model), m, RngStream(13),
-                                 workers=workers)
-        assert got.deviations.tobytes() == want.deviations.tobytes()
+        want = sample_information(product, m, RngStream(13), workers=workers)
+        got = sample_information(other, m, RngStream(13), workers=workers)
+        if case == "two_runs":
+            assert np.abs(got.deviations - want.deviations).max() <= 1e-12
+        else:
+            assert got.deviations.tobytes() == want.deviations.tobytes()
 
     def test_column_pieces_of_one_run_move_only_rounding(self, monkeypatch):
         # cut into column pieces of at most 7 values, a one-run rest reads
@@ -333,7 +347,7 @@ class TestSampleInformation:
         # draw first either way
         model = Product([(gamma(2.0), 5), (exponential(), 3), (gamma(5.0), 4),
                          (gamma(1.5), 9)])
-        assert model.info_rest.dim == 18
+        assert sum(k for d, k in model.runs if d.info_shape is None) == 18
         monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 18)
         want = sample_information(model, 500, RngStream(6)).deviations
         monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", budget)

@@ -46,16 +46,19 @@ def attributes_read(name: str) -> set:
             | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
 
 
-# a rest cuts itself into pieces (ModelND.add_deviations): the block routine
-# reads neither a product's runs nor the cut, and aep no runs (its pool cap
-# may read the cut)
+# a model draws its own deviations (ModelND.draw_deviations): the block
+# routine reads neither a product's runs, nor the cut, nor the information
+# law, and aep neither runs nor the law draw (its pool cap may read the cut
+# and its base's shape)
 @pytest.mark.parametrize("name,names", [
-    ("infotools", {"runs", "_CHUNK_ELEMENTS"}),
-    ("aep", {"runs"}),
+    ("infotools", {"runs", "_CHUNK_ELEMENTS", "standard_gamma", "info_shape",
+                   "info_rest"}),
+    ("aep", {"runs", "standard_gamma", "info_rest"}),
 ])
 def test_the_cut_of_a_rest_stays_in_distributions(name, names):
     assert not names & attributes_read(name)
 
 
 def test_the_scan_sees_the_cut_of_a_rest():
-    assert {"runs", "_CHUNK_ELEMENTS"} <= attributes_read("distributions")
+    assert ({"runs", "_CHUNK_ELEMENTS", "standard_gamma"}
+            <= attributes_read("distributions"))

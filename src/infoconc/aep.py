@@ -23,8 +23,8 @@ A report reads each trajectory only at its grid lengths, so each grid
 interval of d steps is the product of d step densities, which draws its own
 deviations (see ``run_trajectories``).  Trajectories are simulated on
 ``RngStream.run_blocks`` in fixed blocks of TRIAL_BLOCK trials, block b
-drawing from counter offset b of the Philox stream, so reports are
-byte-identical for any worker count.
+drawing from its own keyed SFC64 generator, so reports are byte-identical
+for any worker count.
 """
 from __future__ import annotations
 

@@ -17,9 +17,9 @@ brings its own sampler: Marsaglia and Tsang's squeeze method (numpy's
 ``standard_gamma``) for gamma(p) with p > 1, and for custom densities from
 ``from_log_density`` acceptance-rejection under the universal envelope for
 log-concave densities (flat cap of height f(mode) with exponential tails,
-anchored at the mode).  Randomness comes from counter-based Philox streams
-keyed by (seed, stream_id), so any partition of the work across workers
-reproduces the same values.
+anchored at the mode).  Randomness comes from one SFC64 generator per
+block, keyed by (seed, stream_id, block), so any partition of the work
+across workers reproduces the same values.
 
 The n-dimensional models work on row chunks of points: a product draws
 and evaluates each run once per chunk, its columns filled row by row, and
@@ -95,7 +95,12 @@ def _finite(value, what: str) -> float:
 
 
 def _finite_array(value, what: str) -> np.ndarray:
-    """value as a float array; a NaN or an infinity is a ParameterError."""
+    """value as a float array; a bool entry, a NaN or an infinity is a ParameterError."""
+    # [true, 0] converts to int64, so a list's entries are looked at one by one
+    raw = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    if raw.dtype == bool or raw.dtype == object and any(
+            isinstance(v, (bool, np.bool_)) for v in raw.flat):
+        raise ParameterError(f"{what} must hold numbers, not booleans")
     value = np.asarray(value, dtype=np.float64)
     if not np.isfinite(value).all():
         raise ParameterError(f"{what} must be finite")
@@ -122,11 +127,12 @@ def _count(value, what: str, most: float = _MAX_COUNT) -> int:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based splittable random stream.
+    """Splittable random stream keyed by (seed, stream_id, block).
 
     A (seed, stream_id) pair names one logical stream; ``generator(block)``
-    opens a view at counter offset block * 2**128, so disjoint blocks never
-    overlap and a batch partitioned into fixed-size blocks is reproduced
+    is an SFC64 generator seeded by a SeedSequence of the six 32-bit words
+    (low, high) of seed, stream_id and block, so each block has its own
+    stream and a batch partitioned into fixed-size blocks is reproduced
     bit-for-bit regardless of how blocks are scheduled across workers.
     """
 
@@ -140,17 +146,19 @@ class RngStream:
             raise ParameterError(f"stream_id must be a 64-bit unsigned integer, got {self.stream_id!r}")
 
     def generator(self, block: int = 0) -> np.random.Generator:
-        if block < 0:
-            raise ParameterError(f"block index must be nonnegative, got {block!r}")
-        key = self.seed + (self.stream_id << 64)
-        return np.random.Generator(np.random.Philox(key=key, counter=block << 128))
+        if not (0 <= block < _U64):
+            raise ParameterError(f"block index must be a 64-bit unsigned integer, got {block!r}")
+        # fixed-width words keep the key injective: SeedSequence alone reads (2**32, 0) as (0, 1)
+        words = [v >> shift & 0xFFFFFFFF
+                 for v in (self.seed, self.stream_id, block) for shift in (0, 32)]
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
     def run_blocks(self, total: int, block: int,
                    work: Callable[[np.random.Generator, int, int], None],
                    workers: int = 1) -> None:
         """The one block schedule: ``work(generator(b), lo, hi)`` for each
         block b, [lo, hi) = [b * block, min((b + 1) * block, total)), on
-        ``workers`` threads.  Block b always draws from counter offset b, so
+        ``workers`` threads.  Block b always draws from ``generator(b)``, so
         work that writes only its own [lo, hi) gives the same result for any
         ``workers``."""
         if workers < 1:

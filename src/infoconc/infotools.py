@@ -9,8 +9,8 @@ All experiments reduce to statistics of a large batch of such deviations:
 tail probabilities at scaled thresholds, exponential moments, coverage of
 the entropy-typical set, and the variance.  Sampling runs on
 ``RngStream.run_blocks``, the one block schedule of the package, in fixed
-blocks of ``BLOCK_SIZE`` draws, each sourced from its own counter offset of
-the Philox stream, so the result is byte-identical for any worker count.
+blocks of ``BLOCK_SIZE`` draws, each sourced from its own keyed SFC64
+generator, so the result is byte-identical for any worker count.
 Each block is one ``ModelND.draw_deviations`` call: the model draws its own
 deviations, the part with a Gamma law directly and the rest in pieces, so
 no block of points is held whole; ``aep``'s trajectories draw theirs the
@@ -28,15 +28,15 @@ windows, vacuity and verdicts.
 """
 from __future__ import annotations
 
+import functools
 import math
-import statistics
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import _MAX_COUNT, ModelND, RngStream
-from .numerics import DomainError, NumericsError, check_grid
+from .numerics import DomainError, NumericsError, check_grid, normal_quantile
 
 __all__ = [
     "BLOCK_SIZE",
@@ -52,17 +52,19 @@ __all__ = [
     "deviation_mean",
 ]
 
-# Draws per RNG block.  Fixed by design: changing it changes which Philox
-# counter produces which sample, hence the byte-level output.
+# Draws per RNG block.  Fixed by design: changing it changes which block's
+# generator produces which sample, hence the byte-level output.
 BLOCK_SIZE = 65536
 
 DEFAULT_CONFIDENCE = 0.999
 
 
+@functools.lru_cache(maxsize=16)  # a run asks for one level, row after row
 def _z_value(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise DomainError(f"confidence must lie in (0, 1), got {confidence!r}")
-    return statistics.NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+    # the tail 0.5 * (1 - c) is exact, where 0.5 * (1 + c) would round it
+    return float(normal_quantile(0.5 * confidence, 0.5 * (1.0 - confidence)))
 
 
 @dataclass(frozen=True)

@@ -485,6 +485,15 @@ class TestOtherBatchCommands:
         first = lines[1].split(",")
         assert float(first[1]) == 1.0 and first[-1] == "HOLDS"
 
+    def test_mgf_seed_high_word_is_not_the_stream(self, tmp_path):
+        # seed 2^32 and (seed 0, stream 1) name different streams
+        high, stream = tmp_path / "seed_high.csv", tmp_path / "stream_1.csv"
+        for flags, csv in ((["--seed", "4294967296"], high),
+                           (["--seed", "0", "--stream", "1"], stream)):
+            assert main(["mgf", "--model", "exponential", "--samples", "1000",
+                         *flags, "--out-csv", str(csv)]) == 0
+        assert high.read_bytes() != stream.read_bytes()
+
     def test_mgf_one_sided_negative_alpha(self, tmp_path):
         # e^(a y) <= e^(|a| |y|), so a negative one-sided alpha is compared
         # with the bound at |alpha|

@@ -384,6 +384,19 @@ def test_streams_differ_by_id_and_block():
     assert not np.array_equal(base, blocked)
 
 
+@pytest.mark.parametrize("a,b", [((2**32, 0, 0), (0, 1, 0)),
+                                 ((0, 2**32, 0), (0, 0, 1))],
+                         ids=["seed_high_word", "stream_high_word"])
+def test_stream_key_is_injective(a, b):
+    # each pair is one stream under the key SeedSequence([seed, stream, b]),
+    # which splits an int into as many 32-bit words as it needs
+    def first(seed, stream_id, block):
+        return RngStream(seed, stream_id).generator(block).random(8)
+
+    assert not np.array_equal(first(*a), first(*b))
+    assert np.array_equal(first(*a), first(*a))
+
+
 def test_stream_validation():
     with pytest.raises(ParameterError):
         RngStream(seed=-1)
@@ -391,6 +404,8 @@ def test_stream_validation():
         RngStream(seed=0, stream_id=2**64)
     with pytest.raises(ParameterError):
         RngStream(seed=0).generator(block=-1)
+    with pytest.raises(ParameterError):
+        RngStream(seed=0).generator(block=2**64)
 
 
 @pytest.mark.parametrize("total", [3 * 4 - 1, 3 * 4, 3 * 4 + 1])
@@ -960,6 +975,23 @@ def test_non_finite_parameters_are_named(build, name):
 def test_boolean_parameters_are_refused(spec, name):
     # JSON true is a bool, not the number 1
     with pytest.raises(ParameterError, match=f"{name} must be a number"):
+        model_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec,name", [
+    ({"family": "affine", "params": {"base": {"family": "exponential"},
+                                     "matrix": [[True]]}}, "affine map matrix"),
+    ({"family": "affine", "params": {"base": {"family": "exponential"},
+                                     "matrix": [[2.0]], "shift": [True]}},
+     "affine map shift"),
+    ({"family": "gaussian", "params": {"mean": [True, 0],
+                                       "cov_factor": [[1.0, 0.0], [0.0, 1.0]]}},
+     "gaussian mean"),
+], ids=["affine_matrix", "affine_shift", "gaussian_mean"])
+def test_boolean_array_entries_are_refused(spec, name):
+    # [[true]] converts to a bool array and [true, 0] to int64, so each
+    # entry is looked at, not only the array's dtype
+    with pytest.raises(ParameterError, match=f"{name} must hold numbers"):
         model_from_spec(spec)
 
 

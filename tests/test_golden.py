@@ -147,21 +147,21 @@ CASES = {
 # SHA-256 of each case, taken with DIGEST_VERSIONS
 DIGESTS = {
     "aep_gauss_ar1":
-        "35865e247f481a2baa7fa19f789baa2910f663cf24a564c89e9338116a873096",
+        "1442859a0ef15de5892b28c966a17a8be4f36c9b196a96cf48e2eeb46356d383",
     "aep_iid_exponential":
-        "6ab68160264becb810b890bba4e5b04b5e7a5e1abc2bd78c3996222eec0a32e0",
+        "4310af8b25759792b088b226615da5b235b148301a7c9f62291afaa7c4eb994b",
     "aep_iid_gamma2":
-        "dff1d3bc29fd53b699a051acb5078e61225ddfdf66b65d8493497c7a7b1be310",
+        "c73635de33bb9ffd9a4755b50df5faac69b135df9dec20290dbe2ac337a8bb75",
     "aep_iid_json_workers2":
-        "b8c47ec8adfb683264b45097cee70a98df92a2e600a35196931471817ca1e3c3",
+        "1379e6a3632ad5427bed7b8db98432d27d24c1e1debeb319b022ebe218033241",
     "aep_process_file":
-        "02d8e2a7f9340d9e53db5e1b7f515459b82f5e3107b9ee24568a8fee960fd870",
+        "a7abbecf494bf5c2716453733ac96b0c075d1d9d9520c4f11bbdff88ce95e210",
     "entropy_power_affine":
-        "9eef1b15a02cc8405b8292038a538d376b96e30523b6c806988699acf904715b",
+        "6416fd567aba6c8472d38a42fefcd1b8bfd71d3f5edb160e0b8fbd77ac0e850f",
     "entropy_power_gaussian":
         "2a49e2b709410d5b974ff7e071dc3da0735803eec90776f1df89ffb1cd007d11",
     "entropy_power_past_window":
-        "3954931fc6ee3045760ecf04a51e3d3066283f61ad56be52da378de5a2c0439e",
+        "a8daf38ef8db239c6c4dd49e773c1f61d8a465a45f77c4f556fe556f260118de",
     "list_bounds":
         "89dce6cb65bbb93671f23fa6eb381e218fa9d8c539a721c5799e355cce2be0e8",
     "lyapunov_exp_normalized":
@@ -171,11 +171,11 @@ DIGESTS = {
     "lyapunov_half_normal_hat":
         "b7e2f2b244763579acbdcf8cb58e05846725e0f8a42082e24d2ad6621d2881ce",
     "mgf_gaussian":
-        "6d3455fec52b54f5c1a255edd8e5e4db4ebd34a2c8d3b2fd6c1c9b75a194521e",
+        "486701043f2935693cd7af6083d55b19eaae4bedb180ec7a58dc8559ce2b4933",
     "mgf_mixed_components":
-        "943c9adc9e78c689617eecacf924f370860b2fff7028712218c1f3a256b128f2",
+        "6d497abcb130f79c3bc3045b4a9f77da2a11228ec57f97107eea3e6d7daf5ffc",
     "mgf_one_sided":
-        "21c1799c8d4b29b436007bd1ea46fef2bcd1b41991b924d2e7229fdfdc1e3d0c",
+        "266e7b12f558fe0dbc061d7035d45022b2a6c198348f3dba912ef61f3a4b864c",
     "order_p_exponential":
         "dfb2e92d334650a69bc8ee4fc54ac9349fc2a628cedd8c75c52c9037be8a2f14",
     "order_p_gamma":
@@ -189,23 +189,23 @@ DIGESTS = {
     "quantile_density_half_normal":
         "d566acc09e9831c937b200a1b77cb5835f88c4e447e6272de1bcb93361a09daf",
     "tail_ball":
-        "af0954841fa9a4673338079cc92e6a21bf6642540dec77ce1ffa6fe9d0c66aa5",
+        "4423c71af8bbef0857a678448ae46c47421b9b595cb82d98010cb0f05233750a",
     "tail_exp_per_coordinate":
-        "dbc8e32c83568b95a1b3f82dae81569b30e2f035b9484fa001700272b76c7f97",
+        "d5f9ae9c00c2ba46b341016d94c1e769de84a9ea6605125c3bc52b6c14663a0f",
     "tail_gamma_file":
-        "51430446af1b5a8aa793413555fdf3c09f3d7495708e0bcf5a76efad06f0f6b5",
+        "fbfed0cf494d8e134816f22c311ecca094de3c1b96bd4e2c87739124e7a62617",
     "tail_gaussian":
-        "8da2917a459c81cd3f31d7b75e53ef43e23f1f4d0b7f3513933f710fa663f3b1",
+        "9467e8746ccefddb48cbe9084869023b5cdb1c93bddb2e75019a282de90ef56d",
     "tail_gaussian_past_window":
-        "2431c41daeb2f3af8f258c7ceadf6e6127d01dc7e7902add9b8550ffa00c15cf",
+        "db751c430222dabe529cd65c814e298d79cbac4e1727ea5e0582f77edcd26aa4",
     "tail_mixed_gamma":
-        "76c7fb8f1f1d9c1214780d293cb5446b8d6ea168428e33891a0dea2bcddf551c",
+        "9efd516f4cd50ee12f8d7d3efc1a97937f57cf30812724e7f0dcc53e735f5292",
     "tail_workers2":
-        "7aaa3511bcaad6c4a7eff4f29b4f2e3a143a880e596542d0e1d5c6ab009ef21f",
+        "c783b82f5cc332f34ff7a1cee5d32bd82a67a29c30c9f4a6a4ab59b349746766",
     "variance_cov_factor":
-        "02ff13df8eda6792a11c4e25f60818cea2fd8c240c1633999a83b8fc81d83f45",
+        "bfc0bab1fa632244b5c011d3b8224f12d0f2a96f949691fe16041129e076e523",
     "variance_exp":
-        "05eaf2b06f20675716a75fe73cf6a98f54652164d6317b6d9dfe7f57762a347b",
+        "6b1fda91a846ec183dca9bab3bf7c8fb5932e8fe4f9cc5c5781b1c964b847c49",
 }
 
 
@@ -259,9 +259,9 @@ CUSTOM = {"logistic": logistic, "gumbel_min": gumbel_min}
 # SHA-256 of each custom density, taken with DIGEST_VERSIONS
 CUSTOM_DIGESTS = {
     "gumbel_min":
-        "9c6b2969184d5fbb0b8eceda0a27e1e8f72789ec26941e15b79eb776c689489c",
+        "72ba0ea4e71018deb213b9f4912769c2a161589e3d35d254359d3c9c4a98899c",
     "logistic":
-        "787c668d0a94b75defa26e4f02d07c57df7159a0b2d1248e4575461126a2896d",
+        "f12347fda122c7029927c3d96de1d72c535d9e68e9374636d6343433d512dd26",
 }
 
 

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import chdtr, chdtrc, ndtri, polygamma
@@ -50,7 +51,7 @@ from infoconc.infotools import (
 from infoconc.numerics import DomainError, NumericsError
 
 # Frozen reference values.
-Z_999 = 3.2905267314919255            # ndtri(0.9995)
+Z_999 = 3.2905267314918945            # sqrt(2) erfinv(0.999)
 WILSON_ZERO_HIGH_1E6 = 1.0827448935743123e-05
 EXP_MGF_025 = 1.2234227019749624
 EXP_MGF_05 = 1.5896534353620084
@@ -126,13 +127,15 @@ class TestMcEstimate:
         assert covered >= 910
 
     def test_z_value_matches_ndtri(self):
-        # statistics.NormalDist replaced scipy's ndtri: bit for bit at the
-        # default level; elsewhere the two inverses differ by up to 3 ulp
-        assert _z_value(0.999) == float(ndtri(0.9995)) == Z_999
-        for c in [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995,
-                  0.9999, 0.99999, 0.999999, 1.0 - 1e-9, 1.0 - 1e-12]:
-            want = float(ndtri(0.5 * (1.0 + c)))
-            assert abs(_z_value(c) - want) <= 3 * math.ulp(want)
+        # the oracle is sqrt(2) erfinv(c) at the exact binary c: the float
+        # level 0.5 * (1 + c) rounds away the low bits of the tail, which
+        # put ndtri(0.9995) 9.4e-15 from the quantile at c = 0.999
+        assert _z_value(0.999) == Z_999
+        with mp.workdps(40):
+            for c in [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999, 0.9995,
+                      0.9999, 0.99999, 0.999999, 1.0 - 1e-9, 1.0 - 1e-12]:
+                want = float(mp.sqrt(2) * mp.erfinv(mp.mpf(c)))
+                assert abs(_z_value(c) - want) <= 2 * math.ulp(want)
 
     def test_mean_interval(self):
         est = deviation_mean(make_batch([1.0, 2.0, 3.0, 4.0]), 0.999)
@@ -742,13 +745,13 @@ class TestMoments:
 class TestMgfFloor:
     def test_interval_is_raised_to_one(self):
         # E e^(a |X - 1|) is infinite for a >= 1 on the exponential; at
-        # a = 1.75 and 2 the normal interval reaches below 0
+        # a = 1.5, 1.75 and 2 the normal interval reaches below 1
         batch = sample_information(Product([(exponential(), 1)]), 100000,
                                    RngStream(1))
         rows = empirical_mgf(batch, list(np.arange(0.0, 2.01, 0.25)))
         raised = [r.alpha for r in rows
                   if r.estimate.value - Z_999 * r.estimate.std_error < 1.0]
-        assert raised == [1.75, 2.0]
+        assert raised == [1.5, 1.75, 2.0]
         for row in rows:
             assert row.estimate.ci_low >= 1.0
             assert row.estimate.ci_high >= row.estimate.value

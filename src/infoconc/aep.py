@@ -6,8 +6,10 @@ log-concave processes here the per-coordinate tail bound
 
     P{ |log f_n(X) + h(f_n)| >= s n } <= 3 e^(-s^2 n / 16)
 
-quantifies the speed; ``TrajectoryReport.exceedance_table`` estimates the
-left-hand side, and ``bounds`` judges it.  Two families are implemented:
+quantifies the speed.  A ``TrajectoryReport`` holds the deviations
+-log f_n(X) - h(f_n) themselves; its ``exceedance_table`` estimates the
+left-hand side with ``infotools.empirical_tail``, as for any batch, and
+``bounds`` judges it.  Two families are implemented:
 products of a fixed one-dimensional density, and the stationary Gaussian
 autoregression
 
@@ -21,10 +23,10 @@ oracle for that law.
 
 A report reads each trajectory only at its grid lengths, so each grid
 interval of d steps is the product of d step densities, which draws its own
-deviations (see ``run_trajectories``).  Trajectories are simulated on
-``RngStream.run_blocks`` in fixed blocks of TRIAL_BLOCK trials, block b
-drawing from its own keyed SFC64 generator, so reports are byte-identical
-for any worker count.
+deviations (see ``run_trajectories``).  Trajectories are one
+``RngStream.fill`` of the report's deviations in fixed blocks of
+TRIAL_BLOCK trials, block b drawing from its own keyed SFC64 generator, so
+reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ import numpy as np
 from . import distributions
 from .distributions import (Density1D, ParameterError, Product, RngStream,
                             _finite, density_from_spec, gaussian1d, spec_reader)
-from .infotools import (DEFAULT_CONFIDENCE, McEstimate, _check_count,
-                        _count_exceedances)
+from .infotools import (DEFAULT_CONFIDENCE, InfoSampleBatch, McEstimate,
+                        _check_count, empirical_tail)
 from .numerics import DomainError, NumericsError, check_grid
 
 __all__ = [
@@ -62,7 +64,6 @@ class IIDProcess:
     def __init__(self, base: Density1D):
         self.base = base
         self.entropy_rate = float(base.entropy)
-        self.spec = {"process": "iid", "base": base.spec}
 
     def joint_entropy(self, n: int) -> float:
         return n * self.entropy_rate
@@ -83,7 +84,6 @@ class GaussAR1:
         self.base = gaussian1d(0.0, sd)
         self.sigma1_sq = sd * sd / (1.0 - rho * rho)
         self.entropy_rate = self.base.entropy
-        self.spec = {"process": "gauss_ar1", "params": {"rho": self.rho, "sd": self.sd}}
 
     def joint_entropy(self, n: int) -> float:
         first = self.entropy_rate - 0.5 * math.log1p(-self.rho ** 2)
@@ -100,17 +100,20 @@ class ExceedanceRow:
 
 @dataclass(frozen=True)
 class TrajectoryReport:
-    """Per-coordinate information of simulated trajectories at grid lengths."""
+    """Information deviations of simulated trajectories at grid lengths."""
 
     entropy_rate: float
     n_grid: np.ndarray
     joint_entropies: np.ndarray
-    info: np.ndarray          # (trials, len(n_grid)), -log f_n / n
+    deviations: np.ndarray    # (trials, len(n_grid)), -log f_n - h_n
     trials: int
 
-    def per_coord_deviations(self) -> np.ndarray:
-        """info minus h_n/n, the centered per-coordinate deviations."""
-        return self.info - self.joint_entropies / self.n_grid
+    @property
+    def info(self) -> np.ndarray:
+        """-log f_n / n, the per-coordinate information, in a fresh array."""
+        info = self.deviations + self.joint_entropies
+        info /= self.n_grid
+        return info
 
     def sup_deviation_medians(self) -> np.ndarray:
         """Median over trials of sup_{n' >= n} |info - entropy rate|.
@@ -119,26 +122,25 @@ class TrajectoryReport:
         are non-increasing by construction; strict decrease is the
         convergence signal the equipartition property predicts.
         """
-        gap = np.abs(self.info - self.entropy_rate)
+        gap = self.info
+        gap -= self.entropy_rate
+        np.abs(gap, out=gap)
         tail_sup = np.maximum.accumulate(gap[:, ::-1], axis=1)[:, ::-1]
         return np.median(tail_sup, axis=0)
 
     def exceedance_table(self, s_values: Sequence[float],
                          confidence: float = DEFAULT_CONFIDENCE) -> list:
-        """Wilson estimates of P{|centered deviation| >= s} per length and s."""
+        """Wilson estimates of P{|-log f_n - h_n| >= s n} per length and s:
+        ``empirical_tail`` of each length's deviations, per coordinate."""
         svals = check_grid(s_values, "s grid")
         if svals[0] <= 0.0:
             raise DomainError("tail levels s must be positive")
-        dev = self.per_coord_deviations()
-        rows = []
-        for j, n in enumerate(self.n_grid):
-            for s in svals:
-                count = _count_exceedances(dev[:, j], s)
-                rows.append(ExceedanceRow(
-                    n=int(n), s=float(s), exceedances=count,
-                    estimate=McEstimate.from_proportion(count, self.trials,
-                                                        confidence)))
-        return rows
+        return [ExceedanceRow(n=int(n), s=row.t, exceedances=row.exceedances,
+                              estimate=row.estimate)
+                for n, column in zip(self.n_grid, self.deviations.T)
+                for row in empirical_tail(
+                    InfoSampleBatch(int(n), self.trials, column), svals,
+                    "per_coordinate", confidence)]
 
 
 @spec_reader
@@ -158,18 +160,19 @@ def process_from_spec(spec: dict):
 
 def run_trajectories(process, n_grid: Sequence[int], trials: int,
                      rng: RngStream, workers: int = 1) -> TrajectoryReport:
-    """Simulate ``trials`` trajectories and record -log f_n / n at each n.
+    """Simulate ``trials`` trajectories and record -log f_n - h_n at each n.
 
-    A block of trials fills one row per grid interval with the deviations
-    of its steps, and -log f_n is h_n plus the cumulative sum of the rows up
-    to n.  An interval of d steps, whatever d is, is the one-run product
+    ``rng.fill`` hands each block of TRIAL_BLOCK trials its rows of the
+    deviations.  A block draws one row of step deviations per grid
+    interval, and the cumulative sum of the rows up to n is -log f_n - h_n.
+    An interval of d steps, whatever d is, is the one-run product
     ``Product([(process.base, d)])``, which draws its own deviations: one
     Gamma(k d, 1) - k d draw for a base of shape k, or else its steps in
     pieces, so a worker's memory stays bounded.  At most one worker starts
     per ``distributions._CHUNK_ELEMENTS`` draws: thread hand-offs cost more
     than a few law draws.  A length, trial count or (trials, grid) size past
-    ``_MAX_COUNT`` raises DomainError, a NaN or infinite deviation
-    NumericsError.
+    ``_MAX_COUNT`` raises DomainError; a NaN or infinite joint entropy
+    (checked before any draw) or deviation raises NumericsError.
     """
     grid = check_grid(n_grid, "length grid")
     if grid[0] < 1.0 or np.any(grid != np.floor(grid)):
@@ -178,27 +181,23 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     grid = grid.astype(np.int64)
     _check_count(trials, "trial count", least=2)
     _check_count(trials * grid.size, "trial count times grid lengths")
+    joint = np.array([process.joint_entropy(int(n)) for n in grid])
+    if not np.isfinite(joint).all():
+        raise NumericsError("joint entropies are not all finite; check the "
+                            "process parameters")
     intervals = [Product([(process.base, d)])
                  for d in np.diff(grid, prepend=0).tolist()]
     draws = grid.size if process.base.info_shape is not None else int(grid[-1])
     workers = min(workers, -(-trials * draws // distributions._CHUNK_ELEMENTS))
-    joint = np.array([process.joint_entropy(int(n)) for n in grid])
-    info = np.empty((trials, grid.size))
 
-    def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-        dev = np.empty((grid.size, hi - lo))
-        # a NaN or infinity is reported once, below, not warned of per block
-        with np.errstate(all="ignore"):
-            for row, interval in zip(dev, intervals):
-                interval.draw_deviations(gen, row)
-            np.cumsum(dev, axis=0, out=dev)
-            dev += joint[:, None]
-            dev /= grid[:, None]
-        info[lo:hi] = dev.T
+    def draw(gen: np.random.Generator, rows: np.ndarray) -> None:
+        steps = np.empty((grid.size, len(rows)))
+        for row, interval in zip(steps, intervals):
+            interval.draw_deviations(gen, row)
+        rows[...] = np.cumsum(steps, axis=0, out=steps).T
 
-    rng.run_blocks(trials, TRIAL_BLOCK, run_block, workers)
-    if not np.isfinite(info).all():
-        raise NumericsError("per-coordinate information deviations are not "
-                            "all finite; check the process parameters")
+    deviations = np.empty((trials, grid.size))
+    rng.fill(deviations, TRIAL_BLOCK, draw, workers)
     return TrajectoryReport(entropy_rate=process.entropy_rate, n_grid=grid,
-                            joint_entropies=joint, info=info, trials=trials)
+                            joint_entropies=joint, deviations=deviations,
+                            trials=trials)

@@ -307,11 +307,12 @@ def _batch(args) -> tuple:
 
 
 def _trajectories(args) -> tuple:
-    process = process_from_spec(_read_spec(args, "process"))
+    spec = _read_spec(args, "process")
+    process = process_from_spec(spec)
     rng, config = _stream(args)
     report = run_trajectories(process, parse_grid(args.n_grid), args.samples,
                               rng, workers=args.workers)
-    return report, {**config, "process": process.spec,
+    return report, {**config, "process": spec,
                     "trials": args.samples, "n_grid": report.n_grid.tolist()}
 
 

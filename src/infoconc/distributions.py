@@ -13,23 +13,28 @@ product of its marginals, and one with a covariance factor the
 
 Sampling is exact everywhere.  ``Density1D`` applies a family's support
 (log_pdf is -inf outside) and draws by its quantile unless the family
-brings its own sampler: Marsaglia and Tsang's squeeze method (numpy's
-``standard_gamma``) for gamma(p) with p > 1, and for custom densities from
-``from_log_density`` acceptance-rejection under the universal envelope for
-log-concave densities (flat cap of height f(mode) with exponential tails,
-anchored at the mode).  Randomness comes from one SFC64 generator per
-block, keyed by (seed, stream_id, block), so any partition of the work
-across workers reproduces the same values.
+brings its own sampler: numpy's ``standard_normal`` for ``gaussian1d``,
+Marsaglia and Tsang's squeeze method (numpy's ``standard_gamma``) for
+gamma(p) with p > 1, and for custom densities from ``from_log_density``
+acceptance-rejection under the universal envelope for log-concave densities
+(flat cap of height f(mode) with exponential tails, anchored at the mode).
+Randomness comes from one SFC64 generator per block, keyed by (seed,
+stream_id, block).  ``RngStream.fill`` is the one block schedule of the
+package: it hands each block its own rows of an output array and its own
+generator, on a thread pool when more than one worker runs, so any
+partition of the work across workers reproduces the same values, and it
+alone checks that they are finite.
 
 The n-dimensional models work on row chunks of points: a product draws
 and evaluates each run once per chunk, its columns filled row by row, and
 an affine matrix is inverted once, at construction, so each solve is one
-matrix product.  No family imports scipy: gamma's entropy takes
-``numerics.digamma``, the quantiles of ``gaussian1d`` and ``half_normal``
-``numerics.normal_quantile``, and gamma's quantile Newton steps on
-``numerics.log_gamma_tail`` from the Wilson-Hilferty start, in the one
-Newton loop, ``_newton_quantile``, that a custom density's quantile takes
-from its node table.
+matrix product.  A density is built from its family's arguments and holds
+no spec; a report records the spec it was read from.  No family imports
+scipy: gamma's entropy takes ``numerics.digamma``, the quantiles of
+``gaussian1d`` and ``half_normal`` ``numerics.normal_quantile``, and
+gamma's quantile Newton steps on ``numerics.log_gamma_tail`` from the
+Wilson-Hilferty start, in the one Newton loop, ``_newton_quantile``, that a
+custom density's quantile takes from its node table.
 """
 from __future__ import annotations
 
@@ -153,28 +158,37 @@ class RngStream:
                  for v in (self.seed, self.stream_id, block) for shift in (0, 32)]
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
-    def run_blocks(self, total: int, block: int,
-                   work: Callable[[np.random.Generator, int, int], None],
-                   workers: int = 1) -> None:
-        """The one block schedule: ``work(generator(b), lo, hi)`` for each
-        block b, [lo, hi) = [b * block, min((b + 1) * block, total)), on
-        ``workers`` threads.  Block b always draws from ``generator(b)``, so
-        work that writes only its own [lo, hi) gives the same result for any
-        ``workers``."""
+    def fill(self, out: np.ndarray, block: int,
+             draw: Callable[[np.random.Generator, np.ndarray], None],
+             workers: int = 1) -> None:
+        """The one block schedule: ``draw(generator(b), rows)`` writes block
+        b's rows, ``rows = out[b * block:(b + 1) * block]`` (of a 1-D or 2-D
+        ``out``), on a pool of at most ``workers`` threads and at most one
+        per block, or on the calling thread when that is one.  Block b
+        always draws from ``generator(b)``, so ``out`` is the same for any
+        ``workers``.  Each block runs with float warnings off: a NaN or
+        infinity in ``out`` is one NumericsError, raised once every block
+        is done."""
         if workers < 1:
             raise DomainError(f"worker count must be >= 1, got {workers!r}")
-        n_blocks = -(-total // block)
+        n_blocks = -(-len(out) // block)
+        workers = min(workers, n_blocks)
 
         def run(b: int) -> None:
-            lo = b * block
-            work(self.generator(b), lo, min(lo + block, total))
+            with np.errstate(all="ignore"):
+                draw(self.generator(b), out[b * block:(b + 1) * block])
 
-        if workers == 1 or n_blocks == 1:
+        # a pool of one thread would cost its start and, for the caller,
+        # reading ``out`` back from another core's cache
+        if workers == 1:
             for b in range(n_blocks):
                 run(b)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run, range(n_blocks)))
+        if not np.isfinite(out).all():
+            raise NumericsError("drawn values are not all finite; check the "
+                                "model parameters")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +224,6 @@ class Density1D:
     support: Tuple[float, float]
     entropy: float
     mode: float
-    spec: dict = field(repr=False)
     order_p: Optional[float] = None
     info_shape: Optional[float] = None
     _log_pdf: Callable = field(repr=False, default=None)
@@ -371,7 +384,6 @@ def exponential() -> Density1D:
         support=(0.0, math.inf),
         entropy=1.0,
         mode=0.0,
-        spec={"family": "exponential"},
         order_p=1.0,
         info_shape=1.0,
         _log_pdf=lambda y: -y,
@@ -398,8 +410,7 @@ def gamma(p: float) -> Density1D:
                              f"{_GAMMA_MAX_SHAPE:g}, got {p!r}: past it the "
                              "log-density's rounding error is not negligible")
     if p == 1.0:
-        return replace(exponential(), name="gamma(1)",
-                       spec={"family": "gamma", "params": {"p": 1.0}})
+        return replace(exponential(), name="gamma(1)")
     lgp = log_gamma(p)
     name = f"gamma({p:g})"
     log_pdf = lambda y: (p - 1.0) * np.log(y) - y - lgp
@@ -422,7 +433,6 @@ def gamma(p: float) -> Density1D:
         support=(0.0, math.inf),
         entropy=p + lgp + (1.0 - p) * digamma(p),
         mode=p - 1.0,
-        spec={"family": "gamma", "params": {"p": p}},
         order_p=p,
         _log_pdf=log_pdf,
         _sampler=lambda gen, size: gen.standard_gamma(p, size),
@@ -441,9 +451,9 @@ def gaussian1d(mu: float = 0.0, sigma: float = 1.0) -> Density1D:
         support=(-math.inf, math.inf),
         entropy=0.5 * (LOG_2PI + 1.0) + math.log(sigma),
         mode=mu,
-        spec={"family": "gaussian1d", "params": {"mu": mu, "sigma": sigma}},
         info_shape=0.5,
         _log_pdf=lambda y: c - 0.5 * ((y - mu) / sigma) ** 2,
+        _sampler=lambda gen, size: mu + sigma * gen.standard_normal(size),
         _quantile=lambda t: mu + sigma * normal_quantile(t - 0.5, np.minimum(t, 1.0 - t)),
     )
 
@@ -455,7 +465,6 @@ def laplace() -> Density1D:
         support=(-math.inf, math.inf),
         entropy=1.0 + math.log(2.0),
         mode=0.0,
-        spec={"family": "laplace"},
         info_shape=1.0,
         _log_pdf=lambda y: -np.abs(y) - math.log(2.0),
         _quantile=lambda t: np.where(t < 0.5, np.log(2.0 * t), -np.log(2.0 * (1.0 - t))),
@@ -474,7 +483,6 @@ def uniform(a: float = 0.0, b: float = 1.0) -> Density1D:
         support=(a, b),
         entropy=logw,
         mode=0.5 * (a + b),
-        spec={"family": "uniform", "params": {"a": a, "b": b}},
         order_p=1.0 if a >= 0.0 else None,
         info_shape=0.0,
         _log_pdf=lambda y: np.full(y.shape, -logw),
@@ -490,7 +498,6 @@ def half_normal() -> Density1D:
         support=(0.0, math.inf),
         entropy=0.5 * math.log(math.pi * math.e / 2.0),
         mode=0.0,
-        spec={"family": "half_normal"},
         order_p=1.0,
         info_shape=0.5,
         _log_pdf=lambda y: c - 0.5 * y * y,
@@ -580,7 +587,6 @@ def from_log_density(
         support=support,
         entropy=float(log_z - mean_log_g),
         mode=mode,
-        spec={"family": "custom", "params": {"name": name}},
         order_p=order_p,
         _log_pdf=lambda y: raw(y) - log_z,
         _quantile=quantile,

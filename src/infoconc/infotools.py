@@ -7,9 +7,9 @@ with density f and entropy h:
 
 All experiments reduce to statistics of a large batch of such deviations:
 tail probabilities at scaled thresholds, exponential moments, coverage of
-the entropy-typical set, and the variance.  Sampling runs on
-``RngStream.run_blocks``, the one block schedule of the package, in fixed
-blocks of ``BLOCK_SIZE`` draws, each sourced from its own keyed SFC64
+the entropy-typical set, and the variance.  Sampling is one
+``RngStream.fill`` of the batch, the one block schedule of the package, in
+fixed blocks of ``BLOCK_SIZE`` draws, each sourced from its own keyed SFC64
 generator, so the result is byte-identical for any worker count.
 Each block is one ``ModelND.draw_deviations`` call: the model draws its own
 deviations, the part with a Gamma law directly and the rest in pieces, so
@@ -22,9 +22,9 @@ moments are accumulated in log space so large deviations cannot overflow:
 both moments of one alpha come from a single exp, taken in place in one
 reused buffer.  Each reduction holds at most one float64 scratch array of
 the batch's length, and runs its ufuncs with ``out=`` into it; every count
-of |dev| >= x, here and in ``aep``'s exceedance table, is one boolean mask
-(``_count_exceedances``).  These are estimates only; ``bounds`` decides
-windows, vacuity and verdicts.
+of |dev| >= x is one boolean mask (``_count_exceedances``), and every tail
+estimate, ``aep``'s exceedance table too, comes from ``empirical_tail``.
+These are estimates only; ``bounds`` decides windows, vacuity and verdicts.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import _MAX_COUNT, ModelND, RngStream
-from .numerics import DomainError, NumericsError, check_grid, normal_quantile
+from .numerics import DomainError, check_grid, normal_quantile
 
 __all__ = [
     "BLOCK_SIZE",
@@ -126,26 +126,16 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
                        workers: int = 1) -> InfoSampleBatch:
     """Draw m samples and return their information deviations.
 
-    Work is partitioned by ``rng.run_blocks`` into fixed blocks of
-    BLOCK_SIZE draws, so the deviations array is identical for any
-    ``workers`` value; each block is one ``model.draw_deviations`` call from
-    its own generator.  No more workers start than there are blocks.  A
-    count m outside [1, _MAX_COUNT] raises DomainError, and a deviation that
-    is NaN or infinite, as from draws that overflow, NumericsError: no tail
-    count or moment of it means anything.
+    ``rng.fill`` hands each fixed block of BLOCK_SIZE deviations to one
+    ``model.draw_deviations`` call with its own generator, so the array is
+    identical for any ``workers`` value.  A count m outside [1, _MAX_COUNT]
+    raises DomainError, and a deviation that is NaN or infinite, as from
+    draws that overflow, NumericsError: no tail count or moment of it means
+    anything.
     """
     _check_count(m, "sample count")
-    out = np.empty(m, dtype=float)
-
-    def run_block(gen: np.random.Generator, lo: int, hi: int) -> None:
-        # a NaN or infinity is reported once, below, not warned of per block
-        with np.errstate(all="ignore"):
-            model.draw_deviations(gen, out[lo:hi])
-
-    rng.run_blocks(m, BLOCK_SIZE, run_block, min(workers, -(-m // BLOCK_SIZE)))
-    if not np.isfinite(out).all():
-        raise NumericsError("information deviations are not all finite; "
-                            "check the model parameters")
+    out = np.empty(m)
+    rng.fill(out, BLOCK_SIZE, model.draw_deviations, workers)
     return InfoSampleBatch(dim=model.dim, m=m, deviations=out)
 
 

@@ -216,22 +216,23 @@ class TestInformationLaw:
         assert runs[0] == runs[1] == runs[2]
 
     def test_law_route_pool_size(self, monkeypatch):
-        # one worker per started _CHUNK_ELEMENTS of draws; the bytes are the
-        # same whether the blocks run on the pool or not
+        # one worker per started _CHUNK_ELEMENTS of draws, and one worker
+        # runs on the calling thread, with no pool; the bytes are the same
+        # whether the blocks run on a pool or not
         used = []
-        run_blocks = RngStream.run_blocks
+        pool = infoconc.distributions.ThreadPoolExecutor
 
-        def spy(self, total, block, work, workers=1):
-            used.append(workers)
-            run_blocks(self, total, block, work, workers)
+        def spy(max_workers):
+            used.append(max_workers)
+            return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(RngStream, "run_blocks", spy)
+        monkeypatch.setattr(infoconc.distributions, "ThreadPoolExecutor", spy)
         monkeypatch.setattr(infoconc.distributions, "_CHUNK_ELEMENTS", 4096)
         process = IIDProcess(laplace())
         runs = [run_trajectories(process, [1, 3, 10, 100], trials,
                                  RngStream(71), workers=5).info.tobytes()
                 for trials in (TRIAL_BLOCK, 2 * TRIAL_BLOCK + 5, 4 * TRIAL_BLOCK)]
-        assert used == [1, 3, 4]
+        assert used == [3, 4]
         single = run_trajectories(process, [1, 3, 10, 100], 4 * TRIAL_BLOCK,
                                   RngStream(71), workers=1)
         assert single.info.tobytes() == runs[2]
@@ -261,7 +262,7 @@ class TestRunTrajectories:
         report = run_trajectories(IIDProcess(uniform(0.0, 1.0)),
                                   [1, 2, 8], 200, RngStream(3))
         assert np.all(report.info == 0.0)
-        assert np.all(report.per_coord_deviations() == 0.0)
+        assert np.all(report.deviations == 0.0)
 
     def test_exponential_iid_info_converges_to_rate(self):
         report = run_trajectories(IIDProcess(exponential()),
@@ -272,7 +273,7 @@ class TestRunTrajectories:
     def test_gaussian_iid_deviation_scale(self):
         report = run_trajectories(IIDProcess(gaussian1d()),
                                   [64], 4000, RngStream(6))
-        sd = report.per_coord_deviations()[:, 0].std()
+        sd = (report.deviations[:, 0] / 64).std()
         expected = 1.0 / math.sqrt(2.0 * 64.0)
         assert abs(sd - expected) < 0.2 * expected
 
@@ -280,7 +281,7 @@ class TestRunTrajectories:
         # the centered deviations of the autoregression are sums of
         # (z^2 - 1)/2 over the innovations, same law as the iid normal
         report = run_trajectories(GaussAR1(0.5, 1.0), [64], 4000, RngStream(7))
-        sd = report.per_coord_deviations()[:, 0].std()
+        sd = (report.deviations[:, 0] / 64).std()
         expected = 1.0 / math.sqrt(2.0 * 64.0)
         assert abs(sd - expected) < 0.2 * expected
 
@@ -337,6 +338,15 @@ class TestRunTrajectories:
     def test_non_finite_information_raises(self, process):
         with pytest.raises(NumericsError, match="not all finite"):
             run_trajectories(process, [4, 16], 100, RngStream(1))
+
+    def test_non_finite_joint_entropy_raises_before_any_draw(self, monkeypatch):
+        # the law draws are finite, so only the joint entropies can show it
+        def no_fill(*args, **kwargs):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(RngStream, "fill", no_fill)
+        with pytest.raises(NumericsError, match="joint entropies"):
+            run_trajectories(NanLaw(), [4, 16], 100, RngStream(1))
 
 
 def logistic():
@@ -410,7 +420,7 @@ class TestStreamedBlocks:
         # the deviation scale sqrt(k / n) of Gamma(k n) - k n over n
         report = run_trajectories(IIDProcess(laplace()), [16, 10**15], 4000,
                                   RngStream(61))
-        sd = report.per_coord_deviations().std(axis=0)
+        sd = (report.deviations / report.n_grid).std(axis=0)
         expected = 1.0 / np.sqrt(report.n_grid)
         assert np.all(abs(sd - expected) < 0.1 * expected)
 
@@ -488,5 +498,8 @@ class TestConvergenceAndExceedance:
                                   RngStream(31, stream_id=2))
         assert report.trials == 10
         assert report.n_grid.tolist() == [2, 4]
-        assert report.info.shape == (10, 2)
+        assert report.info.shape == report.deviations.shape == (10, 2)
+        # info is (deviations + h_n) / n to the byte
+        assert report.info.tobytes() == (
+            (report.deviations + report.joint_entropies) / [2, 4]).tobytes()
         assert abs(report.entropy_rate - RATE_SD1) < 1e-12

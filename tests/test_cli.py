@@ -753,16 +753,21 @@ class TestAepCommand:
 
     def test_gauss_ar1_defaults_agree(self, tmp_path):
         # the bare name takes the --rho/--sd defaults, a spec without
-        # params the same values
+        # params the same values: the reports differ only in the spec each
+        # records as it was read
         path = tmp_path / "spec.json"
         path.write_text('{"process": "gauss_ar1"}')
-        processes = []
+        reports = []
         for flags in (["--model", "gauss_ar1"], ["--model-file", str(path)]):
             js = tmp_path / "aep.json"
             assert main(["aep", *flags, "--samples", "100", "--seed", "1",
                          "--n-grid", "2,4", "--out-json", str(js)]) == 0
-            processes.append(json.loads(js.read_text())["config"]["process"])
-        assert processes[0] == processes[1]
+            report = json.loads(js.read_text())
+            del report["meta"]
+            reports.append((report["config"].pop("process"), report))
+        assert reports[0][0] == {"process": "gauss_ar1", "params": {}}
+        assert reports[1][0] == {"process": "gauss_ar1"}
+        assert reports[0][1] == reports[1][1]
 
     def test_bad_rho(self, capsys):
         assert main(["aep", "--model", "gauss_ar1", "--rho", "1.5",

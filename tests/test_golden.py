@@ -147,11 +147,11 @@ CASES = {
 # SHA-256 of each case, taken with DIGEST_VERSIONS
 DIGESTS = {
     "aep_gauss_ar1":
-        "1442859a0ef15de5892b28c966a17a8be4f36c9b196a96cf48e2eeb46356d383",
+        "dc0c7134026db7a3699cc707f475a4f62d5cffb451287ccbe8ca2e035c1dd3a0",
     "aep_iid_exponential":
-        "4310af8b25759792b088b226615da5b235b148301a7c9f62291afaa7c4eb994b",
+        "1e1dfd831a7bab42053d5fb12759bc5264b16bc2b4adf388a2683fe19ffadb1a",
     "aep_iid_gamma2":
-        "c73635de33bb9ffd9a4755b50df5faac69b135df9dec20290dbe2ac337a8bb75",
+        "944413b04e27232e9ccc115ebabd318774a2c3faf7cb39fa500f3bd47ae47af6",
     "aep_iid_json_workers2":
         "1379e6a3632ad5427bed7b8db98432d27d24c1e1debeb319b022ebe218033241",
     "aep_process_file":

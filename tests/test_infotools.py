@@ -498,20 +498,21 @@ class TestSampleInformation:
         assert a.deviations.tobytes() == b.deviations.tobytes()
 
     def test_law_route_pool_size(self, monkeypatch):
-        # every route starts at most one worker per block
+        # every route starts at most one worker per block, and one block
+        # runs on the calling thread, with no pool
         used = []
-        run_blocks = RngStream.run_blocks
+        pool = infoconc.distributions.ThreadPoolExecutor
 
-        def spy(self, total, block, work, workers=1):
-            used.append(workers)
-            run_blocks(self, total, block, work, workers)
+        def spy(max_workers):
+            used.append(max_workers)
+            return pool(max_workers=max_workers)
 
-        monkeypatch.setattr(RngStream, "run_blocks", spy)
+        monkeypatch.setattr(infoconc.distributions, "ThreadPoolExecutor", spy)
         model = standard_normal(4)
         runs = [sample_information(model, m, RngStream(71), workers=5)
                 for m in (BLOCK_SIZE, 2 * BLOCK_SIZE + 5, 4 * BLOCK_SIZE)]
         sample_information(Product([(gamma(2.0), 1)]), 10, RngStream(71), workers=5)
-        assert used == [1, 3, 4, 1]
+        assert used == [3, 4]
         single = sample_information(model, 4 * BLOCK_SIZE, RngStream(71))
         assert single.deviations.tobytes() == runs[2].deviations.tobytes()
 

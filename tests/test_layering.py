@@ -62,3 +62,21 @@ def test_the_cut_of_a_rest_stays_in_distributions(name, names):
 def test_the_scan_sees_the_cut_of_a_rest():
     assert ({"runs", "_CHUNK_ELEMENTS", "standard_gamma"}
             <= attributes_read("distributions"))
+
+
+# RngStream.fill is the one block schedule: it alone keys the generators,
+# opens the pool and turns float warnings off around the draws; aep's
+# exceedance table is empirical_tail's, with no count or interval of its own
+@pytest.mark.parametrize("name,names", [
+    ("infotools", {"errstate", "ThreadPoolExecutor", "generator"}),
+    ("aep", {"errstate", "ThreadPoolExecutor", "generator",
+             "_count_exceedances", "from_proportion"}),
+])
+def test_the_block_schedule_stays_in_fill(name, names):
+    assert not names & attributes_read(name)
+
+
+def test_the_scan_sees_the_block_schedule():
+    assert ({"errstate", "ThreadPoolExecutor", "generator"}
+            <= attributes_read("distributions"))
+    assert {"_count_exceedances", "from_proportion"} <= attributes_read("infotools")

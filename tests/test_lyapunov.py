@@ -317,7 +317,6 @@ class TestQuantileDensityConcavity:
         heavy = Density1D(
             name="sqrt_tail", support=(0.0, math.inf),
             entropy=2.0 - math.log(2.0), mode=0.0,
-            spec={"family": "custom", "params": {"name": "sqrt_tail"}},
             _log_pdf=lambda x: math.log(2.0) - 2.0 * np.sqrt(x),
             _quantile=quantile)
         report = quantile_density_concavity(heavy, self.LEVELS)

@@ -39,8 +39,8 @@ import numpy as np
 from . import distributions
 from .distributions import (Density1D, ParameterError, Product, RngStream,
                             _finite, density_from_spec, gaussian1d, spec_reader)
-from .infotools import (DEFAULT_CONFIDENCE, InfoSampleBatch, McEstimate,
-                        _check_count, empirical_tail)
+from .infotools import (DEFAULT_CONFIDENCE, InfoSampleBatch, _check_count,
+                        empirical_tail)
 from .numerics import DomainError, NumericsError, check_grid
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "IIDProcess",
     "GaussAR1",
     "TrajectoryReport",
-    "ExceedanceRow",
     "process_from_spec",
     "run_trajectories",
 ]
@@ -91,14 +90,6 @@ class GaussAR1:
 
 
 @dataclass(frozen=True)
-class ExceedanceRow:
-    n: int
-    s: float
-    exceedances: int
-    estimate: McEstimate
-
-
-@dataclass(frozen=True)
 class TrajectoryReport:
     """Information deviations of simulated trajectories at grid lengths."""
 
@@ -106,7 +97,6 @@ class TrajectoryReport:
     n_grid: np.ndarray
     joint_entropies: np.ndarray
     deviations: np.ndarray    # (trials, len(n_grid)), -log f_n - h_n
-    trials: int
 
     @property
     def info(self) -> np.ndarray:
@@ -131,16 +121,15 @@ class TrajectoryReport:
     def exceedance_table(self, s_values: Sequence[float],
                          confidence: float = DEFAULT_CONFIDENCE) -> list:
         """Wilson estimates of P{|-log f_n - h_n| >= s n} per length and s:
-        ``empirical_tail`` of each length's deviations, per coordinate."""
+        (n, row) pairs, row the ``empirical_tail`` row of n's deviations,
+        per coordinate, whose ``t`` is s."""
         svals = check_grid(s_values, "s grid")
         if svals[0] <= 0.0:
             raise DomainError("tail levels s must be positive")
-        return [ExceedanceRow(n=int(n), s=row.t, exceedances=row.exceedances,
-                              estimate=row.estimate)
-                for n, column in zip(self.n_grid, self.deviations.T)
-                for row in empirical_tail(
-                    InfoSampleBatch(int(n), self.trials, column), svals,
-                    "per_coordinate", confidence)]
+        return [(n, row)
+                for n, column in zip(self.n_grid.tolist(), self.deviations.T)
+                for row in empirical_tail(InfoSampleBatch(n, column), svals,
+                                          "per_coordinate", confidence)]
 
 
 @spec_reader
@@ -199,5 +188,4 @@ def run_trajectories(process, n_grid: Sequence[int], trials: int,
     deviations = np.empty((trials, grid.size))
     rng.fill(deviations, TRIAL_BLOCK, draw, workers)
     return TrajectoryReport(entropy_rate=process.entropy_rate, n_grid=grid,
-                            joint_entropies=joint, deviations=deviations,
-                            trials=trials)
+                            joint_entropies=joint, deviations=deviations)

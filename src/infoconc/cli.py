@@ -187,14 +187,12 @@ def _tail_rows(batch, args):
 def _mgf_rows(batch, args):
     alphas = parse_grid(args.alpha_grid)
     rows = []
-    for row in empirical_mgf(batch, alphas, form=args.form,
-                             confidence=args.confidence):
+    for alpha, est in zip(alphas, empirical_mgf(batch, alphas, form=args.form,
+                                                confidence=args.confidence)):
         # e^(a y) <= e^(|a| |y|): a one-sided row of either sign sits under
         # the two-sided bound at |a|
-        v = bounds.compare(row.estimate,
-                           bounds.mgf_bound_nd(abs(row.alpha), batch.dim))
-        rows.append((row.alpha, *_cells(row.estimate), v.bound, v.in_window,
-                     v.verdict))
+        v = bounds.compare(est, bounds.mgf_bound_nd(abs(alpha), batch.dim))
+        rows.append((alpha, *_cells(est), v.bound, v.in_window, v.verdict))
     return rows, {"alpha_grid": alphas, "form": args.form}, None
 
 
@@ -272,10 +270,10 @@ def _order_p_rows(density, args):
 def _aep_rows(report, args):
     svals = parse_grid(args.s_grid)
     rows = []
-    for row in report.exceedance_table(svals, confidence=args.confidence):
+    for n, row in report.exceedance_table(svals, confidence=args.confidence):
         v = bounds.compare(row.estimate,
-                           bounds.per_coordinate_tail_bound(row.s, row.n))
-        rows.append((row.n, row.s, row.exceedances, *_cells(row.estimate),
+                           bounds.per_coordinate_tail_bound(row.t, n))
+        rows.append((n, row.t, row.exceedances, *_cells(row.estimate),
                      v.bound, v.in_window, v.vacuous, v.verdict))
     medians = report.sup_deviation_medians()
     config = {"s_grid": svals, "entropy_rate": report.entropy_rate,

@@ -90,8 +90,9 @@ class ParameterError(ValueError):
 
 
 def _finite(value, what: str) -> float:
-    """value as a float; a bool, NaN or infinity is a ParameterError naming it."""
-    if isinstance(value, bool):
+    """value as a float; a bool, a string (JSON "2" is text, not the number
+    2), NaN or infinity is a ParameterError naming it."""
+    if isinstance(value, (bool, str)):
         raise ParameterError(f"{what} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
@@ -100,12 +101,13 @@ def _finite(value, what: str) -> float:
 
 
 def _finite_array(value, what: str) -> np.ndarray:
-    """value as a float array; a bool entry, a NaN or an infinity is a ParameterError."""
-    # [true, 0] converts to int64, so a list's entries are looked at one by one
+    """value as a float array; a bool or string entry, a NaN or an infinity
+    is a ParameterError."""
+    # [true, 0] converts to int64 and ["2"] to 2.0: each entry is looked at
     raw = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
-    if raw.dtype == bool or raw.dtype == object and any(
-            isinstance(v, (bool, np.bool_)) for v in raw.flat):
-        raise ParameterError(f"{what} must hold numbers, not booleans")
+    if raw.dtype.kind in "bSU" or raw.dtype == object and any(
+            isinstance(v, (bool, np.bool_, str)) for v in raw.flat):
+        raise ParameterError(f"{what} must hold numbers, not booleans or strings")
     value = np.asarray(value, dtype=np.float64)
     if not np.isfinite(value).all():
         raise ParameterError(f"{what} must be finite")
@@ -117,9 +119,10 @@ _MAX_COUNT = np.iinfo(np.intp).max // 8
 
 
 def _count(value, what: str, most: float = _MAX_COUNT) -> int:
-    """value as an int in [1, most]; anything else, a bool too, is a
-    ParameterError that gives the value as it was written."""
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+    """value as an int in [1, most]; anything else, a bool or a string too,
+    is a ParameterError that gives the value as it was written."""
+    if isinstance(value, (bool, str)) or not (
+            isinstance(value, int) or float(value).is_integer()):
         raise ParameterError(f"{what} must be an integer, got {value!r}")
     if not 1 <= int(value) <= most:
         raise ParameterError(f"{what} must lie in [1, {most}], got {value!r}")

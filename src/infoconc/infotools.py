@@ -43,7 +43,6 @@ __all__ = [
     "McEstimate",
     "InfoSampleBatch",
     "TailRow",
-    "MgfRow",
     "sample_information",
     "empirical_tail",
     "empirical_mgf",
@@ -112,8 +111,12 @@ class InfoSampleBatch:
     """A batch of information deviations of one model."""
 
     dim: int
-    m: int
     deviations: np.ndarray
+
+    @property
+    def m(self) -> int:
+        """The number of draws, the length of ``deviations``."""
+        return self.deviations.size
 
 
 def _check_count(count: int, name: str, least: int = 1) -> None:
@@ -136,7 +139,7 @@ def sample_information(model: ModelND, m: int, rng: RngStream,
     _check_count(m, "sample count")
     out = np.empty(m)
     rng.fill(out, BLOCK_SIZE, model.draw_deviations, workers)
-    return InfoSampleBatch(dim=model.dim, m=m, deviations=out)
+    return InfoSampleBatch(dim=model.dim, deviations=out)
 
 
 @dataclass(frozen=True)
@@ -188,12 +191,6 @@ def empirical_tail(batch: InfoSampleBatch, thresholds: Sequence[float],
     return rows
 
 
-@dataclass(frozen=True)
-class MgfRow:
-    alpha: float
-    estimate: McEstimate
-
-
 def _safe_exp(x: float) -> float:
     # math.exp raises OverflowError past ~709.78; an infinite estimate is
     # the honest answer there
@@ -212,7 +209,8 @@ def _floored(est: McEstimate, floor: float) -> McEstimate:
 def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
                   form: str = "two_sided_abs",
                   confidence: float = DEFAULT_CONFIDENCE) -> list:
-    """Estimates of E exp(alpha |dev|/sqrt(n)) (or the one-sided version).
+    """Estimates of E exp(alpha |dev|/sqrt(n)) (or the one-sided version),
+    one ``McEstimate`` per alpha, in grid order.
 
     Accumulation happens in log space.  For each alpha one reused buffer
     becomes e = exp(alpha y - peak) in place, with peak the largest
@@ -238,7 +236,7 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
     scale = 1.0 / math.sqrt(batch.dim)
     log_m = math.log(batch.m)
     e = np.empty(batch.m)
-    rows = []
+    estimates = []
     for alpha in arr:
         if alpha == 0.0:
             est = McEstimate.from_mean_se(1.0, 0.0, confidence)
@@ -270,8 +268,8 @@ def empirical_mgf(batch: InfoSampleBatch, alphas: Sequence[float],
             else:
                 # overflowed estimate: no statistical claim either way
                 est = McEstimate(math.inf, math.inf, 0.0, math.inf)
-        rows.append(MgfRow(alpha=float(alpha), estimate=est))
-    return rows
+        estimates.append(est)
+    return estimates
 
 
 def entropy_power_band(batch: InfoSampleBatch, s: float = 1.0,

@@ -2,12 +2,15 @@
 
 Floats are rendered with 17 significant digits so a value survives a
 round-trip exactly; JSON keys are sorted so identical configurations
-produce byte-identical reports.  Anything time- or host-dependent belongs
-in the report's "meta" block, which comparisons are expected to drop.
+produce byte-identical reports.  JSON has no token for a non-finite
+float, so a report spells one as its CSV cell does, the string "inf",
+"-inf" or "nan".  Anything time- or host-dependent belongs in the
+report's "meta" block, which comparisons are expected to drop.
 """
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,21 +43,24 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             fh.write(",".join(_cell(x) for x in row) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _json_value(obj):
+    """obj with each numpy scalar made a Python one and each non-finite
+    float its CSV spelling, through dicts, lists and tuples."""
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return fmt17(obj)
+    return obj
 
 
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and stable separators (ends with newline)."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(_json_value(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def dump_json(path, obj) -> None:

@@ -144,8 +144,7 @@ def test_05_universal_mgf_below_four():
         t0 = time.perf_counter()
         batch = sample_information(Product([(d, 1)]), M_LARGE,
                                    RngStream(SEED, 200 + i), workers=2)
-        row = empirical_mgf(batch, [0.5], form="two_sided_abs")[0]
-        est = row.estimate
+        est = empirical_mgf(batch, [0.5], form="two_sided_abs")[0]
         if not est.ci_high < 4.0:
             fails.append(f"{d.name}: upper CI {est.ci_high:.4f} >= 4")
         if not est.ci_low <= half_bound + 3.0 * est.std_error:
@@ -189,14 +188,14 @@ def test_07_dimensional_mgf_verdicts():
         for n in (4, 16, 64):
             batch = info_batch(family, n)
             alphas = np.arange(0.0, 0.25 * math.sqrt(n) + 1e-9, 0.25)
-            for row in empirical_mgf(batch, alphas, form="two_sided_abs"):
-                verdict = bounds.compare(row.estimate,
-                                         bounds.mgf_bound_nd(row.alpha, n))
+            for alpha, est in zip(alphas, empirical_mgf(batch, alphas,
+                                                        form="two_sided_abs")):
+                verdict = bounds.compare(est, bounds.mgf_bound_nd(alpha, n))
                 if not verdict.in_window:
-                    fails.append(f"{family} n={n} alpha={row.alpha:g}: "
+                    fails.append(f"{family} n={n} alpha={alpha:g}: "
                                  "outside window")
                 elif verdict.verdict != HOLDS:
-                    fails.append(f"{family} n={n} alpha={row.alpha:g}: "
+                    fails.append(f"{family} n={n} alpha={alpha:g}: "
                                  f"verdict {verdict.verdict}")
     conclude(7, "dimensional MGF estimates stay below 3 exp(4 alpha^2)",
              fails, time.perf_counter() - t0, budget=120.0)
@@ -256,15 +255,15 @@ def test_11_aep_convergence():
     fails = []
     report = run_trajectories(GaussAR1(rho=0.5), np.array([16, 64, 256, 1024]),
                               trials=10**4, rng=RngStream(SEED, 500), workers=2)
-    for row in report.exceedance_table([0.5]):
+    for n, row in report.exceedance_table([0.5]):
         verdict = bounds.compare(
-            row.estimate, bounds.per_coordinate_tail_bound(row.s, row.n))
+            row.estimate, bounds.per_coordinate_tail_bound(row.t, n))
         bound = verdict.bound
-        expected = 3.0 * math.exp(-row.n / 64.0)
+        expected = 3.0 * math.exp(-n / 64.0)
         if abs(bound - expected) > 1e-12:
-            fails.append(f"n={row.n}: bound {bound} != 3 exp(-n/64)")
+            fails.append(f"n={n}: bound {bound} != 3 exp(-n/64)")
         if row.estimate.ci_low > bound or verdict.verdict == VIOLATED:
-            fails.append(f"n={row.n}: frequency {row.estimate.value:.2e} "
+            fails.append(f"n={n}: frequency {row.estimate.value:.2e} "
                          f"significantly above {bound:.2e}")
     medians = report.sup_deviation_medians()
     if not np.all(np.diff(medians) < 0.0):

@@ -162,7 +162,11 @@ class TestProcessDefinitions:
         ({"process": "gauss_ar1", "params": {"rho": False}}, "autoregression rho"),
         ({"process": "iid", "base": {"family": "gamma", "params": {"p": True}}},
          "gamma shape p"),
-    ], ids=["ar1_sd", "ar1_rho", "iid_gamma_p"])
+        ({"process": "gauss_ar1", "params": {"rho": "0.5"}}, "autoregression rho"),
+        ({"process": "iid", "base": {"family": "gamma", "params": {"p": "2"}}},
+         "gamma shape p"),
+    ], ids=["ar1_sd", "ar1_rho", "iid_gamma_p", "ar1_rho_string",
+            "iid_gamma_p_string"])
     def test_boolean_parameters_are_refused(self, spec, name):
         # JSON true is a bool, not the number 1
         with pytest.raises(ParameterError, match=f"{name} must be a number"):
@@ -462,11 +466,11 @@ class TestConvergenceAndExceedance:
                                   2000, RngStream(14))
         rows = report.exceedance_table([0.5])
         assert len(rows) == 2
-        small, large = rows
-        assert small.n == 16 and large.n == 256
+        (small_n, small), (large_n, large) = rows
+        assert small_n == 16 and large_n == 256
         small_v, large_v = (
-            compare(r.estimate, per_coordinate_tail_bound(r.s, r.n))
-            for r in rows)
+            compare(r.estimate, per_coordinate_tail_bound(r.t, n))
+            for n, r in rows)
         # at n = 16 the bound exceeds one: tagged, still mechanically fine
         assert small_v.bound > 1.0
         assert small_v.vacuous
@@ -482,9 +486,10 @@ class TestConvergenceAndExceedance:
         # the table estimates at any positive s; the window s <= 2 belongs
         # to the bound
         rows = report.exceedance_table([0.5, 2.5])
-        assert [(r.n, r.s) for r in rows] == [(16, 0.5), (16, 2.5)]
-        assert per_coordinate_tail_bound(rows[0].s, rows[0].n).in_window
-        assert not per_coordinate_tail_bound(rows[1].s, rows[1].n).in_window
+        assert [(n, r.t) for n, r in rows] == [(16, 0.5), (16, 2.5)]
+        (n, inside), (_, outside) = rows
+        assert per_coordinate_tail_bound(inside.t, n).in_window
+        assert not per_coordinate_tail_bound(outside.t, n).in_window
 
     def test_exceedance_validation(self):
         report = run_trajectories(GaussAR1(0.5, 1.0), [4], 100, RngStream(16))
@@ -496,7 +501,7 @@ class TestConvergenceAndExceedance:
     def test_report_fields(self):
         report = run_trajectories(GaussAR1(0.25, 1.0), [2, 4], 10,
                                   RngStream(31, stream_id=2))
-        assert report.trials == 10
+        assert len(report.deviations) == 10
         assert report.n_grid.tolist() == [2, 4]
         assert report.info.shape == report.deviations.shape == (10, 2)
         # info is (deviations + h_n) / n to the byte

@@ -566,6 +566,19 @@ class TestOtherBatchCommands:
         assert row["verdict"] == "INCONCLUSIVE"
         assert "HOLDS=0 INCONCLUSIVE=1" in out
 
+    def test_mgf_report_is_strict_json(self, tmp_path):
+        # JSON has no Infinity token: the overflowing bound at alpha = 30 is
+        # spelled as its CSV cell is
+        js = tmp_path / "r.json"
+        assert main(["mgf", "--model", "exponential", "--samples", "1000",
+                     "--alpha-grid", "0,30", "--out-json", str(js)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(js.read_text(), parse_constant=refuse)
+        assert [r["bound"] for r in report["results"]] == [3.0, "inf"]
+
     def test_mgf_of_one_draw_is_an_error(self, tmp_path, capsys):
         csv, js = tmp_path / "mgf.csv", tmp_path / "mgf.json"
         assert main(["mgf", "--model", "gaussian", "--samples", "1",

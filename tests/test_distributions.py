@@ -39,7 +39,8 @@ from infoconc.distributions import (
     quantile_density,
     uniform,
 )
-from infoconc.numerics import DomainError, NumericsError
+from infoconc.numerics import (DomainError, NumericsError, de_rule,
+                                logsumexp, peak_width)
 
 from conftest import positive_zoo, standard_zoo
 
@@ -968,6 +969,10 @@ def test_one_dim_family_promotes_to_model():
         {"family": "gaussian", "params": {"mean": 5}},
         {"family": "gaussian", "params": {"cov_factor": 2}},
         {"family": "gaussian", "params": {"dim": 3, "mean": [0.5, -1.0]}},
+        {"family": "product", "params": {"component": {"family": "laplace"},
+                                         "copies": "3"}},
+        {"family": "gaussian", "params": {"dim": "3"}},
+        {"family": "ball_uniform", "params": {"dim": "2"}},
     ],
 )
 def test_bad_specs_raise_parameter_error(spec):
@@ -1014,7 +1019,10 @@ def test_non_finite_parameters_are_named(build, name):
     ({"family": "uniform", "params": {"a": False}}, "uniform a"),
     ({"family": "ball_uniform", "params": {"dim": 2, "radius": True}},
      "ball radius"),
-], ids=["gamma_p", "gaussian1d_sigma", "uniform_a", "ball_radius"])
+    ({"family": "gamma", "params": {"p": "2"}}, "gamma shape p"),
+    ({"family": "uniform", "params": {"b": "2"}}, "uniform b"),
+], ids=["gamma_p", "gaussian1d_sigma", "uniform_a", "ball_radius",
+        "gamma_p_string", "uniform_b_string"])
 def test_boolean_parameters_are_refused(spec, name):
     # JSON true is a bool, not the number 1
     with pytest.raises(ParameterError, match=f"{name} must be a number"):
@@ -1030,7 +1038,13 @@ def test_boolean_parameters_are_refused(spec, name):
     ({"family": "gaussian", "params": {"mean": [True, 0],
                                        "cov_factor": [[1.0, 0.0], [0.0, 1.0]]}},
      "gaussian mean"),
-], ids=["affine_matrix", "affine_shift", "gaussian_mean"])
+    ({"family": "affine", "params": {"base": {"family": "exponential"},
+                                     "matrix": [["2"]]}}, "affine map matrix"),
+    ({"family": "gaussian", "params": {"mean": ["1", 0],
+                                       "cov_factor": [[1.0, 0.0], [0.0, 1.0]]}},
+     "gaussian mean"),
+], ids=["affine_matrix", "affine_shift", "gaussian_mean",
+        "affine_matrix_string", "gaussian_mean_string"])
 def test_boolean_array_entries_are_refused(spec, name):
     # [[true]] converts to a bool array and [true, 0] to int64, so each
     # entry is looked at, not only the array's dtype
@@ -1056,6 +1070,42 @@ def test_information_law_mean_is_the_entropy():
     assert gamma(2.0).info_shape is None
     bump = from_log_density("bump", lambda x: -0.5 * x * x, (-math.inf, math.inf))
     assert bump.info_shape is None
+
+
+# every 1-D family, by spec name, with the cases of it that the exact
+# information-law test integrates
+INFO_SHAPE_CASES = {
+    "exponential": [exponential()],
+    "gamma": [gamma(1.0), gamma(2.0), gamma(5.0), gamma(37.5)],
+    "gaussian1d": [gaussian1d(0.7, 1.9)],
+    "laplace": [laplace()],
+    "uniform": [uniform(-1.0, 2.0)],
+    "half_normal": [half_normal()],
+}
+
+
+def test_information_law_is_exact():
+    # log int f^t = log E f(X)^(t - 1), the log moment function of -log f(X)
+    # at 1 - t: with -log f(X) - h ~ Gamma(K, 1) - K it is
+    # (1 - t)(h - K) - K log t, and for gamma(p) it is
+    # log Gamma(t(p-1)+1) - (t(p-1)+1) log t - t log Gamma(p) in closed form
+    assert set(INFO_SHAPE_CASES) == set(infoconc.distributions._FAMILIES)
+    ts = np.arange(1, 61) * 0.05
+    for d in (d for cases in INFO_SHAPE_CASES.values() for d in cases):
+        scale = peak_width(d.log_pdf, d.mode, d.support)
+        log_mass = de_rule(
+            lambda x, log_w: logsumexp(ts[:, None] * d.log_pdf(x) + log_w, axis=1),
+            d.support, center=d.mode, scale=scale)
+        assert log_mass.converged.all(), d.name
+        k = d.info_shape
+        if k is not None:
+            want = (1.0 - ts) * (d.entropy - k) - k * np.log(ts)
+        else:
+            q = ts * (d.order_p - 1.0) + 1.0
+            want = np.array([math.lgamma(v) for v in q]) - q * np.log(ts) \
+                - ts * math.lgamma(d.order_p)
+        np.testing.assert_allclose(log_mass.value, want, rtol=0.0,
+                                   atol=1e-12, err_msg=d.name)
 
 
 def test_information_split():

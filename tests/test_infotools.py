@@ -86,7 +86,7 @@ def standard_normal(n: int):
 
 def make_batch(deviations, dim=1):
     deviations = np.asarray(deviations, dtype=float)
-    return InfoSampleBatch(dim=dim, m=deviations.size, deviations=deviations)
+    return InfoSampleBatch(dim=dim, deviations=deviations)
 
 
 class TestMcEstimate:
@@ -602,41 +602,41 @@ class TestEmpiricalTail:
 
 class TestEmpiricalMgf:
     def test_matches_exact_exponential(self, expo):
-        rows = empirical_mgf(expo, [0.0, 0.25, 0.5])
+        alphas = [0.0, 0.25, 0.5]
         exact = {0.0: 1.0, 0.25: EXP_MGF_025, 0.5: EXP_MGF_05}
-        for row in rows:
-            target = exact[row.alpha]
-            if row.alpha == 0.0:
-                assert row.estimate.value == 1.0
-                assert row.estimate.std_error == 0.0
+        for alpha, est in zip(alphas, empirical_mgf(expo, alphas)):
+            target = exact[alpha]
+            if alpha == 0.0:
+                assert est.value == 1.0
+                assert est.std_error == 0.0
             else:
-                assert abs(row.estimate.value - target) < 5.0 * row.estimate.std_error
-                assert row.estimate.std_error > 0.0
+                assert abs(est.value - target) < 5.0 * est.std_error
+                assert est.std_error > 0.0
 
     def test_monotone_in_alpha(self, expo):
-        rows = empirical_mgf(expo, list(np.arange(0.0, 0.8, 0.1)))
-        vals = [r.estimate.value for r in rows]
+        vals = [e.value for e in
+                empirical_mgf(expo, list(np.arange(0.0, 0.8, 0.1)))]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert all(v >= 1.0 for v in vals)
 
     def test_dimensional_bound_holds(self):
         batch = sample_information(standard_normal(16), 100000, RngStream(88))
-        row = empirical_mgf(batch, [1.0])[0]
-        verdict = compare(row.estimate, mgf_bound_nd(1.0, 16))
+        est = empirical_mgf(batch, [1.0])[0]
+        verdict = compare(est, mgf_bound_nd(1.0, 16))
         assert verdict.in_window
         assert verdict.verdict == HOLDS
 
     def test_one_sided_allows_negative_alpha(self, expo):
-        rows = empirical_mgf(expo, [-0.5, 0.5], form="one_sided")
+        est = empirical_mgf(expo, [-0.5, 0.5], form="one_sided")[0]
         # E exp(-a(X-1)) = e^a/(1+a) at a = 1/2
         target = math.exp(0.5) / 1.5
-        assert abs(rows[0].estimate.value - target) < 5.0 * rows[0].estimate.std_error
+        assert abs(est.value - target) < 5.0 * est.std_error
 
     def test_overflow_yields_inconclusive_not_crash(self):
         batch = make_batch([0.0, 800.0, 1600.0])
-        row = empirical_mgf(batch, [1.0])[0]
-        assert math.isinf(row.estimate.value)
-        verdict = compare(row.estimate, Bound(4.0))
+        est = empirical_mgf(batch, [1.0])[0]
+        assert math.isinf(est.value)
+        verdict = compare(est, Bound(4.0))
         assert verdict.verdict == INCONCLUSIVE
 
     def test_validation(self, expo):
@@ -749,21 +749,22 @@ class TestMgfFloor:
         # a = 1.5, 1.75 and 2 the normal interval reaches below 1
         batch = sample_information(Product([(exponential(), 1)]), 100000,
                                    RngStream(1))
-        rows = empirical_mgf(batch, list(np.arange(0.0, 2.01, 0.25)))
-        raised = [r.alpha for r in rows
-                  if r.estimate.value - Z_999 * r.estimate.std_error < 1.0]
+        alphas = list(np.arange(0.0, 2.01, 0.25))
+        ests = empirical_mgf(batch, alphas)
+        raised = [a for a, e in zip(alphas, ests)
+                  if e.value - Z_999 * e.std_error < 1.0]
         assert raised == [1.5, 1.75, 2.0]
-        for row in rows:
-            assert row.estimate.ci_low >= 1.0
-            assert row.estimate.ci_high >= row.estimate.value
+        for est in ests:
+            assert est.ci_low >= 1.0
+            assert est.ci_high >= est.value
 
     def test_one_sided_interval_below_one_is_the_floor(self):
         # the sample mean of two negative deviations puts the whole normal
         # interval of e^(a dev) just below 1
-        row = empirical_mgf(make_batch([-1.0, -0.9]), [0.001],
+        est = empirical_mgf(make_batch([-1.0, -0.9]), [0.001],
                             form="one_sided")[0]
-        assert row.estimate.value < 1.0
-        assert row.estimate.ci_low == row.estimate.ci_high == 1.0
+        assert est.value < 1.0
+        assert est.ci_low == est.ci_high == 1.0
 
 
 # The reductions as written before they shared one buffer: two exps per
@@ -824,17 +825,16 @@ class TestReductionsAgainstReference:
     def test_two_sided_gamma(self, k, dim):
         batch = gamma_batch(k, dim, seed=int(k * 10) + dim)
         alphas = [0.25, 0.5, 1.0, 1.5]
-        for row in empirical_mgf(batch, alphas):
-            assert_matches(row.estimate,
-                           reference_mgf(batch, row.alpha, "two_sided_abs"))
+        for alpha, est in zip(alphas, empirical_mgf(batch, alphas)):
+            assert_matches(est, reference_mgf(batch, alpha, "two_sided_abs"))
 
     @pytest.mark.parametrize("k,dim", [(1.0, 2), (8.0, 16)])
     def test_one_sided_gamma(self, k, dim):
         batch = gamma_batch(k, dim, seed=int(k) + 100)
-        for row in empirical_mgf(batch, [-1.0, -0.5, 0.25, 0.5],
-                                 form="one_sided"):
-            assert_matches(row.estimate,
-                           reference_mgf(batch, row.alpha, "one_sided"))
+        alphas = [-1.0, -0.5, 0.25, 0.5]
+        for alpha, est in zip(alphas, empirical_mgf(batch, alphas,
+                                                    form="one_sided")):
+            assert_matches(est, reference_mgf(batch, alpha, "one_sided"))
 
     @pytest.mark.parametrize("k,dim", [(0.5, 1), (8.0, 16), (32.0, 64)])
     def test_moments_gamma(self, k, dim):
@@ -847,21 +847,21 @@ class TestReductionsAgainstReference:
                                    1000, RngStream(3))
         assert not batch.deviations.any()
         for form in ("two_sided_abs", "one_sided"):
-            for row in empirical_mgf(batch, [0.5, 1.0], form=form):
-                assert row.estimate.value == 1.0
-                assert row.estimate.std_error == 0.0
-                assert_matches(row.estimate,
-                               reference_mgf(batch, row.alpha, form))
+            for alpha, est in zip([0.5, 1.0],
+                                  empirical_mgf(batch, [0.5, 1.0], form=form)):
+                assert est.value == 1.0
+                assert est.std_error == 0.0
+                assert_matches(est, reference_mgf(batch, alpha, form))
         assert_matches(deviation_variance(batch), (0.0, 0.0, 0.0, 0.0))
         assert_matches(deviation_mean(batch), (0.0, 0.0, 0.0, 0.0))
 
     def test_overflow(self):
         # the infinite estimate [0, inf] (INCONCLUSIVE, see TestEmpiricalMgf)
         batch = make_batch([0.0, 800.0, 1600.0])
-        row = empirical_mgf(batch, [1.0])[0]
+        est = empirical_mgf(batch, [1.0])[0]
         assert reference_mgf(batch, 1.0, "two_sided_abs") == (
             math.inf, math.inf, 0.0, math.inf)
-        assert_matches(row.estimate, reference_mgf(batch, 1.0, "two_sided_abs"))
+        assert_matches(est, reference_mgf(batch, 1.0, "two_sided_abs"))
 
 
 @pytest.mark.parametrize("reduce", [
@@ -890,7 +890,7 @@ def test_reductions_do_not_depend_on_blas_threads():
             "from infoconc.infotools import (InfoSampleBatch, deviation_mean,\n"
             "    deviation_variance, empirical_mgf)\n"
             "d = np.random.default_rng(94).standard_gamma(8.0, 2**18) - 8.0\n"
-            "b = InfoSampleBatch(dim=16, m=d.size, deviations=d)\n"
+            "b = InfoSampleBatch(dim=16, deviations=d)\n"
             "print(empirical_mgf(b, [0.5, 1.0]),\n"
             "      empirical_mgf(b, [-0.5], form='one_sided'),\n"
             "      deviation_variance(b), deviation_mean(b))")
